@@ -373,7 +373,12 @@ LoadResult RunOpenLoop(const LoadPlan& plan, WireSession* reader,
       Sample& s = result.reads[i];
       const size_t n = plan.reads->size();
       s.due = read_due(i);
-      s.traced = plan.trace && ((i + i / n) % 2 == 1);
+      // Blocks of eight reads, alternately traced: the read lists cycle
+      // query kind, length and in/out-of-data origin with periods that
+      // divide 8 or are odd, so both halves hold every combination.
+      // The block parity also flips per pass over the list, so a query
+      // met twice is traced once.
+      s.traced = plan.trace && ((i / 8 + i / n) % 2 == 1);
       onex::server::RequestAttrs attrs;
       attrs.id = plan.first_id + i + 1;
       attrs.trace = s.traced;

@@ -173,6 +173,7 @@ struct Sample {
 
 struct LoadPlan {
   /// Reads are cycled in order; each is sent tagged on the read session.
+  /// Rate 0 = appends only.
   const std::vector<onex::QueryRequest>* reads = nullptr;
   double read_rate = 0;
   /// Appends sent untagged on the write session at `append_rate`; empty
@@ -180,8 +181,8 @@ struct LoadPlan {
   const std::vector<std::vector<double>>* appends = nullptr;
   double append_rate = 0;
   double seconds = 0;
-  /// Sends trace=1 on every other read (alternating per pass over the
-  /// read list) so one run holds traced and untraced reads.
+  /// Sends trace=1 on every other block of eight reads so one run holds
+  /// traced and untraced reads of every kind.
   bool trace = false;
   /// Ids of this load's reads start after this many earlier ones.
   uint64_t first_id = 0;

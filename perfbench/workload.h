@@ -31,10 +31,12 @@ struct WorkloadSpec {
   /// `use` target of the write session; the dataset appends land in.
   std::string append_target;
   std::vector<std::vector<double>> appends;
-  /// > 0: appends run during the load at this rate, each fsync'd. Otherwise
-  /// every append is sent after the load, one at a time, without a
-  /// per-append fsync, and a FLUSH (checkpoint) then makes them durable.
+  /// Appends are sent open loop at this rate, each timed from its due time.
   double append_rate = 0;
+  /// True: the appends run beside the load's reads. False: they run after
+  /// the load, and a FLUSH (checkpoint) then makes them durable. Whether
+  /// each append is fsync'd is `storage.sync_appends`.
+  bool appends_during_load = false;
   onex::storage::StorageOptions storage;
   /// Set-ups, reopens and follower bootstraps per run; each is reported
   /// as the median of this many.

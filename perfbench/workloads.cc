@@ -36,6 +36,20 @@ using onex::server::WireResponse;
 /// Every tenth read of the load is checked.
 constexpr size_t kCheckStride = 10;
 
+/// Appends left in the WAL for reopen to replay (below ingest's
+/// checkpoint threshold of 12 records).
+constexpr size_t kWalTail = 4;
+
+/// Whether the read session's `use` target covers dataset `name`; a
+/// shard-set `prefix*` covers every name with that prefix.
+bool ReadsCover(const WorkloadSpec& spec, const std::string& name) {
+  const std::string& target = spec.read_target;
+  if (!target.empty() && target.back() == '*') {
+    return name.rfind(target.substr(0, target.size() - 1), 0) == 0;
+  }
+  return name == target;
+}
+
 std::unique_ptr<onex::router::Router> StartRouter(uint16_t node_port) {
   onex::router::RouterOptions options;
   options.upstreams = {{"127.0.0.1", node_port}};
@@ -170,6 +184,7 @@ void CheckMergeParity(const WorkloadSpec& spec, const LoadResult& load,
     std::vector<std::string> pool;
     bool ok = true;
     for (const auto& [name, data] : spec.datasets) {
+      if (!ReadsCover(spec, name)) continue;
       onex::server::RequestAttrs attrs;
       attrs.dataset = name;
       auto reply = direct.value().Roundtrip(
@@ -245,6 +260,19 @@ void MatchesLeader(const Answers& leader,
   }
 }
 
+/// The kind of a read, for the per-kind pruning ratios: Q1 best match of
+/// one length or of any length, Q1 k-sim, Q1 range, or another query.
+std::string ReadKind(const QueryRequest& read) {
+  if (const auto* q = std::get_if<onex::BestMatchRequest>(&read)) {
+    return q->length == 0 ? "q1_any" : "q1_exact";
+  }
+  if (std::holds_alternative<onex::KSimilarRequest>(read)) return "q1k";
+  if (std::holds_alternative<onex::RangeWithinRequest>(read)) {
+    return "q1_range";
+  }
+  return "other";
+}
+
 /// Storage counters observed over the run (maxima of sampled gauges).
 struct StorageWatch {
   uint64_t chain_length_max = 0;
@@ -291,7 +319,8 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
   // Traced run: the in-memory append cost on a twin of the fresh base.
   std::vector<double> apply_ms;
   if (args.trace) {
-    auto twin = Engine::Open(onex::storage::BasePathFor(dir, primary));
+    auto twin =
+        Engine::Open(onex::storage::BasePathFor(dir, spec.append_target));
     report->Op(twin.ok(), "open twin");
     for (size_t i = 0; twin.ok() && i < 2 && i < spec.appends.size(); ++i) {
       ScopedSpan span(&tracer, "core.append_apply");
@@ -340,7 +369,7 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
   plan.first_id = static_cast<uint64_t>(spec.read_rate);
   plan.reads = &spec.reads;
   plan.read_rate = spec.read_rate;
-  if (spec.append_rate > 0) {
+  if (spec.appends_during_load) {
     plan.appends = &spec.appends;
     plan.append_rate = spec.append_rate;
   }
@@ -371,20 +400,19 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
 
   // ------------------------------------------------------------ writes
   std::vector<Sample> appends = std::move(load.appends);
-  if (spec.append_rate <= 0 && writer) {
-    // After the load, one at a time (each timed from its send), then a
-    // FLUSH so the next open starts from a checkpoint.
-    for (const auto& values : spec.appends) {
-      Sample s;
-      s.due = s.sent = Clock::now();
-      auto reply = writer->Roundtrip(
-          onex::server::RenderAppendLine(onex::server::AppendRequest{values}));
-      s.done = Clock::now();
-      s.ok = reply && reply->ok;
-      if (reply) s.reply = std::move(*reply);
-      if (s.ok) sample_storage();
-      appends.push_back(std::move(s));
-    }
+  if (!spec.appends_during_load && writer) {
+    // After the load, open loop at the workload's append rate (slower
+    // than one append takes, so they do not queue), then a FLUSH so the
+    // next open starts from a checkpoint.
+    LoadPlan writes;
+    writes.appends = &spec.appends;
+    writes.append_rate = spec.append_rate;
+    writes.seconds = (static_cast<double>(spec.appends.size()) + 0.5) /
+                     spec.append_rate;
+    writes.after_append = sample_storage;
+    Tracer off(false);
+    appends =
+        RunOpenLoop(writes, stack->reader.get(), writer.get(), &off).appends;
     auto flushed = writer->Roundtrip("flush");
     report->Op(flushed && flushed->ok, "flush");
   }
@@ -396,6 +424,28 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
       acked.push_back(Acked{spec.append_target,
                             std::stoul(s.reply.header.at("series")),
                             &spec.appends[i]});
+    }
+  }
+  if (spec.appends_during_load && writer) {
+    // How far the background checkpointer got before the load stopped
+    // varies from run to run, and with it how many WAL records a reopen
+    // replays (each one an append's rebuild). A FLUSH (checkpoint) and
+    // then a fixed WAL tail, shorter than any checkpoint threshold, give
+    // every run the same base + chain + WAL to reopen.
+    auto flushed = writer->Roundtrip("flush");
+    report->Op(flushed && flushed->ok, "flush");
+    const size_t first = appends.size();
+    for (size_t i = first; i < first + kWalTail && i < spec.appends.size();
+         ++i) {
+      auto reply = writer->Roundtrip(onex::server::RenderAppendLine(
+          onex::server::AppendRequest{spec.appends[i], 0}));
+      const bool ok = reply && reply->ok;
+      report->Op(ok, "tail append");
+      if (ok) {
+        acked.push_back(Acked{spec.append_target,
+                              std::stoul(reply->header.at("series")),
+                              &spec.appends[i]});
+      }
     }
   }
   sample_storage();
@@ -431,6 +481,7 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
       const uint64_t root = tracer.Begin("api.execute", 0, i + 1);
       double ms = 0;
       for (const auto& [name, engine] : leader) {
+        if (!ReadsCover(spec, name)) continue;
         const auto t0 = Clock::now();
         auto r = engine->Execute(spec.reads[i % spec.reads.size()],
                                  ExecContext{});
@@ -448,7 +499,9 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
     }
     if (router != nullptr) {
       std::vector<std::string> legs;
-      for (const auto& [name, data] : spec.datasets) legs.push_back(name);
+      for (const auto& [name, data] : spec.datasets) {
+        if (ReadsCover(spec, name)) legs.push_back(name);
+      }
       routing = ProbeRouter(router->port(), stack->server->port(),
                             spec.read_target, legs, spec.reads, 100, &tracer);
       router_failovers = router->metrics().failovers();
@@ -599,8 +652,10 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
   // no lower-bound stage) cannot hide how the typical read prunes.
   std::vector<double> queue_ms, overhead_ms, rep_ms, member_ms, knn_ms;
   std::vector<double> seen, pruned, kim, keogh, abandoned;
+  std::map<std::string, std::vector<double>> pruned_by_kind;
   double rtt_sum = 0, unattributed_sum = 0;
-  for (const Sample& s : load.reads) {
+  for (size_t i = 0; i < load.reads.size(); ++i) {
+    const Sample& s = load.reads[i];
     if (!s.traced || !s.ok) continue;
     const TraceInfo t = ParseTrace(s.reply);
     if (!t.present) continue;
@@ -618,6 +673,8 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
     if (t.seen == 0) continue;
     const double n = static_cast<double>(t.seen);
     pruned.push_back(1.0 - static_cast<double>(t.dtw_evaluated) / n);
+    pruned_by_kind[ReadKind(spec.reads[i % spec.reads.size()])].push_back(
+        pruned.back());
     kim.push_back(static_cast<double>(t.kim_pruned) / n);
     keogh.push_back(static_cast<double>(t.keogh_pruned) / n);
     abandoned.push_back(static_cast<double>(t.early_abandoned) / n);
@@ -648,7 +705,6 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
     report->Metric("read_p50_ms", Percentile(read_ms, 50), "ms");
     report->Metric("read_p99_ms", Percentile(read_ms, 99), "ms");
     report->Metric("append_p50_ms", Percentile(append_ms, 50), "ms");
-    report->Metric("append_p99_ms", Percentile(append_ms, 99), "ms");
     report->Metric("reopen_s", Median(reopen_s), "s");
     report->Metric("catchup_s", Median(catchup_s), "s");
     report->Metric("disk_bytes_per_user_byte",
@@ -677,6 +733,10 @@ bool RunWorkload(const WorkloadSpec& spec, const Args& args, Report* report) {
   report->Metric("core.knn_ms", Mean(knn_ms), "ms");
   report->Metric("core.candidates_per_read", Mean(seen), "count");
   report->Metric("core.pruning_ratio", Mean(pruned), "ratio");
+  for (const char* kind : {"q1_exact", "q1_any", "q1k", "q1_range"}) {
+    report->Metric(std::string("core.pruning_ratio_") + kind,
+                   Mean(pruned_by_kind[kind]), "ratio");
+  }
   report->Metric("core.pruned_kim_share", Mean(kim), "ratio");
   report->Metric("core.pruned_keogh_share", Mean(keogh), "ratio");
   report->Metric("core.dtw_abandoned_share", Mean(abandoned), "ratio");
