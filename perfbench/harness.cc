@@ -465,4 +465,21 @@ std::vector<double> LatenciesMs(const std::vector<Sample>& samples,
   return out;
 }
 
+std::vector<double> BestLatenciesMs(const std::vector<Sample>& samples,
+                                    size_t distinct) {
+  const std::vector<double> all = LatenciesMs(samples);
+  std::vector<double> best(std::min(distinct, all.size()),
+                           std::numeric_limits<double>::max());
+  std::vector<bool> failed(best.size(), false);
+  for (size_t i = 0; i < all.size(); ++i) {
+    const size_t read = i % distinct;
+    best[read] = std::min(best[read], all[i]);
+    failed[read] = failed[read] || !samples[i].ok;
+  }
+  for (size_t read = 0; read < best.size(); ++read) {
+    if (failed[read]) best[read] = std::numeric_limits<double>::infinity();
+  }
+  return best;
+}
+
 }  // namespace perfbench

@@ -208,6 +208,12 @@ LoadResult RunOpenLoop(const LoadPlan& plan, WireSession* reader,
 std::vector<double> LatenciesMs(const std::vector<Sample>& samples,
                                 std::optional<bool> traced = std::nullopt);
 
+/// The load sends `distinct` reads over and over; sample i is read
+/// i % distinct. Returns each read's best latency over its samples, ms,
+/// infinite if any of them failed.
+std::vector<double> BestLatenciesMs(const std::vector<Sample>& samples,
+                                    size_t distinct);
+
 }  // namespace perfbench
 
 #endif  // PERFBENCH_HARNESS_H_

@@ -1,10 +1,12 @@
 // The workloads' inputs. The program sees only the datasets, reads and
-// appends built here. Each workload's base data comes from a fixed seed,
-// so every run serves the same base; --seed draws the query stream and
-// the appended series. The mix of query kinds and lengths repeats in a
-// fixed pattern, so runs differ in query values only. NOTES.md says why
-// each workload exists, and why ingest runs by name but is not in
-// BENCHMARK.json.
+// appends built here. Each workload's data, the base and the series
+// appended to it, comes from fixed seeds, so every run holds the same
+// data; --seed draws the query stream. The mix of query kinds and
+// lengths repeats in a fixed pattern, so runs differ in query values
+// only. A load of S
+// seconds at R reads/s over P passes holds S * R / P distinct reads.
+// NOTES.md says why each workload exists, and why ingest runs by name
+// but is not in BENCHMARK.json.
 #include <algorithm>
 
 #include "bench/common.h"
@@ -21,6 +23,16 @@ using onex::Dataset;
 using onex::QueryRequest;
 
 constexpr uint64_t kBaseSeed = 42;
+/// Seed of the appended series. With them drawn per run, the appended
+/// dataset's grouping, and with it the cost of replaying its WAL tail,
+/// moved scatter's reopen_s by a fifth from seed to seed.
+constexpr uint64_t kAppendSeed = kBaseSeed + 2;
+
+/// Distinct reads of one pass of a `seconds` load.
+size_t DistinctReads(const WorkloadSpec& spec, double seconds) {
+  return std::max<size_t>(
+      1, static_cast<size_t>(seconds * spec.read_rate / spec.passes));
+}
 
 Dataset Generate(const std::string& generator, size_t series, size_t length,
                  uint64_t seed) {
@@ -68,20 +80,23 @@ std::vector<std::vector<double>> PaperQueries(const Dataset& data,
 }
 
 // explore: one analyst's session over a paper evaluation set.
-void Explore(uint64_t seed, WorkloadSpec* spec) {
+void Explore(uint64_t seed, double seconds, WorkloadSpec* spec) {
   constexpr size_t kSeries = 100, kLength = 128;
   spec->options.lengths = onex::LengthSpec{16, kLength, 16};
   Dataset data = Generate("TwoPattern", kSeries, kLength, kBaseSeed);
   const auto [lo, hi] = onex::MinMaxNormalize(&data);
   onex::Rng rng(seed ^ 0x51ED);
   const auto grid = spec->options.lengths.LengthsFor(kLength);
+  // Four passes at 150 reads/s: a 30 s run holds 1125 distinct reads,
+  // so p99 has eleven beyond it, and a read's best of four passes is
+  // more its own cost and less the host's (NOTES.md, Steadiness).
+  spec->read_rate = 150;
+  spec->passes = 4;
   // Per 45 reads: 15 exact and 13 any-length best matches, 13 k-sim, one
   // range scan, two Q2 and one Q3. 45 and the 8 lengths are coprime, so
-  // every kind meets every length. 1350 distinct queries cover a 20 s
-  // run without repeats, so the seed's draw averages out over a run
-  // (with 450, read_p50_ms moved by a fifth from seed to seed).
-  const auto queries =
-      PaperQueries(data, "TwoPattern", spec->options.lengths, 1350, seed);
+  // every kind meets every length.
+  const auto queries = PaperQueries(data, "TwoPattern", spec->options.lengths,
+                                    DistinctReads(*spec, seconds), seed);
   for (size_t i = 0; i < queries.size(); ++i) {
     const std::vector<double>& q = queries[i];
     const size_t len = q.size();
@@ -101,18 +116,16 @@ void Explore(uint64_t seed, WorkloadSpec* spec) {
       spec->reads.push_back(onex::RecommendRequest{std::nullopt, 0});
     }
   }
-  spec->read_rate = 60;
-  // One append takes over a second on this base (NOTES.md).
-  spec->append_rate = 0.6;
-  spec->appends = FreshSeries("TwoPattern", 3, kLength, seed * 31 + 7, lo, hi);
-  spec->storage.sync_appends = false;  // The FLUSH after them syncs.
+  // No appends over the wire: one takes over a second on this base
+  // (NOTES.md). The traced run times these on an in-memory twin.
+  spec->appends = FreshSeries("TwoPattern", 2, kLength, kAppendSeed, lo, hi);
   spec->datasets.emplace_back("explore", std::move(data));
   spec->read_target = spec->append_target = "explore";
   spec->check = WorkloadSpec::Check::kEngineParity;
 }
 
 // scatter: short Q1/Q1k reads fanned out over four cache-sized shards.
-void Scatter(uint64_t seed, WorkloadSpec* spec) {
+void Scatter(uint64_t seed, double seconds, WorkloadSpec* spec) {
   constexpr size_t kShards = 4, kPerShard = 40, kLength = 64;
   spec->options.lengths = onex::LengthSpec{8, 16, 4};
   // Normalize the union before splitting so every shard shares one scale
@@ -120,10 +133,14 @@ void Scatter(uint64_t seed, WorkloadSpec* spec) {
   Dataset all =
       Generate("TwoPattern", kShards * kPerShard, kLength, kBaseSeed);
   const auto [lo, hi] = onex::MinMaxNormalize(&all);
+  // As on explore. The Nagle stall on the router's links holds each read
+  // for about one send interval (NOTES.md), 6.7 ms at this rate.
+  spec->read_rate = 150;
+  spec->passes = 4;
   // Q1 and Q1k alternate; the lengths (8, 12, 16) cycle under them.
   size_t i = 0;
-  for (auto& q : PaperQueries(all, "TwoPattern", spec->options.lengths, 400,
-                              seed)) {
+  for (auto& q : PaperQueries(all, "TwoPattern", spec->options.lengths,
+                              DistinctReads(*spec, seconds), seed)) {
     const size_t len = q.size();
     if (i++ % 2 == 0) {
       spec->reads.push_back(onex::BestMatchRequest{std::move(q), len});
@@ -147,15 +164,13 @@ void Scatter(uint64_t seed, WorkloadSpec* spec) {
   spec->datasets.emplace_back(inbox.name(), std::move(inbox));
   spec->routed = true;
   spec->repeats = 15;
-  spec->read_rate = 50;
   spec->read_target = "shard-*";
   // Appends run beside the reads, spread over the whole load rather than
   // bunched after it.
   spec->append_target = "inbox";
   spec->append_rate = 5;
-  spec->appends_during_load = true;
   spec->appends =
-      FreshSeries("TwoPattern", 1000, kLength, seed * 31 + 7, lo, hi);
+      FreshSeries("TwoPattern", 1000, kLength, kAppendSeed, lo, hi);
   // No fsync per append: the routed append measures the router and the
   // rebuild, not the disk. Thresholds low enough that a run completes
   // several delta checkpoints of `inbox` and a chain compaction.
@@ -166,7 +181,7 @@ void Scatter(uint64_t seed, WorkloadSpec* spec) {
 }
 
 // ingest: durable appends beside explore-style Q1 reads.
-void Ingest(uint64_t seed, WorkloadSpec* spec) {
+void Ingest(uint64_t seed, double seconds, WorkloadSpec* spec) {
   constexpr size_t kSeries = 200, kLength = 128;
   spec->options.lengths = onex::LengthSpec{16, kLength, 16};
   Dataset data = Generate("RandomWalk", kSeries, kLength, kBaseSeed);
@@ -175,18 +190,17 @@ void Ingest(uint64_t seed, WorkloadSpec* spec) {
   // lengths are coprime, so both kinds meet every length. No k-sim: on
   // this base it costs about four best matches, and the CPU it would take
   // from the two cores makes every latency here track the machine's load.
+  spec->read_rate = 50;
   size_t i = 0;
-  for (auto& q : PaperQueries(data, "RandomWalk", spec->options.lengths, 400,
-                              seed)) {
+  for (auto& q : PaperQueries(data, "RandomWalk", spec->options.lengths,
+                              DistinctReads(*spec, seconds), seed)) {
     const size_t len = i++ % 3 == 2 ? 0 : q.size();
     spec->reads.push_back(onex::BestMatchRequest{std::move(q), len});
   }
-  spec->read_rate = 50;
   spec->append_rate = 2.5;
-  spec->appends_during_load = true;
   spec->repeats = 9;
   spec->appends =
-      FreshSeries("RandomWalk", 1000, kLength, seed * 31 + 7, lo, hi);
+      FreshSeries("RandomWalk", 1000, kLength, kAppendSeed, lo, hi);
   // fsync on every append (the default) and thresholds low enough that a
   // run completes several delta checkpoints and a chain compaction.
   spec->storage.checkpoint_wal_records = 12;
@@ -198,14 +212,15 @@ void Ingest(uint64_t seed, WorkloadSpec* spec) {
 
 }  // namespace
 
-bool MakeWorkload(const std::string& name, uint64_t seed, WorkloadSpec* spec) {
+bool MakeWorkload(const std::string& name, uint64_t seed, double seconds,
+                  WorkloadSpec* spec) {
   spec->name = name;
   if (name == "explore") {
-    Explore(seed, spec);
+    Explore(seed, seconds, spec);
   } else if (name == "scatter") {
-    Scatter(seed, spec);
+    Scatter(seed, seconds, spec);
   } else if (name == "ingest") {
-    Ingest(seed, spec);
+    Ingest(seed, seconds, spec);
   } else {
     return false;
   }

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   }
   onex::SetLogLevel(onex::LogLevel::kError);
   perfbench::WorkloadSpec spec;
-  if (!perfbench::MakeWorkload(args.workload, args.seed, &spec)) {
+  if (!perfbench::MakeWorkload(args.workload, args.seed, args.seconds,
+                               &spec)) {
     std::cerr << "unknown workload '" << args.workload << "'\n";
     return 2;
   }

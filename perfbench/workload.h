@@ -26,20 +26,22 @@ struct WorkloadSpec {
   bool routed = false;
   /// `use` target of the read session (a dataset or a shard-set).
   std::string read_target;
+  /// The distinct reads of one pass; the load sends them `passes` times
+  /// over, in order, and each read's latency is its best over the passes.
   std::vector<onex::QueryRequest> reads;
   double read_rate = 0;
+  int passes = 1;
   /// `use` target of the write session; the dataset appends land in.
   std::string append_target;
   std::vector<std::vector<double>> appends;
-  /// Appends are sent open loop at this rate, each timed from its due time.
+  /// Appends are sent open loop beside the load's reads at this rate,
+  /// each timed from its due time; 0 = no appends over the wire (the
+  /// traced run still times `appends` on an in-memory twin). Whether each
+  /// append is fsync'd is `storage.sync_appends`.
   double append_rate = 0;
-  /// True: the appends run beside the load's reads. False: they run after
-  /// the load, and a FLUSH (checkpoint) then makes them durable. Whether
-  /// each append is fsync'd is `storage.sync_appends`.
-  bool appends_during_load = false;
   onex::storage::StorageOptions storage;
-  /// Set-ups, reopens and follower bootstraps per run; each is reported
-  /// as the median of this many.
+  /// Set-ups, reopens and follower bootstraps per run; set-up is reported
+  /// as the median of this many, reopen and bootstrap as the fastest.
   int repeats = 3;
   /// Answer check of the load's reads: byte-identical to an in-process
   /// Engine::Execute (single dataset), or equal to the direct per-shard
@@ -50,8 +52,10 @@ struct WorkloadSpec {
   std::vector<onex::QueryRequest> probes;
 };
 
-/// Builds the inputs of workload `name` from `seed`; false if unknown.
-bool MakeWorkload(const std::string& name, uint64_t seed, WorkloadSpec* spec);
+/// Builds the inputs of workload `name` from `seed`, sized for a load of
+/// `seconds`; false if unknown.
+bool MakeWorkload(const std::string& name, uint64_t seed, double seconds,
+                  WorkloadSpec* spec);
 
 /// Runs the workload and fills the report with the end-to-end metrics,
 /// or with the per-layer metrics when `args.trace` is set. False when a
