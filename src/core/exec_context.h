@@ -204,10 +204,14 @@ class ExecChecker {
                                                        : 1) {}
 
   /// True when the query must stop now; status() carries the code.
-  bool ShouldStop() {
+  /// `candidates` is the work the caller is about to do (a batched scan
+  /// checks once per batch), so the context is consulted about every
+  /// `check_every` candidates however they are grouped.
+  bool ShouldStop(size_t candidates = 1) {
     if (ctx_ == nullptr) return false;
     if (!status_.ok()) return true;
-    if (++count_ < period_) return false;
+    count_ += candidates;
+    if (count_ < period_) return false;
     count_ = 0;
     MirrorCascade();  // Amortized: rides the same slow path as Check().
     status_ = ctx_->Check();

@@ -1,6 +1,7 @@
 #include "core/query_processor.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -20,6 +21,44 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // candidates of length len.
 inline double Norm(size_t m, size_t len) {
   return 2.0 * static_cast<double>(std::max(m, len));
+}
+
+/// Normalized DTW of `query` against candidates [first, first + count)
+/// of one length (count <= kDtwBatchLanes), candidate i being view(i),
+/// in one DtwEarlyAbandonBatch call. Entry c is bit-identical to
+/// DtwEarlyAbandon(query, view(first + c), threshold * norm, options) /
+/// norm (threshold in normalized units; +inf scores exactly). Batching
+/// is for scans whose threshold does not depend on earlier candidates.
+template <class View>
+std::array<double, kDtwBatchLanes> ScoreBatch(std::span<const double> query,
+                                              size_t first, size_t count,
+                                              const View& view,
+                                              double threshold, double norm,
+                                              const DtwOptions& options) {
+  std::array<std::span<const double>, kDtwBatchLanes> candidates;
+  for (size_t c = 0; c < count; ++c) candidates[c] = view(first + c);
+  std::array<double, kDtwBatchLanes> distances;
+  DtwEarlyAbandonBatch(query, std::span(candidates.data(), count),
+                       threshold * norm, distances, options);
+  for (size_t c = 0; c < count; ++c) distances[c] /= norm;
+  return distances;
+}
+
+/// Scores candidates [0, size) batch by batch (see ScoreBatch) and hands
+/// each result to on_score(i, distance) in candidate order. `check` is
+/// consulted before every batch; once it fires, no further batch runs.
+template <class View, class OnScore>
+void ScoreInBatches(std::span<const double> query, size_t size,
+                    const View& view, double threshold, double norm,
+                    const DtwOptions& options, ExecChecker& check,
+                    const OnScore& on_score) {
+  for (size_t first = 0; first < size; first += kDtwBatchLanes) {
+    const size_t count = std::min(kDtwBatchLanes, size - first);
+    if (check.ShouldStop(count)) return;
+    const auto distances =
+        ScoreBatch(query, first, count, view, threshold, norm, options);
+    for (size_t c = 0; c < count; ++c) on_score(first + c, distances[c]);
+  }
 }
 
 }  // namespace
@@ -175,15 +214,18 @@ std::vector<std::pair<uint32_t, double>> QueryProcessor::TopRepresentatives(
       base_->options().window_ratio, m, entry.length);
   std::vector<std::pair<uint32_t, double>> reps;
   reps.reserve(entry.NumGroups());
-  for (uint32_t k = 0; k < entry.NumGroups(); ++k) {
-    if (check.ShouldStop()) break;
-    ++stats.reps_compared;
-    ++stats.cascade.candidates;
-    ++stats.cascade.dtw_completed;
-    const std::span<const double> rep(
-        entry.groups[k].representative.data(), entry.length);
-    reps.push_back({k, DtwDistance(query, rep, dtw_options) / norm});
-  }
+  ScoreInBatches(
+      query, entry.NumGroups(),
+      [&](size_t k) {
+        return std::span<const double>(entry.groups[k].representative.data(),
+                                       entry.length);
+      },
+      kInf, norm, dtw_options, check, [&](size_t k, double d) {
+        ++stats.reps_compared;
+        ++stats.cascade.candidates;
+        ++stats.cascade.dtw_completed;
+        reps.push_back({static_cast<uint32_t>(k), d});
+      });
   const size_t top =
       std::min(options_.groups_to_search, reps.size());
   std::partial_sort(reps.begin(), reps.begin() + static_cast<ptrdiff_t>(top),
@@ -375,7 +417,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
   }
 
   // Rank every member of the chosen group (no early abandon: we need
-  // exact distances for the top-k ordering).
+  // exact distances for the top-k ordering), kDtwBatchLanes at a time.
   const LsiEntry& group = entry->groups[group_id];
   const double norm = Norm(query.size(), entry->length);
   const DtwOptions dtw_options = DtwOptions::FromRatio(
@@ -399,34 +441,34 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
     // CommitStats copies it out below.
     ScopedTimer stage(&call.knn_seconds);
     InflightStageScope live_stage(check, QueryStage::kKnn);
-    for (size_t i = 0; i < group.members.size(); ++i) {
-      if (check.ShouldStop()) break;
-      const LsiMember& member = group.members[i];
-      ++call.members_compared;
-      ++call.cascade.candidates;
-      ++call.cascade.dtw_completed;
-      QueryMatch match;
-      match.ref = member.ref;
-      match.group_id = group_id;
-      match.distance =
-          DtwDistance(query, member.ref.View(base_->dataset()), dtw_options) /
-          norm;
-      matches.push_back(match);
-      if (track_topk &&
-          (topk.size() < k || MatchDistanceLess(match, topk.back()))) {
-        topk.insert(std::upper_bound(topk.begin(), topk.end(), match,
-                                     MatchDistanceLess),
-                    match);
-        if (topk.size() > k) topk.pop_back();
-      }
-      // Periodic snapshots only when a live watcher exists: the API
-      // layer's partial-capture wrapper is served by the final/interrupt
-      // flush alone.
-      if (check.wants_live_progress() && (i + 1) % 32 == 0) {
-        flush_topk(static_cast<double>(i + 1) /
-                   static_cast<double>(group.members.size()));
-      }
-    }
+    const size_t size = group.members.size();
+    ScoreInBatches(
+        query, size,
+        [&](size_t i) { return group.members[i].ref.View(base_->dataset()); },
+        kInf, norm, dtw_options, check, [&](size_t i, double d) {
+          ++call.members_compared;
+          ++call.cascade.candidates;
+          ++call.cascade.dtw_completed;
+          QueryMatch match;
+          match.ref = group.members[i].ref;
+          match.group_id = group_id;
+          match.distance = d;
+          matches.push_back(match);
+          if (track_topk &&
+              (topk.size() < k || MatchDistanceLess(match, topk.back()))) {
+            topk.insert(std::upper_bound(topk.begin(), topk.end(), match,
+                                         MatchDistanceLess),
+                        match);
+            if (topk.size() > k) topk.pop_back();
+          }
+          // Periodic snapshots only when a live watcher exists: the API
+          // layer's partial-capture wrapper is served by the
+          // final/interrupt flush alone.
+          if (check.wants_live_progress() && (i + 1) % 32 == 0) {
+            flush_topk(static_cast<double>(i + 1) /
+                       static_cast<double>(size));
+          }
+        });
   }
   CommitStats(call, stats);
   if (!check.status().ok()) {
@@ -510,22 +552,33 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
     // proven for it, and a Sakoe-Chiba band could push a guaranteed
     // member's reported distance past st.
     const DtwOptions dtw_options{-1};
+    const auto rep_view = [&](size_t k) {
+      return std::span<const double>(entry->groups[k].representative.data(),
+                                     len);
+    };
+    // Representatives are scored a batch of kDtwBatchLanes groups ahead
+    // of the group walk, which keeps its per-group order and progress.
+    std::array<double, kDtwBatchLanes> rep_distances{};
     for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
       if (check.ShouldStop()) break;
       const LsiEntry& group = entry->groups[k];
-      const std::span<const double> rep(group.representative.data(), len);
       // DTW has no reverse triangle inequality, so no group can be
       // skipped outright; the representative's DTW only chooses between
       // wholesale admission (Lemma 2) and a per-member scan.
-      ++call.reps_compared;
-      ++call.cascade.candidates;
-      ++call.cascade.dtw_completed;
-      double rep_d;
-      {
+      if (k % kDtwBatchLanes == 0) {
+        const size_t count = std::min(kDtwBatchLanes, entry->NumGroups() - k);
+        call.reps_compared += count;
+        call.cascade.candidates += count;
+        call.cascade.dtw_completed += count;
         ScopedTimer stage(&call.rep_scan_seconds);
         InflightStageScope live_stage(check, QueryStage::kRepScan);
-        rep_d = DtwDistance(query, rep, dtw_options) / norm;
+        rep_distances =
+            ScoreBatch(query, k, count, rep_view, kInf, norm, dtw_options);
       }
+      const double rep_d = rep_distances[k % kDtwBatchLanes];
+      const auto member_view = [&](size_t i) {
+        return group.members[i].ref.View(base_->dataset());
+      };
       // Lemma 2 premises, checked against the *stored* member EDs (the
       // members array is sorted, so back() is the group's ED radius):
       // both DTW(query, rep) and every ED(member, rep) must be <= st/2.
@@ -536,50 +589,49 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
         ScopedTimer stage(&call.member_scan_seconds);
         InflightStageScope live_stage(check, QueryStage::kMemberScan);
         call.members_admitted_by_lemma2 += group.members.size();
-        for (const LsiMember& member : group.members) {
+        const auto admit = [&](size_t i, double d, bool upper_bound) {
           QueryMatch match;
-          match.ref = member.ref;
+          match.ref = group.members[i].ref;
           match.group_id = k;
-          if (exact_distances) {
-            if (check.ShouldStop()) break;
-            // Exact recompute enters the cascade as a straight DTW.
-            ++call.cascade.candidates;
-            ++call.cascade.dtw_completed;
-            match.distance =
-                DtwDistance(query, member.ref.View(base_->dataset()),
-                            dtw_options) /
-                norm;
-          } else {
-            match.distance = st;
-            match.distance_is_upper_bound = true;
-          }
+          match.distance = d;
+          match.distance_is_upper_bound = upper_bound;
           matches.push_back(match);
+        };
+        if (exact_distances) {
+          ScoreInBatches(query, group.members.size(), member_view, kInf, norm,
+                         dtw_options, check, [&](size_t i, double d) {
+                           // Exact recompute enters the cascade as a
+                           // straight DTW.
+                           ++call.cascade.candidates;
+                           ++call.cascade.dtw_completed;
+                           admit(i, d, false);
+                         });
+        } else {
+          for (size_t i = 0; i < group.members.size(); ++i) {
+            admit(i, st, true);
+          }
         }
       } else {
         // Individual scan with early abandoning at the range threshold.
         ScopedTimer stage(&call.member_scan_seconds);
         InflightStageScope live_stage(check, QueryStage::kMemberScan);
-        for (const LsiMember& member : group.members) {
-          if (check.ShouldStop()) break;
-          ++call.members_compared;
-          ++call.cascade.candidates;
-          const double d =
-              DtwEarlyAbandon(query, member.ref.View(base_->dataset()),
-                              st * norm, dtw_options) /
-              norm;
-          if (std::isinf(d)) {
-            ++call.cascade.dtw_abandoned;
-          } else {
-            ++call.cascade.dtw_completed;
-          }
-          if (d <= st) {
-            QueryMatch match;
-            match.ref = member.ref;
-            match.group_id = k;
-            match.distance = d;
-            matches.push_back(match);
-          }
-        }
+        ScoreInBatches(query, group.members.size(), member_view, st, norm,
+                       dtw_options, check, [&](size_t i, double d) {
+                         ++call.members_compared;
+                         ++call.cascade.candidates;
+                         if (std::isinf(d)) {
+                           ++call.cascade.dtw_abandoned;
+                         } else {
+                           ++call.cascade.dtw_completed;
+                         }
+                         if (d <= st) {
+                           QueryMatch match;
+                           match.ref = group.members[i].ref;
+                           match.group_id = k;
+                           match.distance = d;
+                           matches.push_back(match);
+                         }
+                       });
       }
       ++groups_done;
       if (check.wants_live_progress()) flush_new();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace onex {
@@ -16,6 +17,39 @@ size_t EffectiveWindow(const DtwOptions& options, size_t n, size_t m) {
   if (options.window < 0) return std::numeric_limits<size_t>::max();
   const size_t diff = n > m ? n - m : m - n;
   return std::max(static_cast<size_t>(options.window), diff);
+}
+
+// GCC warns that 32-byte vector arguments change the ABI of functions
+// compiled without AVX. The vector helpers below are all inlined into
+// their callers and never cross a call boundary, so no ABI is involved.
+// (GCC reports it at the end of the file, so the whole file opts out.)
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wpsabi"
+#endif
+
+// `x < y ? x : y`, the exact semantics of std::min(y, x) and of the
+// x86 MINPD instruction (y wins ties and NaNs). T is double or a
+// lane vector; on vectors the compare and select run per lane.
+template <class T>
+[[gnu::always_inline]] inline T LessSelect(const T& x, const T& y) {
+  return x < y ? x : y;
+}
+
+// One cell of the recurrence: D(i, j) = cost(i, j) + min(D(i-1, j-1),
+// D(i-1, j), D(i, j-1)), with an unreachable (+inf) predecessor set
+// leaving the cell unreachable. The scalar kernel and every lane of the
+// batch kernels run exactly this sequence of compares, selects, one
+// subtraction, one multiplication and one addition (never fused), so a
+// lane's result is bit-identical to the scalar one whatever the lane
+// order.
+template <class T>
+[[gnu::always_inline]] inline T DtwCell(const T& ai, const T& bj,
+                                        const T& diag, const T& up,
+                                        const T& left, const T& inf) {
+  const T d = ai - bj;
+  const T cost = d * d;
+  const T best = LessSelect(left, LessSelect(up, diag));
+  return best == inf ? inf : cost + best;
 }
 
 // Shared DP core. Returns the squared DTW, or +inf when early abandoning
@@ -50,13 +84,10 @@ double SquaredDtwCore(std::span<const double> a, std::span<const double> b,
     double row_min = kInf;
     const double ai = a[i];
     for (size_t j = j_lo; j <= j_hi; ++j) {
-      const double d = ai - b[j];
-      const double cost = d * d;
-      const double best_prev =
-          std::min({prev[j], prev[j + 1], cur[j]});
-      const double value = best_prev == kInf ? kInf : cost + best_prev;
+      const double value = DtwCell(ai, b[j], prev[j], prev[j + 1], cur[j],
+                                   kInf);
       cur[j + 1] = value;
-      row_min = std::min(row_min, value);
+      row_min = LessSelect(value, row_min);
     }
     if (threshold_sq < kInf) {
       // UCR-suite cumulative-bound pruning: everything still to come
@@ -70,7 +101,248 @@ double SquaredDtwCore(std::span<const double> a, std::span<const double> b,
   return prev[m];
 }
 
+// ------------------------------------------------------------- batches
+//
+// The scalar core is latency-bound: every cell waits for its left
+// neighbour's min + add. The batch kernels run the same recurrence for
+// L = K * W candidates of one length at once, one candidate per lane of
+// K vectors of W doubles, so K independent chains overlap. Candidates
+// are transposed lane-major (bt[j * L + l] = column j of candidate l)
+// and the DP rows use the same layout.
+
+// Lane packs: two doubles (portable: SSE2 on x86-64, NEON on AArch64,
+// scalar pairs elsewhere) or four (AVX2). `V` is the register type;
+// buffers are plain doubles read and written through `Mem`, which may
+// alias double and needs no alignment (a vector type's alignment
+// differs between the AVX2 and the default target of one build).
+struct Pack2 {
+  using V = double __attribute__((vector_size(16)));
+  using Mem = double __attribute__((vector_size(16), aligned(8), may_alias));
+};
+struct Pack4 {
+  using V = double __attribute__((vector_size(32)));
+  using Mem = double __attribute__((vector_size(32), aligned(8), may_alias));
+};
+
+template <class P>
+inline constexpr size_t kWidth = sizeof(typename P::V) / sizeof(double);
+
+template <class P>
+[[gnu::always_inline]] inline typename P::V Load(const double* p) {
+  return *reinterpret_cast<const typename P::Mem*>(p);
+}
+
+template <class P>
+[[gnu::always_inline]] inline void Store(double* p, const typename P::V& v) {
+  *reinterpret_cast<typename P::Mem*>(p) = v;
+}
+
+template <class P>
+[[gnu::always_inline]] inline typename P::V Broadcast(double x) {
+  typename P::V v;
+  for (size_t l = 0; l < kWidth<P>; ++l) v[l] = x;
+  return v;
+}
+
+// `count` doubles of `storage`, starting on a 32-byte boundary.
+inline double* Aligned(std::vector<double>& storage, size_t count) {
+  storage.resize(count + 4);
+  const auto misalign = reinterpret_cast<uintptr_t>(storage.data()) % 32;
+  return storage.data() + (32 - misalign) % 32 / sizeof(double);
+}
+
+// Squared DTW of `a` against the K * kWidth<P> candidates `b` (lane l
+// scores b[l], each of length m) under half-width `w`. Row i does, per
+// lane, exactly what row i of SquaredDtwCore does: a lane whose row
+// minimum exceeds threshold_sq is abandoned (+inf), and the scan stops
+// once every lane is.
+template <class P, size_t K>
+[[gnu::always_inline]] inline void SquaredDtwLanes(
+    std::span<const double> a, const double* const* b, size_t m, size_t w,
+    double threshold_sq, double* out) {
+  constexpr size_t W = kWidth<P>;
+  constexpr size_t L = K * W;
+  const size_t n = a.size();
+  using V = typename P::V;
+  const V inf = Broadcast<P>(kInf);
+
+  thread_local std::vector<double> bt_storage, prev_storage, cur_storage;
+  double* bt = Aligned(bt_storage, m * L);
+  for (size_t j = 0; j < m; ++j) {
+    for (size_t l = 0; l < L; ++l) bt[j * L + l] = b[l][j];
+  }
+  double* prev = Aligned(prev_storage, (m + 1) * L);
+  double* cur = Aligned(cur_storage, (m + 1) * L);
+  std::fill_n(prev, (m + 1) * L, kInf);
+  std::fill_n(cur, (m + 1) * L, kInf);
+  std::fill_n(prev, L, 0.0);  // D(-1, -1) = 0 in every lane.
+
+  bool abandoned[L] = {};
+  size_t live = L;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t j_lo = i > w ? i - w : 0;
+    const size_t j_hi = (w >= m || i + w >= m) ? m - 1 : i + w;
+    // Unlike the scalar core, no band sentinels: the left neighbours
+    // start at +inf in registers, and the cells a row reads above it
+    // were written by the previous row or never (still +inf).
+    std::fill_n(cur, L, kInf);
+    const V ai = Broadcast<P>(a[i]);
+    V left[K];
+    V row_min[K];
+#pragma GCC unroll 4
+    for (size_t k = 0; k < K; ++k) left[k] = row_min[k] = inf;
+    for (size_t j = j_lo; j <= j_hi; ++j) {
+      const double* b_col = bt + j * L;
+      const double* diag = prev + j * L;
+      const double* up = diag + L;
+      double* value = cur + (j + 1) * L;
+#pragma GCC unroll 4
+      for (size_t k = 0; k < K; ++k) {
+        left[k] = DtwCell(ai, Load<P>(b_col + k * W), Load<P>(diag + k * W),
+                          Load<P>(up + k * W), left[k], inf);
+        Store<P>(value + k * W, left[k]);
+        row_min[k] = LessSelect(left[k], row_min[k]);
+      }
+    }
+    if (threshold_sq < kInf) {
+      double mins[L];
+#pragma GCC unroll 4
+      for (size_t k = 0; k < K; ++k) Store<P>(mins + k * W, row_min[k]);
+      for (size_t l = 0; l < L; ++l) {
+        if (!abandoned[l] && mins[l] > threshold_sq) {
+          abandoned[l] = true;
+          --live;
+        }
+      }
+      if (live == 0) break;
+    }
+    std::swap(prev, cur);
+  }
+  for (size_t l = 0; l < L; ++l) {
+    out[l] = abandoned[l] ? kInf : prev[m * L + l];
+  }
+}
+
+// Scores up to 4 * kWidth<P> candidates with as few vectors as cover
+// them; spare lanes repeat candidate 0 (so they abandon with it). A lone
+// candidate has no second chain to overlap with, and the scalar core
+// scores it faster.
+template <class P>
+[[gnu::always_inline]] inline void SquaredDtwChunk(
+    std::span<const double> a, std::span<const std::span<const double>> b,
+    const DtwOptions& options, double threshold_sq, double* out) {
+  if (b.size() == 1) {
+    out[0] = SquaredDtwCore(a, b[0], {}, threshold_sq, options);
+    return;
+  }
+  constexpr size_t W = kWidth<P>;
+  const size_t m = b[0].size();
+  const size_t w = EffectiveWindow(options, a.size(), m);
+  const double* lanes[4 * W];
+  for (size_t l = 0; l < 4 * W; ++l) {
+    lanes[l] = b[l < b.size() ? l : 0].data();
+  }
+  double sq[4 * W];
+  switch ((b.size() + W - 1) / W) {
+    case 1:
+      SquaredDtwLanes<P, 1>(a, lanes, m, w, threshold_sq, sq);
+      break;
+    case 2:
+      SquaredDtwLanes<P, 2>(a, lanes, m, w, threshold_sq, sq);
+      break;
+    case 3:
+      SquaredDtwLanes<P, 3>(a, lanes, m, w, threshold_sq, sq);
+      break;
+    default:
+      SquaredDtwLanes<P, 4>(a, lanes, m, w, threshold_sq, sq);
+      break;
+  }
+  std::copy_n(sq, b.size(), out);
+}
+
+template <class P>
+[[gnu::always_inline]] inline void SquaredDtwBatch(
+    std::span<const double> a, std::span<const std::span<const double>> b,
+    const DtwOptions& options, double threshold_sq, double* out) {
+  constexpr size_t kChunk = 4 * kWidth<P>;
+  for (size_t first = 0; first < b.size(); first += kChunk) {
+    SquaredDtwChunk<P>(a, b.subspan(first, std::min(kChunk, b.size() - first)),
+                       options, threshold_sq, out + first);
+  }
+}
+
+void SquaredDtwPortable(std::span<const double> a,
+                        std::span<const std::span<const double>> b,
+                        const DtwOptions& options, double threshold_sq,
+                        double* out) {
+  SquaredDtwBatch<Pack2>(a, b, options, threshold_sq, out);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// AVX2 only, deliberately not FMA: a fused multiply-add would round
+// cost + best differently from the scalar kernel.
+[[gnu::target("avx2")]] void SquaredDtwAvx2(
+    std::span<const double> a, std::span<const std::span<const double>> b,
+    const DtwOptions& options, double threshold_sq, double* out) {
+  SquaredDtwBatch<Pack4>(a, b, options, threshold_sq, out);
+}
+
+bool CpuHasAvx2() {
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return has;
+}
+#else
+bool CpuHasAvx2() { return false; }
+#endif
+
 }  // namespace
+
+bool DtwBatchKernelSupported(DtwBatchKernel kernel) {
+  return kernel == DtwBatchKernel::kPortable || CpuHasAvx2();
+}
+
+void DtwEarlyAbandonBatch(std::span<const double> query,
+                          std::span<const std::span<const double>> candidates,
+                          double threshold, std::span<double> out,
+                          const DtwOptions& options) {
+  DtwEarlyAbandonBatchWith(
+      CpuHasAvx2() ? DtwBatchKernel::kAvx2 : DtwBatchKernel::kPortable, query,
+      candidates, threshold, out, options);
+}
+
+void DtwEarlyAbandonBatchWith(
+    DtwBatchKernel kernel, std::span<const double> query,
+    std::span<const std::span<const double>> candidates, double threshold,
+    std::span<double> out, const DtwOptions& options) {
+  assert(out.size() >= candidates.size());
+  if (candidates.empty()) return;
+  const size_t n = query.size();
+  const size_t m = candidates[0].size();
+  assert(std::all_of(candidates.begin(), candidates.end(),
+                     [m](std::span<const double> c) { return c.size() == m; }));
+  if (threshold < 0 || n == 0 || m == 0) {
+    const double d = threshold < 0 || n != m ? kInf : 0.0;
+    std::fill_n(out.begin(), candidates.size(), d);
+    return;
+  }
+  const double threshold_sq = threshold * threshold;
+#if defined(__x86_64__) || defined(__i386__)
+  if (kernel == DtwBatchKernel::kAvx2 && CpuHasAvx2()) {
+    SquaredDtwAvx2(query, candidates, options, threshold_sq, out.data());
+  } else {
+    SquaredDtwPortable(query, candidates, options, threshold_sq, out.data());
+  }
+#else
+  (void)kernel;
+  SquaredDtwPortable(query, candidates, options, threshold_sq, out.data());
+#endif
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    out[c] = std::isinf(out[c]) ? kInf : std::sqrt(out[c]);
+  }
+}
 
 DtwOptions DtwOptions::FromRatio(double ratio, size_t n, size_t m) {
   DtwOptions options;

@@ -9,6 +9,7 @@
 #ifndef ONEX_DISTANCE_DTW_H_
 #define ONEX_DISTANCE_DTW_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <utility>
@@ -46,6 +47,37 @@ double NormalizedDtw(std::span<const double> a, std::span<const double> b,
 /// DTW distance. Equivalent to DtwDistance when the result <= threshold.
 double DtwEarlyAbandon(std::span<const double> a, std::span<const double> b,
                        double threshold, const DtwOptions& options = {});
+
+/// Candidates the batch kernels score together (16 AVX2 lanes, or two
+/// passes of 8 portable ones); callers that check for interruption
+/// between batches chunk by this.
+inline constexpr size_t kDtwBatchLanes = 16;
+
+/// Early-abandoning DTW of one query against many candidates, all of
+/// one length: out[c] (out must hold candidates.size() values) is,
+/// bit for bit, DtwEarlyAbandon(query, candidates[c], threshold,
+/// options) — with threshold = +inf, DtwDistance. Candidates are scored
+/// one per vector lane, kDtwBatchLanes at a time, which hides the
+/// latency of the DTW recurrence; the kernel is AVX2 when the CPU has
+/// it (checked once, at run time), portable 16-byte lanes otherwise.
+void DtwEarlyAbandonBatch(std::span<const double> query,
+                          std::span<const std::span<const double>> candidates,
+                          double threshold, std::span<double> out,
+                          const DtwOptions& options = {});
+
+/// The batch kernels; DtwEarlyAbandonBatch picks one. Exposed so tests
+/// can check each against the scalar kernel.
+enum class DtwBatchKernel { kPortable, kAvx2 };
+
+/// Whether this build and CPU can run `kernel` (kPortable always can).
+bool DtwBatchKernelSupported(DtwBatchKernel kernel);
+
+/// DtwEarlyAbandonBatch through `kernel` when supported, through
+/// kPortable otherwise.
+void DtwEarlyAbandonBatchWith(
+    DtwBatchKernel kernel, std::span<const double> query,
+    std::span<const std::span<const double>> candidates, double threshold,
+    std::span<double> out, const DtwOptions& options = {});
 
 /// Early-abandoning DTW that additionally prunes cells using a cumulative
 /// lower bound `cb` (UCR-suite style): cb[i] must lower-bound the squared

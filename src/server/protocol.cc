@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -27,18 +28,22 @@ std::string Lower(std::string s) {
   return s;
 }
 
-/// Round-trip double formatting (%.17g reproduces the exact bits).
 std::string Dbl(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  std::string out;
+  AppendDouble(out, v);
+  return out;
+}
+
+void AppendUnsigned(std::string& out, uint64_t v) {
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string Csv(const std::vector<double>& values) {
   std::string out;
   for (size_t i = 0; i < values.size(); ++i) {
     if (i) out += ',';
-    out += Dbl(values[i]);
+    AppendDouble(out, values[i]);
   }
   return out;
 }
@@ -98,6 +103,16 @@ std::string OneLine(std::string message) {
 }
 
 }  // namespace
+
+void AppendDouble(std::string& out, double v) {
+  // to_chars in `general` format at a given precision is specified as
+  // printf's %.*g: the same bytes, without printf's locale and format
+  // parsing. 24 characters is the longest, e.g. -2.2250738585072014e-308.
+  char buf[32];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, 17)
+                      .ptr);
+}
 
 std::optional<std::vector<double>> ParseValuesCsv(const std::string& csv) {
   // A trailing comma usually means the list continued past a stray
@@ -467,13 +482,22 @@ namespace {
 // frames: a client renders partial and final rows with one code path
 // because the bytes are the same.
 
-std::string MatchLine(const QueryMatch& m) {
-  return "match series=" + std::to_string(m.ref.series) +
-         " start=" + std::to_string(m.ref.start) +
-         " length=" + std::to_string(m.ref.length) +
-         " distance=" + Dbl(m.distance) +
-         " group=" + std::to_string(m.group_id) +
-         " bound=" + (m.distance_is_upper_bound ? "1" : "0") + "\n";
+// Appended in place: a range answer renders tens of thousands of these
+// rows. A typical row is about this long, enough to reserve by.
+constexpr size_t kMatchLineBytes = 88;
+
+void AppendMatchLine(std::string& out, const QueryMatch& m) {
+  out += "match series=";
+  AppendUnsigned(out, m.ref.series);
+  out += " start=";
+  AppendUnsigned(out, m.ref.start);
+  out += " length=";
+  AppendUnsigned(out, m.ref.length);
+  out += " distance=";
+  AppendDouble(out, m.distance);
+  out += " group=";
+  AppendUnsigned(out, m.group_id);
+  out += m.distance_is_upper_bound ? " bound=1\n" : " bound=0\n";
 }
 
 std::string GroupLine(const std::vector<SubsequenceRef>& group) {
@@ -589,7 +613,8 @@ std::string RenderResponse(const QueryResponse& response, uint64_t id,
 
   response.Visit(
       [&](const MatchResult& r) {
-        for (const QueryMatch& m : r.matches) out += MatchLine(m);
+        out.reserve(out.size() + r.matches.size() * kMatchLineBytes);
+        for (const QueryMatch& m : r.matches) AppendMatchLine(out, m);
       },
       [&](const SeasonalResult& r) {
         for (const auto& group : r.groups) out += GroupLine(group);
@@ -612,7 +637,7 @@ std::string RenderPartBlock(QueryKind kind, uint64_t id, uint64_t seq,
   std::string out = std::string("PART ") + ToString(kind) +
                     PartHeaderTail(id, seq, work_fraction, snapshot,
                                    "matches", matches.size());
-  for (const QueryMatch& m : matches) out += MatchLine(m);
+  for (const QueryMatch& m : matches) AppendMatchLine(out, m);
   out += ".\n";
   return out;
 }

@@ -382,6 +382,10 @@ std::map<std::string, std::string> ParseKeyValues(const std::string& line);
 
 // ------------------------------------------------------- shared lexing
 
+/// Appends `v` in the wire's round-trip format: byte-identical to
+/// printf("%.17g", v), which reproduces the exact bits on parse.
+void AppendDouble(std::string& out, double v);
+
 /// Parses "0.1,0.2,-3e-1" into values; nullopt on empty or non-numeric
 /// input. Shared with the CLI's append command.
 std::optional<std::vector<double>> ParseValuesCsv(const std::string& csv);

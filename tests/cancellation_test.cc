@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -140,6 +141,57 @@ TEST(ExecContextTest, ProgressSinkStreamsBatchesThatCoverTheFullAnswer) {
   EXPECT_GT(events, 0u);
   // Every confirmed match was streamed exactly once.
   EXPECT_EQ(streamed, response.value().matches().size());
+}
+
+TEST(ExecContextTest, MidLengthDeadlineDeliversEveryConfirmedMatch) {
+  // One length, so the deadline lands inside that length's group walk
+  // (between member batches or groups), not at a length boundary.
+  const Engine engine = BuildMarketEngine();
+  const RangeWithinRequest request{RampSketch(), 0.3, /*length=*/24,
+                                   /*exact_distances=*/true};
+  auto full = engine.Execute(request, ExecContext{});
+  ASSERT_TRUE(full.ok());
+  ASSERT_FALSE(full.value().partial);
+
+  ExecContext ctx;
+  ctx.check_every = 4;
+  // Far enough out that a sanitizer build still confirms matches first.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  ctx.deadline = deadline;
+  std::vector<QueryMatch> streamed;
+  size_t events = 0;
+  ctx.progress = [&](const ProgressEvent& event) {
+    EXPECT_FALSE(event.snapshot);
+    streamed.insert(streamed.end(), event.matches().begin(),
+                    event.matches().end());
+    // Stall past the deadline after the third group with matches (if
+    // it has not passed already): the scan's next check stops it
+    // partway through the length.
+    if (++events == 3) std::this_thread::sleep_until(deadline);
+  };
+  auto partial = engine.Execute(request, ctx);
+  ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+  ASSERT_TRUE(partial.value().partial);
+  EXPECT_EQ(partial.value().interrupt, Status::Code::kDeadlineExceeded);
+
+  // Groups streamed in group order, and the interrupt flush delivered
+  // every confirmed match: the partial answer is exactly what streamed.
+  for (size_t i = 1; i < streamed.size(); ++i) {
+    EXPECT_LE(streamed[i - 1].group_id, streamed[i].group_id);
+  }
+  const auto& got = partial.value().matches();
+  ASSERT_EQ(got.size(), streamed.size());
+  EXPECT_GT(got.size(), 0u);
+  EXPECT_LT(got.size(), full.value().matches().size());
+  // Each confirmed match carries its full-answer distance.
+  for (const QueryMatch& m : got) {
+    const auto it = std::find_if(
+        full.value().matches().begin(), full.value().matches().end(),
+        [&](const QueryMatch& f) { return f.ref == m.ref; });
+    ASSERT_NE(it, full.value().matches().end());
+    EXPECT_EQ(it->distance, m.distance);
+  }
 }
 
 TEST(ExecContextTest, BestMatchProgressSendsSnapshots) {

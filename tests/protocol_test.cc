@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace onex {
 namespace server {
@@ -259,6 +265,94 @@ TEST(ProtocolTest, ResponseBlockRoundTrips) {
   EXPECT_DOUBLE_EQ(std::stod(match0.at("distance")), 0.012345678901234567);
   const auto match1 = ParseKeyValues(wire.payload[2]);
   EXPECT_EQ(match1.at("bound"), "1");
+}
+
+// The wire's double format is printf's %.17g, byte for byte.
+std::string Printf17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+std::string Appended(double v) {
+  std::string out = "x=";
+  AppendDouble(out, v);
+  return out.substr(2);
+}
+
+TEST(ProtocolTest, AppendDoubleMatchesPrintf17g) {
+  using limits = std::numeric_limits<double>;
+  const double edge[] = {0.0,
+                         -0.0,
+                         limits::denorm_min(),
+                         -limits::denorm_min(),
+                         2.2250738585072009e-308,  // Largest subnormal.
+                         limits::min(),
+                         -limits::min(),
+                         limits::max(),
+                         limits::lowest(),
+                         1e300,
+                         -1e300,
+                         1e-300,
+                         -1e-300,
+                         limits::infinity(),
+                         -limits::infinity(),
+                         1.0,
+                         0.1,
+                         0.05,
+                         1e16,
+                         1e17,
+                         123456789012345678.0,
+                         1e-5,
+                         0.0001,
+                         0.012345678901234567};
+  for (const double v : edge) EXPECT_EQ(Appended(v), Printf17g(v)) << v;
+
+  Rng rng(2024);
+  for (int i = 0; i < 10000; ++i) {
+    // Half arbitrary bit patterns (every exponent, subnormals included),
+    // half values in the range the wire mostly carries.
+    double v;
+    if (i % 2 == 0) {
+      const uint64_t bits = rng.Next();
+      std::memcpy(&v, &bits, sizeof(v));
+      if (std::isnan(v)) continue;
+    } else {
+      v = rng.UniformDouble(-1.0, 1.0);
+    }
+    ASSERT_EQ(Appended(v), Printf17g(v)) << "bit pattern of draw " << i;
+  }
+}
+
+TEST(ProtocolTest, MatchLinesKeepTheirBytes) {
+  QueryResponse response;
+  response.kind = QueryKind::kRangeWithin;
+  const QueryMatch matches[] = {
+      {{0, 0, 1}, 0.0, 0, false},
+      {{4294967295u, 4294967295u, 4294967295u}, 0.1, 4294967295u, true},
+      {{12, 345, 128}, 0.012345678901234567, 77, false},
+      {{3, 9, 16}, std::numeric_limits<double>::infinity(), 2, false},
+  };
+  MatchResult result;
+  std::string expected;
+  for (const QueryMatch& m : matches) {
+    result.matches.push_back(m);
+    expected += "match series=" + std::to_string(m.ref.series) +
+                " start=" + std::to_string(m.ref.start) +
+                " length=" + std::to_string(m.ref.length) +
+                " distance=" + Printf17g(m.distance) +
+                " group=" + std::to_string(m.group_id) +
+                " bound=" + (m.distance_is_upper_bound ? "1" : "0") + "\n";
+  }
+  response.payload = result;
+  const std::string block = RenderResponse(response);
+  ASSERT_GT(block.size(), expected.size() + 2);
+  EXPECT_EQ(block.substr(block.size() - 2 - expected.size(), expected.size()),
+            expected);
+  const std::string part =
+      RenderPartBlock(QueryKind::kRangeWithin, 1, 1, 0.5, false, matches);
+  EXPECT_EQ(part.substr(part.size() - 2 - expected.size(), expected.size()),
+            expected);
 }
 
 TEST(ProtocolTest, SeasonalRecommendRefineBlocksRender) {

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "baselines/standard_dtw.h"
 #include "core/onex_base.h"
 #include "core/query_processor.h"
 #include "datagen/generators.h"
+#include "distance/dtw.h"
 #include "dataset/normalize.h"
 #include "util/rng.h"
 
@@ -230,6 +233,74 @@ TEST(QueryProcessorTest, KSimilarAnyLength) {
   auto result = processor.FindKSimilar(S(query), 3);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.value().empty());
+}
+
+TEST(QueryProcessorTest, KSimilarBatchedRankingEqualsPerMemberRanking) {
+  GenOptions gen;
+  gen.num_series = 30;
+  gen.length = 64;
+  gen.seed = 5;
+  Dataset data = MakeTwoPatterns(gen);
+  MinMaxNormalize(&data);
+  const OnexBase base = BuildBase(std::move(data), 0.3, {16, 64, 16});
+  const QueryProcessor processor(&base);
+  const double window_ratio = base.options().window_ratio;
+  Rng rng(23);
+  size_t multi_batch_groups = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const uint32_t n = trial % 2 == 0 ? 32 : 48;
+    const auto query = Materialize(
+        base.dataset(), static_cast<uint32_t>(rng.Uniform(30)),
+        static_cast<uint32_t>(rng.Uniform(64 - n)), n);
+    for (const size_t length : {size_t{n}, size_t{0}}) {
+      for (const size_t k : {size_t{5}, size_t{1000}}) {
+        QueryStats stats;
+        auto got = processor.FindKSimilar(S(query), k, length, &stats);
+        ASSERT_TRUE(got.ok());
+        ASSERT_FALSE(got.value().empty());
+        // Rank the chosen group member by member with the scalar kernel,
+        // in stored order, and sort exactly as FindKSimilar does.
+        const uint32_t group_id = got.value().front().group_id;
+        const size_t len = got.value().front().ref.length;
+        const LsiEntry& group = base.EntryFor(len)->groups[group_id];
+        const double norm = 2.0 * static_cast<double>(std::max<size_t>(n, len));
+        const DtwOptions options =
+            DtwOptions::FromRatio(window_ratio, n, len);
+        std::vector<QueryMatch> want;
+        for (const LsiMember& member : group.members) {
+          QueryMatch match;
+          match.ref = member.ref;
+          match.group_id = group_id;
+          match.distance =
+              DtwDistance(S(query), member.ref.View(base.dataset()), options) /
+              norm;
+          want.push_back(match);
+        }
+        std::sort(want.begin(), want.end(), MatchDistanceLess);
+        if (want.size() > k) want.resize(k);
+        ASSERT_EQ(got.value().size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          const QueryMatch& a = got.value()[i];
+          EXPECT_EQ(a.ref, want[i].ref) << "row " << i;
+          EXPECT_EQ(a.group_id, group_id);
+          EXPECT_EQ(std::memcmp(&a.distance, &want[i].distance,
+                                sizeof(double)),
+                    0)
+              << "row " << i << ": " << a.distance << " vs "
+              << want[i].distance;
+        }
+        // Ranking counts each member once, as one completed DTW; the
+        // representative search accounts for the rest of the cascade.
+        EXPECT_EQ(stats.members_compared, group.members.size());
+        EXPECT_EQ(stats.cascade.candidates,
+                  stats.reps_compared + stats.reps_pruned +
+                      stats.members_compared);
+        EXPECT_TRUE(stats.cascade.Consistent());
+        if (group.members.size() > kDtwBatchLanes) ++multi_batch_groups;
+      }
+    }
+  }
+  EXPECT_GT(multi_batch_groups, 0u);  // Partial tail batches were ranked.
 }
 
 TEST(QueryProcessorTest, KSimilarValidation) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 
 #include "core/onex_base.h"
@@ -204,6 +206,144 @@ TEST(RangeQueryTest, TinyThresholdFindsAtMostTheQueryItself) {
   // The query's own subsequence is a guaranteed hit at distance 0.
   ASSERT_FALSE(result.value().empty());
   EXPECT_LE(result.value()[0].distance, 1e-9);
+}
+
+// ------------------------------------------- batched-scan equivalence
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+struct ReferenceRange {
+  std::vector<QueryMatch> matches;
+  QueryStats stats;
+};
+
+// FindAllWithin candidate by candidate with the scalar kernels: per
+// length, per group in stored order, the representative's DTW picks
+// Lemma-2 admission or an early-abandoning member scan. Matches are
+// emitted in that order and then sorted as FindAllWithin sorts them
+// (std::sort is not stable, so equal input order is what makes equal
+// output order).
+ReferenceRange PerCandidateRange(const OnexBase& base,
+                                 std::span<const double> query, double st,
+                                 size_t length, bool exact_distances) {
+  ReferenceRange out;
+  QueryStats& s = out.stats;
+  const std::vector<size_t> lengths =
+      length != 0 ? std::vector<size_t>{length} : base.gti().Lengths();
+  const DtwOptions options{-1};
+  for (size_t len : lengths) {
+    const GtiEntry* entry = base.EntryFor(len);
+    ++s.lengths_scanned;
+    const double norm = 2.0 * static_cast<double>(std::max(query.size(), len));
+    for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
+      const LsiEntry& group = entry->groups[k];
+      ++s.reps_compared;
+      ++s.cascade.candidates;
+      ++s.cascade.dtw_completed;
+      const double rep_d =
+          DtwDistance(query, S(group.representative), options) / norm;
+      const double radius =
+          group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
+      const bool admitted = rep_d <= st / 2.0 && radius <= st / 2.0;
+      if (admitted) s.members_admitted_by_lemma2 += group.members.size();
+      for (const LsiMember& member : group.members) {
+        const auto values = member.ref.View(base.dataset());
+        QueryMatch match;
+        match.ref = member.ref;
+        match.group_id = k;
+        if (admitted && !exact_distances) {
+          match.distance = st;
+          match.distance_is_upper_bound = true;
+        } else if (admitted) {
+          ++s.cascade.candidates;
+          ++s.cascade.dtw_completed;
+          match.distance = DtwDistance(query, values, options) / norm;
+        } else {
+          ++s.members_compared;
+          ++s.cascade.candidates;
+          match.distance =
+              DtwEarlyAbandon(query, values, st * norm, options) / norm;
+          ++(std::isinf(match.distance) ? s.cascade.dtw_abandoned
+                                        : s.cascade.dtw_completed);
+          if (!(match.distance <= st)) continue;
+        }
+        out.matches.push_back(match);
+      }
+    }
+  }
+  std::sort(out.matches.begin(), out.matches.end(), MatchDistanceLess);
+  return out;
+}
+
+void ExpectSameStats(const QueryStats& got, const QueryStats& want) {
+  EXPECT_EQ(got.lengths_scanned, want.lengths_scanned);
+  EXPECT_EQ(got.reps_compared, want.reps_compared);
+  EXPECT_EQ(got.reps_pruned, want.reps_pruned);
+  EXPECT_EQ(got.members_compared, want.members_compared);
+  EXPECT_EQ(got.members_admitted_by_lemma2, want.members_admitted_by_lemma2);
+  EXPECT_EQ(got.cascade.candidates, want.cascade.candidates);
+  EXPECT_EQ(got.cascade.pruned_kim, want.cascade.pruned_kim);
+  EXPECT_EQ(got.cascade.pruned_keogh, want.cascade.pruned_keogh);
+  EXPECT_EQ(got.cascade.dtw_abandoned, want.cascade.dtw_abandoned);
+  EXPECT_EQ(got.cascade.dtw_completed, want.cascade.dtw_completed);
+  EXPECT_TRUE(got.cascade.Consistent());
+}
+
+TEST(RangeQueryTest, BatchedScanEqualsPerCandidateScan) {
+  GenOptions gen;
+  gen.num_series = 30;
+  gen.length = 64;
+  gen.seed = 5;
+  Dataset data = MakeTwoPatterns(gen);
+  MinMaxNormalize(&data);
+  OnexOptions options;
+  options.st = 0.1;
+  options.lengths = {16, 64, 16};
+  auto built = OnexBase::Build(std::move(data), options);
+  ASSERT_TRUE(built.ok());
+  const OnexBase& base = built.value();
+  QueryProcessor processor(&base);
+
+  Rng rng(17);
+  QueryStats coverage;
+  for (int trial = 0; trial < 6; ++trial) {
+    // In-dataset windows, slightly perturbed, at an indexed length and a
+    // length between the indexed ones.
+    const size_t n = trial % 3 == 2 ? 40 : 32;
+    const auto view = base.dataset()[rng.Uniform(30)].Subsequence(
+        static_cast<uint32_t>(rng.Uniform(64 - n)), static_cast<uint32_t>(n));
+    std::vector<double> query(view.begin(), view.end());
+    for (auto& x : query) x += rng.UniformDouble(-0.02, 0.02);
+    for (const double st : {0.01, 0.03, 0.1}) {
+      for (const size_t length : {size_t{32}, size_t{0}}) {
+        for (const bool exact : {false, true}) {
+          QueryStats stats;
+          auto got = processor.FindAllWithin(S(query), st, length, exact,
+                                             &stats);
+          ASSERT_TRUE(got.ok());
+          const ReferenceRange want =
+              PerCandidateRange(base, S(query), st, length, exact);
+          ASSERT_EQ(got.value().size(), want.matches.size());
+          for (size_t i = 0; i < want.matches.size(); ++i) {
+            const QueryMatch& a = got.value()[i];
+            const QueryMatch& b = want.matches[i];
+            EXPECT_EQ(KeyOf(a.ref), KeyOf(b.ref)) << "row " << i;
+            EXPECT_EQ(a.group_id, b.group_id) << "row " << i;
+            EXPECT_TRUE(SameBits(a.distance, b.distance)) << "row " << i;
+            EXPECT_EQ(a.distance_is_upper_bound, b.distance_is_upper_bound);
+          }
+          ExpectSameStats(stats, want.stats);
+          coverage.Add(stats);
+        }
+      }
+    }
+  }
+  // The sweep exercised both admission paths and early abandoning.
+  EXPECT_GT(coverage.members_admitted_by_lemma2, 0u);
+  EXPECT_GT(coverage.members_compared, 0u);
+  EXPECT_GT(coverage.cascade.dtw_abandoned, 0u);
 }
 
 TEST(RangeQueryTest, Validation) {

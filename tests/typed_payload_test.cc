@@ -569,17 +569,25 @@ TEST_F(TypedPartServerTest, WorkersDispatchEarliestDeadlineFirst) {
   // the far one would finish first, under EDF the near one must.
   std::mutex mutex;
   std::condition_variable cv;
-  bool gate_armed = true;
+  size_t jobs_started = 0;
   bool release = false;
+  bool near_replied = false;
   std::atomic<size_t> enqueued{0};
   server::ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 8;
   options.on_job_start = [&] {
     std::unique_lock<std::mutex> lock(mutex);
-    if (!gate_armed) return;
-    gate_armed = false;
-    cv.wait(lock, [&] { return release; });
+    ++jobs_started;
+    if (jobs_started == 1) cv.wait(lock, [&] { return release; });
+    // The last job starts only once the near query's client holds its
+    // reply, so the completion times below follow the worker's dispatch
+    // order however the client threads are scheduled. Had the worker
+    // run far first, near is this job: the wait times out and near
+    // still completes last.
+    if (jobs_started == 3) {
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return near_replied; });
+    }
   };
   options.on_enqueue = [&](size_t) { enqueued.fetch_add(1); };
   StartServer(options);
@@ -616,6 +624,11 @@ TEST_F(TypedPartServerTest, WorkersDispatchEarliestDeadlineFirst) {
     auto reply = near_client.Roundtrip(line_with_deadline(60000));
     EXPECT_TRUE(reply.ok());
     near_done = std::chrono::steady_clock::now();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      near_replied = true;
+    }
+    cv.notify_all();
   });
   while (enqueued.load() < 3) std::this_thread::yield();
   {
@@ -639,17 +652,23 @@ TEST_F(TypedPartServerTest, DeadlineLessJobsAgeAheadOfFarDeadlines) {
   // have won and the untagged session could be starved.
   std::mutex mutex;
   std::condition_variable cv;
-  bool gate_armed = true;
+  size_t jobs_started = 0;
   bool release = false;
+  bool plain_replied = false;
   std::atomic<size_t> enqueued{0};
   server::ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 8;
   options.on_job_start = [&] {
     std::unique_lock<std::mutex> lock(mutex);
-    if (!gate_armed) return;
-    gate_armed = false;
-    cv.wait(lock, [&] { return release; });
+    ++jobs_started;
+    if (jobs_started == 1) cv.wait(lock, [&] { return release; });
+    // As in the EDF test: the last job starts only once the plain
+    // query's client holds its reply (a timeout if plain is that job).
+    if (jobs_started == 3) {
+      cv.wait_for(lock, std::chrono::seconds(5),
+                  [&] { return plain_replied; });
+    }
   };
   options.on_enqueue = [&](size_t) { enqueued.fetch_add(1); };
   StartServer(options);
@@ -672,6 +691,11 @@ TEST_F(TypedPartServerTest, DeadlineLessJobsAgeAheadOfFarDeadlines) {
     auto reply = plain_client.Roundtrip(RenderRequestLine(query));
     EXPECT_TRUE(reply.ok());
     plain_done = std::chrono::steady_clock::now();
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      plain_replied = true;
+    }
+    cv.notify_all();
   });
   while (enqueued.load() < 2) std::this_thread::yield();
   std::thread far_thread([&] {
