@@ -5,11 +5,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,9 +27,9 @@ namespace {
 
 constexpr size_t kMaxRequestLine = size_t{1} << 20;
 
-uint64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - since)
           .count());
 }
@@ -76,9 +78,10 @@ std::string RenderRelay(const server::WireResponse& reply) {
 }  // namespace
 
 // One downstream client connection. The write mutex serializes whole
-// blocks onto the socket: inline replies (session thread), merged PART
-// frames (upstream demux threads), and merged finals (op threads) all
-// interleave block-at-a-time, never mid-block.
+// blocks onto the socket: inline replies and untagged finals (session
+// thread), merged PART frames (upstream demux threads), and tagged
+// finals (coordinator threads) all interleave block-at-a-time, never
+// mid-block.
 struct Router::Session {
   explicit Session(int fd) : fd(fd) {}
 
@@ -103,25 +106,30 @@ struct Router::Session {
   size_t write_upstream = static_cast<size_t>(-1);
   std::string write_dataset;
 
-  /// Coordinator threads of this session's tagged queries; joined when
+  /// Coordinator threads of this session's tagged queries. Finished
+  /// ones are joined as the next tagged query arrives, the rest when
   /// the session ends.
-  std::vector<std::thread> op_threads;
+  std::vector<TrackedThread> op_threads;
 };
 
 // The merge state machine of one (possibly scattered) query.
 struct Router::ScatterOp {
-  std::shared_ptr<Session> session;
-  uint64_t client_id = 0;
-  bool match_shaped = false;
-  size_t keep = 0;
-  bool progress = false;
-  std::chrono::steady_clock::time_point started;
+  ScatterOp(std::shared_ptr<Session> session, const QueryRequest& query,
+            uint64_t client_id, size_t legs)
+      : session(std::move(session)),
+        client_id(client_id),
+        match_shaped(IsMatchShaped(query)),
+        keep(MergeKeepLimit(query)),
+        started(std::chrono::steady_clock::now()),
+        leg_rows(legs),
+        leg_frac(legs, 0.0),
+        leg_handles(legs) {}
 
-  struct LegResult {
-    bool finished = false;
-    Status error = Status::OK();  ///< Transport failure when !ok().
-    server::WireResponse final;   ///< Valid when finished && error.ok().
-  };
+  const std::shared_ptr<Session> session;
+  const uint64_t client_id;
+  const bool match_shaped;
+  const size_t keep;
+  const std::chrono::steady_clock::time_point started;
 
   Mutex mutex{LockRank::kRouterMerge, "router.op.mutex"};
   uint64_t seq GUARDED_BY(mutex) = 0;
@@ -132,8 +140,29 @@ struct Router::ScatterOp {
   /// Current upstream handle per leg, for CANCEL fan-out (replaced on
   /// failover re-submit).
   std::vector<server::Client::Handle> leg_handles GUARDED_BY(mutex);
-  std::vector<LegResult> results GUARDED_BY(mutex);
+  /// Legs whose in-flight handle became ready, in completion order:
+  /// pushed by the handles' completion hooks, drained by RunScatter.
+  std::deque<size_t> completed GUARDED_BY(mutex);
+  CondVar completed_cv;
 };
+
+Router::TrackedThread Router::TrackedThread::Spawn(
+    std::function<void()> body) {
+  auto done = std::make_shared<std::atomic<bool>>(false);
+  return {std::thread([body = std::move(body), done] {
+            body();
+            done->store(true);
+          }),
+          done};
+}
+
+void Router::TrackedThread::ReapFinished(std::vector<TrackedThread>* threads) {
+  const auto finished = std::stable_partition(
+      threads->begin(), threads->end(),
+      [](const TrackedThread& t) { return !t.done->load(); });
+  for (auto it = finished; it != threads->end(); ++it) it->thread.join();
+  threads->erase(finished, threads->end());
+}
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
@@ -198,16 +227,17 @@ void Router::Stop() {
   }
 
   // 3. Tear down the upstream pool: probes stop, query links close, so
-  //    any leg still blocked in Wait() fails out and its op finishes.
+  //    every leg still in flight completes with a transport error and
+  //    its coordinator finishes.
   pool_.Stop();
 
   // 4. Sessions (and the op threads they join) can now run out.
-  std::vector<SessionThread> to_join;
+  std::vector<TrackedThread> to_join;
   {
     MutexLock lock(sessions_mutex_);
     to_join.swap(session_threads_);
   }
-  for (SessionThread& session : to_join) {
+  for (TrackedThread& session : to_join) {
     if (session.thread.joinable()) session.thread.join();
   }
   ::close(listen_fd_);
@@ -222,26 +252,16 @@ void Router::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
+    server::SetNoDelay(fd);
     MutexLock lock(sessions_mutex_);
     if (stop_.load()) {
       ::close(fd);
       break;
     }
-    for (auto it = session_threads_.begin(); it != session_threads_.end();) {
-      if (it->done->load()) {
-        if (it->thread.joinable()) it->thread.join();
-        it = session_threads_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    TrackedThread::ReapFinished(&session_threads_);
     session_fds_.push_back(fd);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    session_threads_.push_back({std::thread([this, fd, done] {
-                                  SessionLoop(fd);
-                                  done->store(true);
-                                }),
-                                done});
+    session_threads_.push_back(
+        TrackedThread::Spawn([this, fd] { SessionLoop(fd); }));
   }
 }
 
@@ -363,107 +383,162 @@ void Router::SessionLoop(int fd) {
     }
     if (datasets.size() > 1) metrics_.RecordScatter(datasets.size());
 
-    if (attrs.id != 0) {
-      auto op = std::make_shared<ScatterOp>();
-      op->session = session;
-      op->client_id = attrs.id;
-      op->match_shaped = IsMatchShaped(query);
-      op->keep = MergeKeepLimit(query);
-      op->progress = attrs.progress;
-      op->started = std::chrono::steady_clock::now();
-      {
-        MutexLock lock(op->mutex);
-        op->leg_rows.resize(datasets.size());
-        op->leg_frac.assign(datasets.size(), 0.0);
-        op->leg_handles.resize(datasets.size());
-        op->results.resize(datasets.size());
-      }
-      bool duplicate = false;
-      {
-        MutexLock lock(session->mutex);
-        duplicate = !session->ops.emplace(attrs.id, op).second;
-      }
-      if (duplicate) {
-        session->Send(server::RenderErrorBlock(
-            "INVALID_ARGUMENT",
-            "id " + std::to_string(attrs.id) + " is already in flight",
-            attrs.id));
-        continue;
-      }
-      // Tagged: run on a coordinator thread so this session thread can
-      // keep reading (CANCEL must be able to overtake the query).
-      session->op_threads.emplace_back(
-          [this, session, op, query, attrs, datasets]() mutable {
-            RunScatter(session, query, attrs, std::move(datasets));
-            MutexLock lock(session->mutex);
-            session->ops.erase(attrs.id);
-          });
-      // RunScatter reads op state through session->ops; hand the op
-      // over via the registry rather than re-creating it there.
+    auto op =
+        std::make_shared<ScatterOp>(session, query, attrs.id, datasets.size());
+    if (attrs.id == 0) {
+      // Untagged: strictly ordered replies — run inline.
+      RunScatter(op, query, attrs, datasets);
       continue;
     }
-    // Untagged: strictly ordered replies — run inline.
-    RunScatter(session, query, attrs, std::move(datasets));
+    bool duplicate = false;
+    {
+      MutexLock lock(session->mutex);
+      duplicate = !session->ops.emplace(attrs.id, op).second;
+    }
+    if (duplicate) {
+      session->Send(server::RenderErrorBlock(
+          "INVALID_ARGUMENT",
+          "id " + std::to_string(attrs.id) + " is already in flight",
+          attrs.id));
+      continue;
+    }
+    // Tagged: run on a coordinator thread so this session thread can
+    // keep reading (CANCEL must be able to overtake the query).
+    TrackedThread::ReapFinished(&session->op_threads);
+    session->op_threads.push_back(TrackedThread::Spawn(
+        [this, op, query, attrs, datasets = std::move(datasets)] {
+          RunScatter(op, query, attrs, datasets);
+          MutexLock lock(op->session->mutex);
+          op->session->ops.erase(attrs.id);
+        }));
   }
 
-  for (std::thread& op_thread : session->op_threads) {
-    if (op_thread.joinable()) op_thread.join();
-  }
+  for (TrackedThread& op_thread : session->op_threads) op_thread.thread.join();
   if (session->write_client.has_value()) session->write_client->Close();
   {
     MutexLock lock(sessions_mutex_);
-    for (auto it = session_fds_.begin(); it != session_fds_.end(); ++it) {
-      if (*it == fd) {
-        session_fds_.erase(it);
-        break;
-      }
-    }
+    session_fds_.erase(
+        std::remove(session_fds_.begin(), session_fds_.end(), fd),
+        session_fds_.end());
   }
   ::close(fd);
 }
 
-void Router::RunScatter(std::shared_ptr<Session> session,
-                        QueryRequest request,
-                        server::RequestAttrs attrs,
-                        std::vector<std::string> datasets) {
-  std::shared_ptr<ScatterOp> op;
-  if (attrs.id != 0) {
-    MutexLock lock(session->mutex);
-    op = session->ops[attrs.id];
-  }
-  if (op == nullptr) {
-    // Untagged path: the op was not registered (no CANCEL can target
-    // it), so build it here.
-    op = std::make_shared<ScatterOp>();
-    op->session = session;
-    op->client_id = attrs.id;
-    op->match_shaped = IsMatchShaped(request);
-    op->keep = MergeKeepLimit(request);
-    op->progress = attrs.progress;
-    op->started = std::chrono::steady_clock::now();
-    MutexLock lock(op->mutex);
-    op->leg_rows.resize(datasets.size());
-    op->leg_frac.assign(datasets.size(), 0.0);
-    op->leg_handles.resize(datasets.size());
-    op->results.resize(datasets.size());
+void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
+                        const QueryRequest& request,
+                        const server::RequestAttrs& attrs,
+                        const std::vector<std::string>& datasets) {
+  // Failover state per leg; only this thread touches it.
+  struct Leg {
+    std::vector<size_t> tried;  ///< Upstreams attempted, in order.
+    std::shared_ptr<server::Client> link;
+    server::Client::Handle handle;
+    Status error = Status::OK();  ///< Last transport failure.
+    std::optional<server::WireResponse> final;
+  };
+  std::vector<Leg> legs(datasets.size());
+
+  // Puts `leg` in flight on its next untried replica, with the deadline
+  // budget that remains. False when none is left (leg.error says why).
+  auto submit = [&](size_t leg) {
+    Leg& state = legs[leg];
+    if (state.tried.empty()) {
+      state.error = Status::IOError("no ready upstream serves '" +
+                                    datasets[leg] + "'");
+    }
+    while (static_cast<int>(state.tried.size()) <= options_.max_failovers) {
+      {
+        MutexLock lock(op->mutex);
+        if (op->cancelled) {
+          state.error = Status::Cancelled("cancelled before leg could run");
+          return false;
+        }
+      }
+      if (!state.tried.empty()) metrics_.RecordFailover();
+      const auto pick = table_.PickRead(datasets[leg], state.tried);
+      if (!pick.has_value()) return false;
+      const size_t idx = pick.value();
+      state.tried.push_back(idx);
+      auto link = pool_.QueryLink(idx);
+      if (!link.ok()) {
+        state.error = link.status();
+        continue;
+      }
+      state.link = link.value();
+      metrics_.RecordUpstreamRequest(
+          idx, table_.Snapshot()[idx].health.follower);
+
+      server::Client::SubmitOptions options;
+      options.deadline_ms =
+          RemainingBudgetMs(attrs.deadline_ms, ElapsedUs(op->started) / 1000);
+      options.trace = attrs.trace;
+      options.dataset = datasets[leg];
+      if (attrs.progress) {
+        options.on_progress = [op, leg](const server::WireResponse& part) {
+          OnLegPart(op, leg, part);
+        };
+      }
+      options.on_done = [op, leg] {
+        MutexLock lock(op->mutex);
+        op->completed.push_back(leg);
+        op->completed_cv.NotifyAll();
+      };
+      auto submitted = state.link->Submit(request, std::move(options));
+      if (!submitted.ok()) {
+        pool_.DropLink(idx, state.link.get());
+        state.error = submitted.status();
+        continue;
+      }
+      state.handle = submitted.value();
+      bool was_cancelled = false;
+      {
+        MutexLock lock(op->mutex);
+        op->leg_handles[leg] = state.handle;
+        was_cancelled = op->cancelled;
+      }
+      // CANCEL raced the submit: the fan-out missed this handle, so
+      // deliver it here (idempotent server-side) and count it as fanned.
+      if (was_cancelled) {
+        state.handle.Cancel();
+        metrics_.RecordCancelFanout(1);
+      }
+      return true;
+    }
+    return false;
+  };
+
+  size_t in_flight = 0;
+  for (size_t leg = 0; leg < legs.size(); ++leg) in_flight += submit(leg);
+  // Gather in completion order, so a dead leg fails over the moment its
+  // transport failure is known, whatever the other legs are doing.
+  while (in_flight > 0) {
+    size_t leg = 0;
+    {
+      MutexLock lock(op->mutex);
+      while (op->completed.empty()) op->completed_cv.Wait(op->mutex);
+      leg = op->completed.front();
+      op->completed.pop_front();
+    }
+    Leg& state = legs[leg];
+    auto final = state.handle.Wait();  // Ready: its hook fired.
+    if (final.ok()) {
+      state.final = std::move(final).value();
+      --in_flight;
+      continue;
+    }
+    // Transport death, the link's own reconnects spent: fail over.
+    pool_.DropLink(state.tried.back(), state.link.get());
+    state.error = final.status();
+    if (!submit(leg)) --in_flight;
   }
 
-  std::vector<std::thread> legs;
-  legs.reserve(datasets.size());
-  for (size_t leg = 0; leg < datasets.size(); ++leg) {
-    legs.emplace_back([this, op, leg, dataset = datasets[leg], &request,
-                       &attrs] { RunLeg(op, leg, dataset, request, attrs); });
-  }
-  for (std::thread& leg : legs) leg.join();
-
-  // All legs are finished; the upstream servers send the final block
-  // after the last PART frame of an id, so no demux callback touches
-  // the op anymore and the merge below sees quiescent state.
-  const uint64_t latency_us = ElapsedMs(op->started) * 1000;
+  // Every leg is final, and no PART frame follows its id's final, so no
+  // demux callback touches the op anymore: the merge sees quiet state.
+  const uint64_t latency_us = ElapsedUs(op->started);
   metrics_.RecordMergeLatency(static_cast<double>(latency_us) / 1e6);
 
   MergedStats stats;
-  std::vector<std::vector<std::string>> leg_final_rows(datasets.size());
+  std::vector<std::vector<std::string>> leg_final_rows(legs.size());
   std::vector<std::string> extra;
   std::string kind;
   std::string interrupt;
@@ -472,26 +547,24 @@ void Router::RunScatter(std::shared_ptr<Session> session,
   Status failure = Status::OK();
   const server::WireResponse* app_error = nullptr;
   size_t successes = 0;
-  MutexLock lock(op->mutex);
-  for (size_t leg = 0; leg < op->results.size(); ++leg) {
-    const ScatterOp::LegResult& result = op->results[leg];
-    if (!result.error.ok()) {
+  for (size_t leg = 0; leg < legs.size(); ++leg) {
+    if (!legs[leg].final.has_value()) {
       any_transport_failure = true;
-      failure = result.error;
+      failure = legs[leg].error;
       continue;
     }
-    if (!result.final.ok) {
-      if (app_error == nullptr) app_error = &result.final;
+    const server::WireResponse& final = *legs[leg].final;
+    if (!final.ok) {
+      if (app_error == nullptr) app_error = &final;
       continue;
     }
     ++successes;
-    if (kind.empty()) kind = result.final.kind;
-    SplitFinalPayload(result.final.payload, &stats, &leg_final_rows[leg],
-                      &extra);
-    if (result.final.partial()) {
+    if (kind.empty()) kind = final.kind;
+    SplitFinalPayload(final.payload, &stats, &leg_final_rows[leg], &extra);
+    if (final.partial()) {
       any_partial = true;
       if (interrupt.empty()) {
-        interrupt = HeaderString(result.final.header, "interrupt");
+        interrupt = HeaderString(final.header, "interrupt");
       }
     }
   }
@@ -499,13 +572,13 @@ void Router::RunScatter(std::shared_ptr<Session> session,
   if (app_error != nullptr) {
     // An upstream understood the query and refused it (bad arguments,
     // unknown dataset): deterministic on every replica, so propagate.
-    session->Send(server::RenderErrorBlock(app_error->code,
-                                           app_error->message, attrs.id));
+    op->session->Send(server::RenderErrorBlock(app_error->code,
+                                               app_error->message, attrs.id));
     return;
   }
   if (successes == 0) {
     if (failure.ok()) failure = Status::IOError("every leg failed");
-    session->Send(server::RenderError(failure, attrs.id));
+    op->session->Send(server::RenderError(failure, attrs.id));
     return;
   }
   if (any_transport_failure) {
@@ -526,81 +599,8 @@ void Router::RunScatter(std::shared_ptr<Session> session,
       rows.insert(rows.end(), leg_rows.begin(), leg_rows.end());
     }
   }
-  session->Send(RenderMergedFinal(kind, attrs.id, rows, latency_us,
-                                  any_partial, interrupt, stats, extra));
-}
-
-void Router::RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
-                    std::string dataset,
-                    const QueryRequest& request,
-                    const server::RequestAttrs& attrs) {
-  std::vector<size_t> tried;
-  Status last =
-      Status::IOError("no ready upstream serves '" + dataset + "'");
-  for (int attempt = 0; attempt <= options_.max_failovers; ++attempt) {
-    {
-      MutexLock lock(op->mutex);
-      if (op->cancelled) {
-        last = Status::Cancelled("cancelled before leg could run");
-        break;
-      }
-    }
-    if (attempt > 0) metrics_.RecordFailover();
-    const auto pick = table_.PickRead(dataset, tried);
-    if (!pick.has_value()) break;
-    const size_t idx = pick.value();
-    tried.push_back(idx);
-
-    auto link = pool_.QueryLink(idx);
-    if (!link.ok()) {
-      last = link.status();
-      continue;
-    }
-    std::shared_ptr<server::Client> client = link.value();
-    metrics_.RecordUpstreamRequest(
-        idx, table_.Snapshot()[idx].health.follower);
-
-    server::Client::SubmitOptions submit;
-    submit.deadline_ms =
-        RemainingBudgetMs(attrs.deadline_ms, ElapsedMs(op->started));
-    submit.trace = attrs.trace;
-    submit.dataset = dataset;
-    if (attrs.progress) {
-      submit.on_progress = [op, leg](const server::WireResponse& part) {
-        OnLegPart(op, leg, part);
-      };
-    }
-    auto submitted = client->Submit(request, submit);
-    if (!submitted.ok()) {
-      pool_.DropLink(idx, client.get());
-      last = submitted.status();
-      continue;
-    }
-    bool was_cancelled = false;
-    {
-      MutexLock lock(op->mutex);
-      op->leg_handles[leg] = submitted.value();
-      was_cancelled = op->cancelled;
-    }
-    // Cancel raced the re-submit: the fan-out missed this handle, so
-    // deliver it ourselves (idempotent server-side).
-    if (was_cancelled) submitted.value().Cancel();
-
-    auto final = submitted.value().Wait();
-    if (final.ok()) {
-      MutexLock lock(op->mutex);
-      op->results[leg].finished = true;
-      op->results[leg].final = std::move(final).value();
-      return;
-    }
-    // Transport death with the client's own reconnects exhausted: drop
-    // the link and fail over to the next untried replica.
-    pool_.DropLink(idx, client.get());
-    last = final.status();
-  }
-  MutexLock lock(op->mutex);
-  op->results[leg].finished = true;
-  op->results[leg].error = last;
+  op->session->Send(RenderMergedFinal(kind, attrs.id, rows, latency_us,
+                                      any_partial, interrupt, stats, extra));
 }
 
 void Router::OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,

@@ -20,18 +20,25 @@
 //     grammar. Writes are NEVER auto-retried.
 //
 // Concurrency model: one session thread per downstream client (reads
-// lines, answers control verbs inline), one coordinator thread per
-// tagged scattered query (so CANCEL can overtake it on the session
-// thread), one leg thread per upstream dataset of a scattered query,
-// plus each upstream link's demux reader delivering PART frames into
-// the per-query merge state machine. Lock order: routing table (44) <
-// upstream pool (46) < merge op (48) < session write (52) < client
-// locks (70+).
+// lines, answers control verbs inline, and runs untagged queries),
+// one coordinator thread per tagged query (so CANCEL can overtake it
+// on the session thread), plus each upstream link's demux reader. A
+// query's coordinator — the session thread when untagged — submits
+// every leg on the shared upstream links and gathers the finals in
+// completion order: the handles' completion hooks, run on the demux
+// readers, queue the leg on the op, and a dead leg is re-submitted as
+// soon as its failure is dequeued. The demux readers also deliver PART
+// frames into the per-query merge state machine. Finished coordinators
+// are joined as the next tagged query arrives on their session. Every
+// accepted and dialed socket sets TCP_NODELAY. Lock order: routing
+// table (44) < upstream pool (46) < merge op (48) < session write
+// (52) < client locks (70+).
 
 #ifndef ONEX_ROUTER_ROUTER_H_
 #define ONEX_ROUTER_ROUTER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -78,22 +85,32 @@ class Router {
   struct Session;
   struct ScatterOp;
 
+  /// A thread that raises `done` as its last act, so finished ones can
+  /// be joined while the rest still run (sessions, tagged queries).
+  struct TrackedThread {
+    static TrackedThread Spawn(std::function<void()> body);
+    /// Joins and drops the finished entries of `threads`.
+    static void ReapFinished(std::vector<TrackedThread>* threads);
+
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+
   explicit Router(RouterOptions options);
 
   Status Listen();
   void AcceptLoop();
   void SessionLoop(int fd);
 
-  /// Runs one (possibly scattered) query to its merged final block.
-  /// Blocks until done — tagged queries run it on a per-op thread.
-  void RunScatter(std::shared_ptr<Session> session,
-                  QueryRequest request, server::RequestAttrs attrs,
-                  std::vector<std::string> datasets);
-  /// One upstream leg: pick replica, submit, wait; on transport failure
-  /// fail over to the next untried replica with the remaining budget.
-  void RunLeg(std::shared_ptr<ScatterOp> op, size_t leg,
-              std::string dataset, const QueryRequest& request,
-              const server::RequestAttrs& attrs);
+  /// Runs one (possibly scattered) query to its merged final block:
+  /// submits one leg per dataset, gathers them in completion order, and
+  /// fails a leg over to its next untried replica (with the remaining
+  /// budget) as soon as its transport dies. Blocks until done — tagged
+  /// queries run it on their coordinator thread.
+  void RunScatter(const std::shared_ptr<ScatterOp>& op,
+                  const QueryRequest& request,
+                  const server::RequestAttrs& attrs,
+                  const std::vector<std::string>& datasets);
   /// Demux-thread PART delivery into the merge state machine.
   static void OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
                         const server::WireResponse& part);
@@ -119,13 +136,9 @@ class Router {
   std::atomic<bool> stop_{false};
   std::thread accept_thread_;
 
-  struct SessionThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
   mutable Mutex sessions_mutex_{LockRank::kServerSessions,
                                 "router.sessions_mutex"};
-  std::vector<SessionThread> session_threads_ GUARDED_BY(sessions_mutex_);
+  std::vector<TrackedThread> session_threads_ GUARDED_BY(sessions_mutex_);
   std::vector<int> session_fds_ GUARDED_BY(sessions_mutex_);
 };
 

@@ -41,8 +41,8 @@ Status SetSockTimeout(int fd, int which, uint64_t ms) {
 }
 
 /// Dials host:port honoring ClientOptions::connect_timeout_ms (via a
-/// non-blocking connect + poll) and arms SO_RCVTIMEO/SO_SNDTIMEO from
-/// io_timeout_ms. Returns the connected fd.
+/// non-blocking connect + poll), sets TCP_NODELAY and arms
+/// SO_RCVTIMEO/SO_SNDTIMEO from io_timeout_ms. Returns the connected fd.
 Result<int> DialFd(const std::string& host, uint16_t port,
                    const ClientOptions& options) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -91,6 +91,7 @@ Result<int> DialFd(const std::string& host, uint16_t port,
                        sizeof(addr)) < 0) {
     return fail("connect");
   }
+  SetNoDelay(fd);
   if (options.io_timeout_ms > 0) {
     Status armed = SetSockTimeout(fd, SO_RCVTIMEO, options.io_timeout_ms);
     if (armed.ok()) armed = SetSockTimeout(fd, SO_SNDTIMEO, options.io_timeout_ms);
@@ -124,10 +125,35 @@ struct Client::Handle::State {
   /// Error when the socket failed.
   Status transport GUARDED_BY(mutex) = Status::OK();
   ProgressCallback on_progress GUARDED_BY(mutex);
+  /// SubmitOptions::on_done; taken (emptied) by whoever completes.
+  std::function<void()> on_done GUARDED_BY(mutex);
 
   // Cancel-acknowledgement rendezvous (one cancel in flight at a time).
   bool cancel_pending GUARDED_BY(mutex) = false;
   std::optional<WireResponse> cancel_ack GUARDED_BY(mutex);
+
+  /// Makes Wait() ready with `block` (the final) or `reason` (transport
+  /// death), once; later calls only release a pending Cancel() on
+  /// transport death. The first call also drops both callbacks (no
+  /// frame can reach a finished id, and a callback may own whatever
+  /// owns this handle) and runs the completion hook, lock released.
+  void Complete(std::optional<WireResponse> block, const Status& reason) {
+    std::function<void()> hook;
+    ProgressCallback progress;
+    {
+      MutexLock lock(mutex);
+      if (!done) {
+        done = true;
+        final = std::move(block);
+        transport = reason;
+        hook = std::exchange(on_done, nullptr);
+        progress = std::exchange(on_progress, nullptr);
+      }
+      if (!reason.ok()) cancel_pending = false;
+      cv.NotifyAll();
+    }
+    if (hook) hook();
+  }
 };
 
 // ------------------------------------------------------------- demux
@@ -204,22 +230,8 @@ struct Client::Demux {
       failed_cancels.swap(cancel_waiters);
       failed_untagged.swap(untagged);
     }
-    for (auto& [id, state] : failed_tagged) {
-      MutexLock lock(state->mutex);
-      state->done = true;
-      state->transport = reason;
-      state->cancel_pending = false;
-      state->cv.NotifyAll();
-    }
-    for (auto& [id, state] : failed_cancels) {
-      MutexLock lock(state->mutex);
-      if (!state->done) {
-        state->done = true;
-        state->transport = reason;
-      }
-      state->cancel_pending = false;
-      state->cv.NotifyAll();
-    }
+    for (auto& [id, state] : failed_tagged) state->Complete({}, reason);
+    for (auto& [id, state] : failed_cancels) state->Complete({}, reason);
     for (auto& pending : failed_untagged) {
       MutexLock lock(pending->mutex);
       pending->done = true;
@@ -361,10 +373,7 @@ void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
     if (id != 0) {
       if (auto state = find_tagged(id, /*erase=*/true)) {
         // The final reply for this id.
-        MutexLock lock(state->mutex);
-        state->final = std::move(block);
-        state->done = true;
-        state->cv.NotifyAll();
+        state->Complete(std::move(block), Status::OK());
         continue;
       }
       // Not in flight: the structured no-op ERR acknowledging a CANCEL
@@ -694,6 +703,7 @@ Result<Client::Handle> Client::Submit(const QueryRequest& request,
   handle.state_->id = next_id_.fetch_add(1) + 1;
   handle.state_->demux = demux;
   handle.state_->on_progress = options.on_progress;
+  handle.state_->on_done = std::move(options.on_done);
 
   RequestAttrs attrs;
   attrs.id = handle.state_->id;
@@ -709,9 +719,11 @@ Result<Client::Handle> Client::Submit(const QueryRequest& request,
   }
   const Status sent = demux->Send(handle.state_->request_line);
   if (!sent.ok()) {
+    // Still registered: withdraw it, and the hook never fires. Gone:
+    // the dying demux already completed it (hook fired or firing), so
+    // hand the handle out — its Wait() reports the transport error.
     MutexLock lock(demux->mutex);
-    demux->tagged.erase(handle.state_->id);
-    return sent;
+    if (demux->tagged.erase(handle.state_->id) > 0) return sent;
   }
   return handle;
 }

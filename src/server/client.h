@@ -87,6 +87,12 @@ class Client {
     std::string dataset;
     /// v5 TRACE attribute: append TRACE lines to the final block.
     bool trace = false;
+    /// One-shot completion hook: called once, on the demux thread with
+    /// no client lock held, when the final block or a terminal
+    /// transport error makes Wait() ready. Fires exactly when Submit
+    /// returns a handle, possibly before Submit returns. What lets one
+    /// thread gather many in-flight queries in completion order.
+    std::function<void()> on_done;
   };
 
   /// One in-flight tagged query. Cheap to copy; all copies refer to the

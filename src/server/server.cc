@@ -228,6 +228,7 @@ void Server::AcceptLoop() {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
+    SetNoDelay(fd);
     metrics_.RecordConnection();
     MutexLock lock(sessions_mutex_);
     if (stop_.load()) {
@@ -1098,18 +1099,20 @@ void Server::SessionLoop(int fd) {
 
     if (attrs.id != 0) {
       // ---- v3 multiplexed query: register, submit, keep reading.
+      bool duplicate = false;
       {
         MutexLock lock(session->mutex);
-        if (session->tokens.count(attrs.id) != 0) {
-          metrics_.RecordBadRequest();
-          session->Send(RenderErrorBlock(
-              "INVALID_ARGUMENT",
-              "id " + std::to_string(attrs.id) + " is already in flight",
-              attrs.id));
-          continue;
-        }
-        session->tokens.emplace(attrs.id, ctx->cancel);
-        ++session->inflight;
+        duplicate = !session->tokens.emplace(attrs.id, ctx->cancel).second;
+        if (!duplicate) ++session->inflight;
+      }
+      if (duplicate) {
+        // Sent with session->mutex released: the write lock ranks below.
+        metrics_.RecordBadRequest();
+        session->Send(RenderErrorBlock(
+            "INVALID_ARGUMENT",
+            "id " + std::to_string(attrs.id) + " is already in flight",
+            attrs.id));
+        continue;
       }
       if (attrs.progress) {
         auto streamer = std::make_shared<PartStreamer>(

@@ -1,5 +1,7 @@
 #include "server/socket_io.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -16,6 +18,11 @@ bool SendAll(int fd, const std::string& data) {
     sent += static_cast<size_t>(n);
   }
   return true;
+}
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 bool SocketLineReader::ReadLine(std::string* line) {

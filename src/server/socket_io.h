@@ -1,8 +1,9 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Blocking socket I/O shared by the server's session loop and the
-// client: a send-everything loop and a buffered newline reader. One
-// implementation so framing rules (CR stripping, line-length cap)
-// cannot diverge between the two ends of the wire.
+// client: a send-everything loop, a buffered newline reader and the
+// one socket option every connection carries. One implementation so
+// framing rules (CR stripping, line-length cap) cannot diverge between
+// the two ends of the wire.
 
 #ifndef ONEX_SERVER_SOCKET_IO_H_
 #define ONEX_SERVER_SOCKET_IO_H_
@@ -17,6 +18,12 @@ namespace server {
 /// session on its next read). Returns false on transport failure.
 /// Uses MSG_NOSIGNAL so a closed peer cannot raise SIGPIPE.
 bool SendAll(int fd, const std::string& data);
+
+/// Sets TCP_NODELAY on a connected socket. Every block on the wire is
+/// written whole by one SendAll, so Nagle has nothing to coalesce; it
+/// only holds a pipelined reply back until the peer's (possibly
+/// delayed) ACK of the previous one.
+void SetNoDelay(int fd);
 
 /// Buffered '\n'-delimited reader over a blocking socket. Strips a
 /// trailing '\r'; fails on lines longer than `max_line` bytes.

@@ -39,6 +39,7 @@ struct HeldStack {
   int size = 0;
   int overflow = 0;
   uint64_t tid = 0;  ///< Kernel thread id, recorded at registration.
+  HeldStack* next_untracked = nullptr;  ///< See g_untracked.
 };
 
 // Held stacks are heap-allocated, LEAKED, and threaded onto a fixed
@@ -51,6 +52,9 @@ struct HeldStack {
 constexpr size_t kMaxTrackedThreads = 256;
 std::atomic<HeldStack*> g_stacks[kMaxTrackedThreads];
 std::atomic<size_t> g_stack_count{0};
+/// Stacks of threads past the table, chained so they stay reachable
+/// (a leak checker would otherwise report every one).
+std::atomic<HeldStack*> g_untracked{nullptr};
 
 uint64_t CurrentTid() {
 #if defined(__linux__)
@@ -66,6 +70,12 @@ HeldStack* CreateRegisteredStack() {
   const size_t index = g_stack_count.fetch_add(1, std::memory_order_relaxed);
   if (index < kMaxTrackedThreads) {
     g_stacks[index].store(stack, std::memory_order_release);
+  } else {
+    stack->next_untracked = g_untracked.load(std::memory_order_relaxed);
+    while (!g_untracked.compare_exchange_weak(stack->next_untracked, stack,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed)) {
+    }
   }
   return stack;
 }

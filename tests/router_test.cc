@@ -5,7 +5,9 @@
 // deadline budget arithmetic), and the wire-level router itself —
 // write-to-leader vs read-to-freshest-follower, scatter-gather parity
 // against a single-node union run, mid-query upstream kill with
-// idempotent re-submit, CANCEL fan-out, and deadline propagation.
+// idempotent re-submit, CANCEL fan-out, deadline propagation, and the
+// scatter path's costs: no delayed-ACK stalls on the upstream links,
+// no thread growth per tagged read, and independent leg failover.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,6 +18,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -832,6 +835,211 @@ TEST_F(RouterReplicatedTest, ProbeNoticesFollowerDeathAndRoutesAround) {
   ASSERT_TRUE(read.value().ok) << read.value().message;
   EXPECT_EQ(router_->metrics().upstream_requests(0, false), 1u);
   EXPECT_EQ(router_->metrics().failovers(), 0u);
+}
+
+// ------------------------------------------------ sharded fixture
+
+/// In-process nodes, each serving some of the shards shard-0..3, behind
+/// one router. A held node parks every job at start until Release().
+class RouterShardTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    Release();
+    if (router_) router_->Stop();
+    for (auto& node : nodes_) node->Stop();
+  }
+
+  void StartNode(const std::vector<int>& shards,
+                 server::ServerOptions options = {}) {
+    auto catalog =
+        std::make_shared<server::Catalog>(server::CatalogOptions{});
+    for (const int shard : shards) {
+      catalog->Register("shard-" + std::to_string(shard),
+                        BuildSmallEngine(100 + shard));
+    }
+    auto started = server::Server::Start(std::move(options), catalog);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    nodes_.push_back(std::move(started).value());
+  }
+
+  server::ServerOptions HeldNode() {
+    server::ServerOptions options;
+    options.num_workers = 1;
+    options.on_job_start = [this] {
+      std::unique_lock<std::mutex> lock(hold_mutex_);
+      held_ = true;
+      hold_cv_.notify_all();
+      hold_cv_.wait(lock, [this] { return released_; });
+    };
+    return options;
+  }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(hold_mutex_);
+      released_ = true;
+    }
+    hold_cv_.notify_all();
+  }
+
+  void StartRouter() {
+    RouterOptions options;
+    for (const auto& node : nodes_) {
+      options.upstreams.push_back({"127.0.0.1", node->port()});
+    }
+    options.pool.probe_interval_ms = 60000;
+    auto started = Router::Start(options);
+    ASSERT_TRUE(started.ok()) << started.status().ToString();
+    router_ = std::move(started).value();
+  }
+
+  /// A default client: blocking, with the kernel's delayed ACKs.
+  server::Client ConnectBound() {
+    auto client = server::Client::Connect("127.0.0.1", router_->port());
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    auto use = client.value().Roundtrip("use shard-*");
+    EXPECT_TRUE(use.ok() && use.value().ok);
+    return std::move(client).value();
+  }
+
+  static QueryRequest ShardQuery() {
+    std::vector<double> probe(8);
+    for (size_t i = 0; i < probe.size(); ++i) {
+      probe[i] = 0.2 + 0.05 * static_cast<double>(i % 4);
+    }
+    return QueryRequest(KSimilarRequest{std::move(probe), 4, 8});
+  }
+
+  static size_t ThreadCount() {
+    size_t threads = 0;
+    for (const auto& entry : fs::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++threads;
+    }
+    return threads;
+  }
+
+  /// Mappings in this process. A thread that finished but was never
+  /// joined has left /proc/self/task, but its stack stays mapped.
+  static size_t MappingCount() {
+    std::ifstream maps("/proc/self/maps");
+    size_t mappings = 0;
+    for (std::string line; std::getline(maps, line);) ++mappings;
+    return mappings;
+  }
+
+  std::vector<std::unique_ptr<server::Server>> nodes_;
+  std::unique_ptr<Router> router_;
+  std::mutex hold_mutex_;
+  std::condition_variable hold_cv_;
+  bool held_ = false;
+  bool slow_started_ = false;
+  bool released_ = false;
+};
+
+TEST_F(RouterShardTest, FourLegReadsDoNotWaitOnDelayedAcks) {
+  StartNode({0, 1, 2, 3});
+  StartRouter();
+  server::Client client = ConnectBound();
+  const std::string line = server::RenderRequestLine(ShardQuery());
+
+  std::vector<double> elapsed_ms;
+  for (int i = 0; i < 20; ++i) {
+    const auto started = std::chrono::steady_clock::now();
+    auto reply = client.Roundtrip(line);
+    elapsed_ms.push_back(std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - started)
+                             .count());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply.value().ok) << reply.value().message;
+    EXPECT_FALSE(reply.value().partial());
+  }
+  std::nth_element(elapsed_ms.begin(), elapsed_ms.begin() + 10,
+                   elapsed_ms.end());
+  // The four legs share one upstream link. A leg reply held back by
+  // Nagle behind an unacknowledged one waits for the router's delayed
+  // ACK, whose timer is 40 ms on Linux.
+  EXPECT_LT(elapsed_ms[10], 10.0);
+}
+
+TEST_F(RouterShardTest, RoutedLatencyIsTimedInMicroseconds) {
+  StartNode({0, 1, 2, 3});
+  StartRouter();
+  server::Client client = ConnectBound();
+  const std::string line = server::RenderRequestLine(ShardQuery());
+  for (int i = 0; i < 5; ++i) {
+    auto reply = client.Roundtrip(line);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply.value().ok) << reply.value().message;
+    // Sub-millisecond reads must not truncate to latency_us=0.
+    EXPECT_GT(std::stoull(reply.value().header.at("latency_us")), 0u);
+  }
+}
+
+TEST_F(RouterShardTest, TaggedReadsDoNotAccumulateThreads) {
+  StartNode({0, 1, 2, 3});
+  StartRouter();
+  server::Client client = ConnectBound();
+  auto read = [&client] {
+    auto handle = client.Submit(ShardQuery());
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    auto final = handle.value().Wait();
+    ASSERT_TRUE(final.ok()) << final.status().ToString();
+    ASSERT_TRUE(final.value().ok) << final.value().message;
+  };
+  // Warm up: the upstream link and this client's demux are dialed.
+  for (int i = 0; i < 5; ++i) read();
+  const size_t threads_before = ThreadCount();
+  const size_t mappings_before = MappingCount();
+  for (int i = 0; i < 300; ++i) read();
+  // Each tagged read had one coordinator; finished ones are joined as
+  // the next arrives, so at most the last may still be alive or
+  // unjoined.
+  EXPECT_LE(ThreadCount(), threads_before + 2);
+  EXPECT_LE(MappingCount(), mappings_before + 32);
+}
+
+TEST_F(RouterShardTest, DeadLegFailsOverWithoutWaitingForTheOtherLegs) {
+  // shard-0's node parks the job until released; shard-1's node is
+  // stopped under its in-flight leg and nothing else serves shard-1.
+  server::ServerOptions slow;
+  slow.num_workers = 1;
+  slow.on_job_start = [this] {
+    {
+      std::lock_guard<std::mutex> lock(hold_mutex_);
+      slow_started_ = true;
+    }
+    hold_cv_.notify_all();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  };
+  StartNode({0}, HeldNode());
+  StartNode({1}, std::move(slow));
+  StartRouter();
+
+  server::Client client = ConnectBound();
+  auto handle = client.Submit(ShardQuery());
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  {
+    std::unique_lock<std::mutex> lock(hold_mutex_);
+    hold_cv_.wait(lock, [this] { return held_ && slow_started_; });
+  }
+  nodes_[1]->Stop();
+
+  // The dead leg fails over while shard-0's leg is still held.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (router_->metrics().failovers() == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(router_->metrics().failovers(), 1u);
+
+  Release();
+  auto final = handle.value().Wait();
+  ASSERT_TRUE(final.ok()) << final.status().ToString();
+  ASSERT_TRUE(final.value().ok) << final.value().message;
+  EXPECT_TRUE(final.value().partial());
+  EXPECT_FALSE(final.value().header.at("interrupt").empty());
 }
 
 }  // namespace

@@ -2,15 +2,22 @@
 // all six QueryKinds answered correctly over the wire (byte-identical
 // to a direct Engine::Execute render), >= 4 concurrent clients across
 // two catalog datasets, deterministic OVERLOADED shedding when the
-// bounded queue fills, and the control verbs. Run the suite with
+// bounded queue fills, the control verbs, and pipelined replies that
+// never wait on the client's delayed ACK. Run the suite with
 // -DONEX_SANITIZE=thread to put the worker pool and session threads
 // under TSan (CI does).
 
 #include "server/server.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -24,6 +31,7 @@
 #include "dataset/normalize.h"
 #include "server/client.h"
 #include "server/protocol.h"
+#include "server/socket_io.h"
 
 namespace onex {
 namespace server {
@@ -389,6 +397,64 @@ TEST_F(ServerTest, DefaultDatasetBindsSessionsAtConnect) {
   // No USE line needed: the query answers against the default dataset.
   const auto query = QueryFrom(ecg, 3, 2, 8);
   ExpectWireMatchesDirect(client, ecg, BestMatchRequest{query, 8});
+}
+
+// ------------------------------------- pipelined replies, no Nagle.
+
+TEST_F(ServerTest, PipelinedRepliesDoNotWaitForTheNextRequest) {
+  ServerOptions options;
+  options.num_workers = 2;
+  StartServer(options);
+  const Engine power = BuildEngine("ItalyPower", 10, 42);
+  const std::string query = RenderRequestLine(
+      QueryRequest(BestMatchRequest{QueryFrom(power, 2, 3, 8), 8}));
+
+  // A plain socket with the kernel's defaults (Nagle on, delayed ACKs),
+  // so both requests can go out in one write.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  SocketLineReader reader(fd, 1 << 20);
+  std::string line;
+  ASSERT_TRUE(reader.ReadLine(&line));  // Greeting.
+  // Reads reply blocks until `blocks` have arrived; false on an ERR.
+  auto read_blocks = [&](int blocks) {
+    while (blocks > 0 && reader.ReadLine(&line)) {
+      if (line.rfind("ERR", 0) == 0) return false;
+      if (line == ".") --blocks;
+    }
+    return blocks == 0;
+  };
+  ASSERT_TRUE(SendAll(fd, "use power\n") && read_blocks(1));
+  // Enough round trips for this end to leave its quick-ACK start and
+  // delay ACKs, as on any long-lived session.
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(SendAll(fd, query + "\n") && read_blocks(1));
+  }
+
+  double best_ms = 1e9;
+  for (int trial = 0; trial < 5; ++trial) {
+    // Fresh ids: a final is sent before its id is released.
+    const std::string first = std::to_string(2 * trial + 1);
+    const std::string second = std::to_string(2 * trial + 2);
+    const auto started = std::chrono::steady_clock::now();
+    ASSERT_TRUE(SendAll(fd, "id=" + first + " " + query + "\nid=" + second +
+                                " " + query + "\n"));
+    ASSERT_TRUE(read_blocks(2));
+    best_ms = std::min(best_ms, std::chrono::duration<double, std::milli>(
+                                    std::chrono::steady_clock::now() - started)
+                                    .count());
+  }
+  ::close(fd);
+  // No third request follows to carry the ACK of the first reply; a
+  // second reply held back by Nagle would wait for this end's
+  // delayed-ACK timer, 40 ms on Linux.
+  EXPECT_LT(best_ms, 20.0);
 }
 
 TEST_F(ServerTest, StopIsIdempotentAndDisconnectsClients) {
