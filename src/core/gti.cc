@@ -40,9 +40,16 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
     entry.groups.push_back(std::move(lsi));
   }
 
-  // Pairwise Inter-Representative Distances (Def. 10), normalized ED.
+  // Pairwise Inter-Representative Distances Dc (Def. 10), normalized ED,
+  // each computed once in (k, l > k) order. The row sums of
+  // S_i(k, sum_k) accumulate in the same pass, every row receiving its
+  // terms in ascending l. Dc itself is kept (as its strict upper
+  // triangle) only when the SP-Space markers need it, and dies with this
+  // call.
   const size_t g = entry.groups.size();
-  entry.dc.assign(g * g, 0.0);
+  std::vector<double> dc;
+  if (compute_sp_space) dc.reserve(g * (g - 1) / 2);
+  std::vector<double> sums(g, 0.0);
   for (size_t k = 0; k < g; ++k) {
     const std::span<const double> rk(entry.groups[k].representative.data(),
                                      length);
@@ -50,26 +57,24 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
       const std::span<const double> rl(entry.groups[l].representative.data(),
                                        length);
       const double d = NormalizedEuclidean(rk, rl);
-      entry.dc[k * g + l] = d;
-      entry.dc[l * g + k] = d;
+      sums[k] += d;
+      sums[l] += d;
+      if (compute_sp_space) dc.push_back(d);
     }
   }
 
-  // S_i(k, sum_k): group ids sorted by the sum of their Dc row, the seed
-  // order for the median-out representative search (Sec. 5.3).
+  // Group ids sorted by their Dc row sum: the seed order for the
+  // median-out representative search (Sec. 5.3).
   entry.sum_sorted.reserve(g);
   for (size_t k = 0; k < g; ++k) {
-    double sum = 0.0;
-    for (size_t l = 0; l < g; ++l) sum += entry.dc[k * g + l];
-    entry.sum_sorted.push_back({static_cast<uint32_t>(k), sum});
+    entry.sum_sorted.push_back({static_cast<uint32_t>(k), sums[k]});
   }
   std::sort(entry.sum_sorted.begin(), entry.sum_sorted.end(),
             [](const auto& a, const auto& b) { return a.second < b.second; });
 
   // Local SP-Space markers (Sec. 4.2).
   if (compute_sp_space) {
-    const MergeThresholds t = ComputeMergeThresholds(
-        std::span<const double>(entry.dc.data(), entry.dc.size()), g, st);
+    const MergeThresholds t = ComputeMergeThresholds(dc, g, st);
     entry.st_half = t.st_half;
     entry.st_final = t.st_final;
   } else {

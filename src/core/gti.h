@@ -1,9 +1,11 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Global Time Index (paper Sec. 4.3): per-length directory over the
-// groups. Stores the group list, the pairwise Inter-Representative
-// Distance matrix Dc (Def. 10), the sum-of-Dc sorted array S_i(k, sum_k)
+// groups. Stores the group list, the sum-of-Dc sorted array S_i(k, sum_k)
 // that seeds the median-out representative search (Sec. 5.3), and the
-// per-length SThalf / STfinal markers of the SP-Space (Sec. 4.2).
+// per-length SThalf / STfinal markers of the SP-Space (Sec. 4.2). The
+// pairwise Inter-Representative Distances Dc (Def. 10) they are derived
+// from exist only while BuildGtiEntry runs: no query reads Dc itself,
+// so an entry holds O(g) GTI state, not O(g^2).
 
 #ifndef ONEX_CORE_GTI_H_
 #define ONEX_CORE_GTI_H_
@@ -22,8 +24,6 @@ struct GtiEntry {
   size_t length = 0;
   /// The groups of this length; index into this vector = group id k.
   std::vector<LsiEntry> groups;
-  /// Row-major k x k normalized-ED matrix between representatives.
-  std::vector<double> dc;
   /// (group id, sum of its Dc row), sorted ascending by sum.
   std::vector<std::pair<uint32_t, double>> sum_sorted;
   /// Local similarity-threshold markers (Sec. 4.2); st_half is the ST'
@@ -32,14 +32,11 @@ struct GtiEntry {
   double st_half = 0.0;
   double st_final = 0.0;
 
-  double Dc(size_t k, size_t l) const { return dc[k * groups.size() + l]; }
-
   size_t NumGroups() const { return groups.size(); }
 
-  /// GTI bytes: identifiers, Dc matrix, sums, thresholds (Table 4 split).
+  /// GTI bytes: identifiers, sums, thresholds (Table 4 split).
   size_t GtiMemoryBytes() const {
-    return dc.capacity() * sizeof(double) +
-           sum_sorted.capacity() * sizeof(std::pair<uint32_t, double>) +
+    return sum_sorted.capacity() * sizeof(std::pair<uint32_t, double>) +
            2 * sizeof(double);
   }
 
@@ -54,8 +51,10 @@ struct GtiEntry {
 /// Builds the frozen GtiEntry for one length from construction-time
 /// groups: freezes representatives, sorts members by normalized ED to
 /// the final representative, computes envelopes (band = window_ratio *
-/// length), the Dc matrix, the sum-sorted array and, when requested, the
-/// merge thresholds. `st` is the base similarity threshold.
+/// length), then one pass over the representative pairs for Dc, from
+/// which it derives the sum-sorted array and, when requested, the merge
+/// thresholds. Dc is freed before returning. `st` is the base
+/// similarity threshold.
 GtiEntry BuildGtiEntry(const Dataset& dataset,
                        std::vector<SimilarityGroup> groups, double st,
                        double window_ratio, bool compute_sp_space);

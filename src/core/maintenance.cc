@@ -4,13 +4,14 @@
 // every subsequence of each new series is assigned to its nearest
 // in-radius representative (updating that group's running average) or
 // founds a new group, after which the affected per-length derived
-// structures (member sort, envelopes, Dc matrix, sum order, SP-Space
-// markers) are rebuilt. Rebuilding derived structures costs O(g^2 L)
-// per length — the same order as one Fig. 5 build step for that length
-// — which is why AppendBatch amortizes: a batch of N series pays that
-// rebuild once per length instead of N times (WAL replay leans on
-// this), while the assignment itself is O(subsequences * g * L) either
-// way, identical to the offline loop.
+// structures (member sort, envelopes, sum order, SP-Space markers) are
+// rebuilt by BuildGtiEntry. Its one pass over the representative pairs
+// (Dc, never stored) costs O(g^2 L) per length — the same order as one
+// Fig. 5 build step for that length — which is why AppendBatch
+// amortizes: a batch of N series pays that rebuild once per length
+// instead of N times (WAL replay leans on this), while the assignment
+// itself is O(subsequences * g * L) either way, identical to the
+// offline loop.
 
 #include <cmath>
 #include <limits>

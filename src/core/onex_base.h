@@ -51,16 +51,16 @@ class OnexBase {
   /// Appends one new time series to the base, maintaining every
   /// invariant of Algorithm 1: each new subsequence joins its nearest
   /// in-radius representative or founds a new group, and the affected
-  /// lengths' Dc matrices, sum orders, envelopes, and SP-Space markers
-  /// are refreshed. This is the "ONEX base maintenance" the paper
-  /// defers to its tech report. InvalidArgument for an empty series.
+  /// lengths' sum orders, envelopes, and SP-Space markers are refreshed.
+  /// This is the "ONEX base maintenance" the paper defers to its tech
+  /// report. InvalidArgument for an empty series.
   Status AppendSeries(TimeSeries series);
 
   /// Appends a whole batch with ONE maintenance pass: per affected
   /// length the groups are reconstituted once, every new subsequence is
   /// assigned in batch order (the same nearest-in-radius rule the
   /// sequential path applies), and the derived structures (member sort,
-  /// envelopes, Dc, sum order, markers) are rebuilt once — instead of
+  /// envelopes, sum order, markers) are rebuilt once — instead of
   /// once per series. WAL replay batches recovery through this, turning
   /// N derived-state rebuilds into 1 per length. All-or-nothing
   /// validation: an empty series anywhere rejects the batch unapplied.

@@ -30,7 +30,8 @@ struct OnexOptions {
   uint64_t seed = 42;
 
   /// Computes SThalf / STfinal per length during the build (Sec. 4.2).
-  /// Costs O(g^2 log g) per length; disable for very large bases.
+  /// Costs O(g^2) time per length and, while the length is built, a
+  /// g(g-1)/2 buffer of Dc values; disable for very large bases.
   bool compute_sp_space = true;
 
   /// Lloyd-style refinement passes after the one-shot online clustering

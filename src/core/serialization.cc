@@ -15,6 +15,9 @@ namespace {
 
 constexpr char kMagic[4] = {'O', 'N', 'E', 'X'};
 
+/// The last format version that stored the Dc matrix; still readable.
+constexpr uint32_t kVersionWithDc = 1;
+
 // ------------------------------------------------------------- Writing.
 
 class Writer {
@@ -72,6 +75,17 @@ class Reader {
     if (!U64(&n) || n > remaining_ / sizeof(double)) return false;
     v->resize(n);
     return Raw(v->data(), n * sizeof(double));
+  }
+
+  /// Skips a length-prefixed block of doubles without materializing it;
+  /// `*n` receives its length prefix.
+  bool SkipDoubles(uint64_t* n) {
+    if (!U64(n) || *n > remaining_ / sizeof(double)) return false;
+    in_->seekg(static_cast<std::streamoff>(*n * sizeof(double)),
+               std::ios::cur);
+    if (!*in_) return false;
+    remaining_ -= *n * sizeof(double);
+    return true;
   }
 
   /// True when `count` records of at least `min_bytes_each` could still
@@ -140,9 +154,7 @@ Status SaveBaseToStream(const OnexBase& base, std::ostream& out,
         w.F64(member.ed_to_rep);
       }
     }
-    // Dc and sums are recomputable but cheap to store and expensive to
-    // recompute (O(g^2 L)); store them.
-    w.Doubles(entry.dc);
+    // The sums are recomputable, but only in O(g^2 L); store them.
     w.U64(entry.sum_sorted.size());
     for (const auto& [k, sum] : entry.sum_sorted) {
       w.U32(k);
@@ -165,7 +177,8 @@ Result<OnexBase> LoadBaseFromStream(std::istream& in,
     return Status::Corruption("'" + where + "' is not an ONEX base file");
   }
   uint32_t version = 0;
-  if (!r.U32(&version) || version != kOnexBaseFormatVersion) {
+  if (!r.U32(&version) ||
+      (version != kOnexBaseFormatVersion && version != kVersionWithDc)) {
     return Status::Corruption("unsupported format version " +
                               std::to_string(version));
   }
@@ -218,6 +231,11 @@ Result<OnexBase> LoadBaseFromStream(std::istream& in,
         !r.Fits(num_groups, /*rep count + member count=*/16)) {
       return Status::Corruption("truncated GTI entry header");
     }
+    if (!std::isfinite(entry.st_half) || !std::isfinite(entry.st_final) ||
+        !(options.st <= entry.st_half) || !(entry.st_half <= entry.st_final)) {
+      return Status::Corruption("SP-Space markers not finite or out of "
+                                "order");
+    }
     entry.length = static_cast<size_t>(length);
     // Clamp the ratio before the size_t cast: a corrupt value (huge,
     // NaN) must not become undefined behaviour. ComputeEnvelope clamps
@@ -262,21 +280,35 @@ Result<OnexBase> LoadBaseFromStream(std::istream& in,
           window);
       entry.groups.push_back(std::move(group));
     }
+    const size_t g = entry.groups.size();
+    if (version == kVersionWithDc) {
+      uint64_t dc_size = 0;
+      if (!r.SkipDoubles(&dc_size)) {
+        return Status::Corruption("truncated Dc block");
+      }
+      if (dc_size != static_cast<uint64_t>(g) * g) {
+        return Status::Corruption("Dc cardinality mismatch");
+      }
+    }
     uint64_t num_sums = 0;
-    if (!r.Doubles(&entry.dc) || !r.U64(&num_sums)) {
-      return Status::Corruption("truncated Dc block");
-    }
-    if (entry.dc.size() != entry.groups.size() * entry.groups.size() ||
-        num_sums != entry.groups.size()) {
-      return Status::Corruption("Dc/sum cardinality mismatch");
-    }
+    if (!r.U64(&num_sums)) return Status::Corruption("truncated sum block");
+    if (num_sums != g) return Status::Corruption("sum cardinality mismatch");
+    // The median-out search (Sec. 5.3) reaches a group only through this
+    // order: a duplicated id would hide another group from every query.
     entry.sum_sorted.resize(num_sums);
-    for (auto& [k, sum] : entry.sum_sorted) {
+    std::vector<bool> seen(g, false);
+    for (size_t i = 0; i < g; ++i) {
+      auto& [k, sum] = entry.sum_sorted[i];
       if (!r.U32(&k) || !r.F64(&sum)) {
         return Status::Corruption("truncated sum record");
       }
-      if (k >= entry.groups.size()) {
-        return Status::Corruption("sum record references bad group");
+      if (k >= g || seen[k]) {
+        return Status::Corruption("sum block is not a permutation of the "
+                                  "groups");
+      }
+      seen[k] = true;
+      if (i > 0 && !(entry.sum_sorted[i - 1].second <= sum)) {
+        return Status::Corruption("sum block is not in ascending order");
       }
     }
     gti.Insert(std::move(entry));

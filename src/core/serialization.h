@@ -7,12 +7,17 @@
 //   [magic "ONEX"][u32 version]
 //   [dataset: name, N, per-series label + values]
 //   [options: st, lengths, window_ratio, seed, sp flag]
-//   [gti: per length -> groups (rep, members), dc, sums, thresholds]
+//   [gti: per length -> thresholds, groups (rep, members), sums]
 //
 // All integers little-endian fixed width; doubles as IEEE-754 bits.
 // Loading validates the magic, version, and structural invariants and
 // returns Corruption on any mismatch. Envelopes are recomputed on load
 // (cheaper to rebuild with Lemire than to store).
+//
+// Version 1 also stored each length's g x g Dc matrix between the
+// groups and the sums. Version 2 drops it (no query reads Dc; it was
+// over 90% of a large base's snapshot). Loading still accepts version 1
+// and skips that block; saving always writes the current version.
 
 #ifndef ONEX_CORE_SERIALIZATION_H_
 #define ONEX_CORE_SERIALIZATION_H_
@@ -25,7 +30,7 @@
 namespace onex {
 
 /// Current format version; bumped on layout changes.
-inline constexpr uint32_t kOnexBaseFormatVersion = 1;
+inline constexpr uint32_t kOnexBaseFormatVersion = 2;
 
 /// Writes `base` to `path`, overwriting. IOError on filesystem failure.
 Status SaveBase(const OnexBase& base, const std::string& path);

@@ -2,41 +2,49 @@
 
 #include <algorithm>
 #include <cctype>
-
-#include "util/union_find.h"
+#include <cstdint>
+#include <limits>
+#include <numeric>
 
 namespace onex {
 
-MergeThresholds ComputeMergeThresholds(std::span<const double> dc, size_t g,
-                                       double st) {
+MergeThresholds ComputeMergeThresholds(std::span<const double> upper,
+                                       size_t g, double st) {
   MergeThresholds result{st, st};
   if (g <= 1) return result;
-  // Kruskal sweep: edge (k, l) fires at ST' = st + Dc(k, l).
-  std::vector<std::pair<double, std::pair<uint32_t, uint32_t>>> edges;
-  edges.reserve(g * (g - 1) / 2);
-  for (size_t k = 0; k < g; ++k) {
-    for (size_t l = k + 1; l < g; ++l) {
-      edges.push_back({dc[k * g + l],
-                       {static_cast<uint32_t>(k), static_cast<uint32_t>(l)}});
+  // Dense Prim from group 0 over the complete representative graph.
+  // rest[i] is a group not yet in the tree, key[i] its lightest edge
+  // into it; both shrink by one (swap-remove) as each group joins.
+  std::vector<uint32_t> rest(g - 1);
+  std::iota(rest.begin(), rest.end(), 1u);
+  std::vector<double> key(g - 1, std::numeric_limits<double>::infinity());
+  std::vector<double> weights;  // MST edge weights, in join order.
+  weights.reserve(g - 1);
+  size_t u = 0;
+  while (!rest.empty()) {
+    size_t best = 0;
+    for (size_t i = 0; i < rest.size(); ++i) {
+      const size_t v = rest[i];
+      const double d = upper[v < u ? UpperTriangleIndex(v, u, g)
+                                   : UpperTriangleIndex(u, v, g)];
+      if (d < key[i]) key[i] = d;
+      if (key[i] < key[best]) best = i;
     }
+    weights.push_back(key[best]);
+    u = rest[best];
+    rest[best] = rest.back();
+    rest.pop_back();
+    key[best] = key.back();
+    key.pop_back();
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  UnionFind uf(g);
-  const size_t half_target = (g + 1) / 2;  // "Half the groups merged".
-  bool half_found = false;
-  for (const auto& [d, pair] : edges) {
-    if (!uf.Union(pair.first, pair.second)) continue;
-    if (!half_found && uf.components() <= half_target) {
-      result.st_half = st + d;
-      half_found = true;
-    }
-    if (uf.components() == 1) {
-      result.st_final = st + d;
-      break;
-    }
-  }
-  if (!half_found) result.st_half = result.st_final;
+  // A Kruskal sweep's i-th successful union fires at ST' = st + (i-th
+  // smallest MST weight) and leaves g - i groups; "half merged" is the
+  // first union that leaves at most ceil(g/2), "final" the last one.
+  const size_t half = g - (g + 1) / 2 - 1;
+  std::nth_element(weights.begin(), weights.begin() + half, weights.end());
+  result.st_half = st + weights[half];
+  result.st_final =
+      st + *std::max_element(weights.begin() + half, weights.end());
   return result;
 }
 

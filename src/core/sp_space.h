@@ -1,11 +1,12 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Similarity Parameter Space (paper Sec. 4.2 and Fig. 1). Two groups of
-// one length merge at a new threshold ST' once ST' - ST >= Dc, so
-// sweeping the Dc edges in ascending order (Kruskal over the complete
-// representative graph) yields the exact thresholds at which half
-// (SThalf) and all (STfinal) of the groups have merged. Global markers
-// take the maximum of the local ones across lengths; the S/M/L
-// similarity degrees of Q3 are intervals delimited by these markers.
+// one length merge at a new threshold ST' once ST' - ST >= Dc, so the
+// thresholds at which half (SThalf) and all (STfinal) of the groups have
+// merged are single-linkage merge heights: the i-th merge fires at the
+// i-th smallest edge of a minimum spanning tree of the complete
+// representative graph. Global markers take the maximum of the local
+// ones across lengths; the S/M/L similarity degrees of Q3 are intervals
+// delimited by these markers.
 
 #ifndef ONEX_CORE_SP_SPACE_H_
 #define ONEX_CORE_SP_SPACE_H_
@@ -23,11 +24,19 @@ struct MergeThresholds {
   double st_final = 0.0;
 };
 
-/// Computes SThalf / STfinal from a row-major g x g Dc matrix and the
-/// base threshold `st`. One group (or zero) yields {st, st}: nothing can
-/// merge, so every ST' behaves the same.
-MergeThresholds ComputeMergeThresholds(std::span<const double> dc, size_t g,
-                                       double st);
+/// Position of the pair (k, l), k < l, in the strict upper triangle of a
+/// g x g matrix stored row by row: (0,1), (0,2), ..., (0,g-1), (1,2), ...
+inline size_t UpperTriangleIndex(size_t k, size_t l, size_t g) {
+  return k * (2 * g - k - 1) / 2 + (l - k - 1);
+}
+
+/// Computes SThalf / STfinal from the g(g-1)/2 Dc values of the strict
+/// upper triangle (UpperTriangleIndex order) and the base threshold
+/// `st`, with a dense Prim pass: O(g^2) time, O(g) extra memory. One
+/// group (or zero) yields {st, st}: nothing can merge, so every ST'
+/// behaves the same.
+MergeThresholds ComputeMergeThresholds(std::span<const double> upper,
+                                       size_t g, double st);
 
 /// The paper's similarity degrees (Sec. 4.2).
 enum class SimilarityDegree { kStrict, kMedium, kLoose };

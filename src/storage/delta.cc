@@ -295,6 +295,7 @@ std::string EncodeDelta(std::string_view old_bytes,
       if (t + kBlock <= n) h = HashBlock(new_bytes.data() + t);
       continue;
     }
+    if (t + kBlock == n) break;  // No byte left to roll in.
     h = Roll(h, static_cast<uint8_t>(new_bytes[t]),
              static_cast<uint8_t>(new_bytes[t + kBlock]), out_weight);
     ++t;

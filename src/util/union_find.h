@@ -1,9 +1,10 @@
 // Copyright 2026 The ONEX Reproduction Authors.
-// Disjoint-set forest with union by rank and path halving. Used by the
-// SP-Space (paper Sec. 4.2) to simulate group merges under increasing
-// similarity thresholds: groups k and l merge once ST' - ST >= Dc(k, l),
-// so sweeping Dc edges in sorted order (Kruskal-style) yields the exact
-// thresholds at which half / all groups have merged.
+// Disjoint-set forest with union by rank and path halving. Simulates
+// SP-Space group merges (paper Sec. 4.2) under increasing similarity
+// thresholds: groups k and l merge once ST' - ST >= Dc(k, l), so sweeping
+// Dc edges in sorted order (Kruskal-style) yields the exact thresholds at
+// which half / all groups have merged. The tests use it as the reference
+// for ComputeMergeThresholds' spanning-tree pass.
 
 #ifndef ONEX_UTIL_UNION_FIND_H_
 #define ONEX_UTIL_UNION_FIND_H_

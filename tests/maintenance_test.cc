@@ -99,8 +99,9 @@ TEST(MaintenanceTest, IndexStructuresStayConsistent) {
   for (size_t length : base.gti().Lengths()) {
     const GtiEntry* entry = base.EntryFor(length);
     const size_t g = entry->NumGroups();
-    ASSERT_EQ(entry->dc.size(), g * g);
     ASSERT_EQ(entry->sum_sorted.size(), g);
+    EXPECT_GE(entry->st_half, base.options().st);
+    EXPECT_GE(entry->st_final, entry->st_half);
     for (const auto& group : entry->groups) {
       EXPECT_EQ(group.envelope.size(), length);
       for (size_t i = 1; i < group.members.size(); ++i) {

@@ -1,4 +1,4 @@
-// Tests for the SP-Space (paper Sec. 4.2): the Kruskal merge sweep that
+// Tests for the SP-Space (paper Sec. 4.2): the spanning-tree pass that
 // derives SThalf / STfinal, the global aggregation across lengths, and
 // the S/M/L similarity degrees behind query class Q3.
 
@@ -13,30 +13,40 @@
 namespace onex {
 namespace {
 
-// Builds a row-major symmetric Dc matrix from an upper-triangle list.
+// Builds the strict upper triangle of a Dc matrix from a list of
+// (k < l, distance) entries.
 std::vector<double> Matrix(size_t g,
                            std::vector<std::tuple<size_t, size_t, double>>
                                entries) {
-  std::vector<double> dc(g * g, 0.0);
-  for (const auto& [k, l, d] : entries) {
-    dc[k * g + l] = d;
-    dc[l * g + k] = d;
-  }
+  std::vector<double> dc(g * (g - 1) / 2, 0.0);
+  for (const auto& [k, l, d] : entries) dc[UpperTriangleIndex(k, l, g)] = d;
   return dc;
 }
 
+TEST(UpperTriangleIndexTest, EnumeratesPairsRowByRow) {
+  for (size_t g : {2u, 3u, 7u}) {
+    size_t at = 0;
+    for (size_t k = 0; k < g; ++k) {
+      for (size_t l = k + 1; l < g; ++l) {
+        EXPECT_EQ(UpperTriangleIndex(k, l, g), at++) << k << "," << l;
+      }
+    }
+    EXPECT_EQ(at, g * (g - 1) / 2);
+  }
+}
+
 TEST(MergeThresholdsTest, SingleGroupIsBaseThreshold) {
-  std::vector<double> dc = {0.0};
-  const MergeThresholds t =
-      ComputeMergeThresholds(std::span<const double>(dc.data(), 1), 1, 0.2);
+  const MergeThresholds t = ComputeMergeThresholds({}, 1, 0.2);
   EXPECT_DOUBLE_EQ(t.st_half, 0.2);
   EXPECT_DOUBLE_EQ(t.st_final, 0.2);
+  const MergeThresholds none = ComputeMergeThresholds({}, 0, 0.2);
+  EXPECT_DOUBLE_EQ(none.st_half, 0.2);
+  EXPECT_DOUBLE_EQ(none.st_final, 0.2);
 }
 
 TEST(MergeThresholdsTest, TwoGroups) {
   const auto dc = Matrix(2, {{0, 1, 0.3}});
-  const MergeThresholds t = ComputeMergeThresholds(
-      std::span<const double>(dc.data(), dc.size()), 2, 0.2);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 2, 0.2);
   // One merge event at ST' = 0.2 + 0.3: it is both "half" (1 <= 1
   // component target) and "final".
   EXPECT_DOUBLE_EQ(t.st_half, 0.5);
@@ -52,8 +62,7 @@ TEST(MergeThresholdsTest, TwoTightClustersFarApart) {
                              {0, 3, 1.0},
                              {1, 2, 1.0},
                              {1, 3, 1.0}});
-  const MergeThresholds t = ComputeMergeThresholds(
-      std::span<const double>(dc.data(), dc.size()), 4, 0.2);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.2);
   EXPECT_DOUBLE_EQ(t.st_half, 0.2 + 0.1);
   EXPECT_DOUBLE_EQ(t.st_final, 0.2 + 1.0);
 }
@@ -66,37 +75,31 @@ TEST(MergeThresholdsTest, ChainMergesProgressively) {
                              {0, 2, 0.9},
                              {0, 3, 0.9},
                              {1, 3, 0.9}});
-  const MergeThresholds t = ComputeMergeThresholds(
-      std::span<const double>(dc.data(), dc.size()), 4, 0.0);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.0);
   // After edge 0.1: 3 components; after 0.2: 2 components = half (g/2);
   // after 0.3: 1 component = final.
   EXPECT_DOUBLE_EQ(t.st_half, 0.2);
   EXPECT_DOUBLE_EQ(t.st_final, 0.3);
 }
 
-// Property: the Kruskal sweep agrees with a brute-force threshold scan
-// using union-find at each candidate threshold.
+// Property: the spanning-tree pass agrees with a brute-force threshold
+// scan using union-find at each candidate threshold.
 TEST(MergeThresholdsTest, AgreesWithBruteForceSweep) {
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t g = 2 + rng.Uniform(10);
-    std::vector<double> dc(g * g, 0.0);
-    for (size_t k = 0; k < g; ++k) {
-      for (size_t l = k + 1; l < g; ++l) {
-        const double d = rng.UniformDouble(0.01, 1.0);
-        dc[k * g + l] = d;
-        dc[l * g + k] = d;
-      }
-    }
+    std::vector<double> dc(g * (g - 1) / 2);
+    for (double& d : dc) d = rng.UniformDouble(0.01, 1.0);
     const double st = 0.2;
-    const MergeThresholds got = ComputeMergeThresholds(
-        std::span<const double>(dc.data(), dc.size()), g, st);
+    const MergeThresholds got = ComputeMergeThresholds(dc, g, st);
 
     auto components_at = [&](double st_prime) {
       UnionFind uf(g);
       for (size_t k = 0; k < g; ++k) {
         for (size_t l = k + 1; l < g; ++l) {
-          if (st_prime - st >= dc[k * g + l]) uf.Union(k, l);
+          if (st_prime - st >= dc[UpperTriangleIndex(k, l, g)]) {
+            uf.Union(k, l);
+          }
         }
       }
       return uf.components();

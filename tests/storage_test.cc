@@ -304,6 +304,33 @@ TEST_F(StorageTest, CheckpointRotatesWalAndMakesSnapshotSelfSufficient) {
   EXPECT_EQ(reopened.value()->stats().replayed_records, 0u);
 }
 
+TEST_F(StorageTest, Version1SnapshotDirectoryOpensAndCheckpointsForward) {
+  // A data directory written before the snapshot format dropped the Dc
+  // matrix (tests/data/base_v1.onex: 5 series of 12 points, no WAL).
+  // It must open, take appends, and checkpoint into the current format
+  // (a delta from the old bytes, or a compacted base) that reopens.
+  fs::copy_file(std::string(ONEX_TEST_DATA_DIR) + "/base_v1.onex",
+                BasePathFor(dir_.string(), "old"));
+  StorageOptions options;
+  options.background_checkpointer = false;
+  std::vector<double> appended(12);
+  for (size_t j = 0; j < appended.size(); ++j) appended[j] = 0.05 * j;
+  {
+    auto opened = DurableEngine::Open(dir_.string(), "old", options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.value()->engine()->num_series(), 5u);
+    ASSERT_TRUE(opened.value()->Append(TimeSeries(appended, 1)).ok());
+    ASSERT_TRUE(opened.value()->Checkpoint().ok());
+  }
+  fs::remove(WalPath("old"));  // The checkpoint alone must hold it.
+  auto reopened = DurableEngine::Open(dir_.string(), "old", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto engine = reopened.value()->engine();
+  ASSERT_EQ(engine->num_series(), 6u);
+  const auto view = engine->base().dataset()[5].Subsequence(0, 12);
+  EXPECT_EQ(std::vector<double>(view.begin(), view.end()), appended);
+}
+
 TEST_F(StorageTest, RecoverySkipsRecordsAlreadyInTheSnapshot) {
   StorageOptions options;
   options.background_checkpointer = false;

@@ -11,6 +11,7 @@
 #include "core/threshold_refiner.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "distance/euclidean.h"
 
 namespace onex {
 namespace {
@@ -123,7 +124,10 @@ TEST(ThresholdRefinerTest, MergedGroupsRespectDcCondition) {
   const double budget = st_prime - base.options().st;
   for (size_t k = 0; k < entry.NumGroups(); ++k) {
     for (size_t l = k + 1; l < entry.NumGroups(); ++l) {
-      EXPECT_GT(entry.Dc(k, l), budget);
+      const double dc = NormalizedEuclidean(
+          std::span<const double>(entry.groups[k].representative.data(), 8),
+          std::span<const double>(entry.groups[l].representative.data(), 8));
+      EXPECT_GT(dc, budget);
     }
   }
 }
@@ -176,7 +180,8 @@ TEST(ThresholdRefinerTest, RefinedBaseValidation) {
 
 TEST(ThresholdRefinerTest, RefinedEntryIsSearchable) {
   // The refined GtiEntry must be structurally complete: sorted members,
-  // Dc matrix, sum-sorted array — i.e., a drop-in for query processing.
+  // envelopes, sum-sorted array, markers — i.e., a drop-in for query
+  // processing.
   OnexBase base = BuildBase(0.2);
   ThresholdRefiner refiner(&base);
   auto refined = refiner.RefineLength(8, 0.35);
@@ -184,7 +189,8 @@ TEST(ThresholdRefinerTest, RefinedEntryIsSearchable) {
   const GtiEntry& entry = refined.value();
   EXPECT_EQ(entry.length, 8u);
   EXPECT_EQ(entry.sum_sorted.size(), entry.NumGroups());
-  EXPECT_EQ(entry.dc.size(), entry.NumGroups() * entry.NumGroups());
+  EXPECT_GE(entry.st_half, 0.35);
+  EXPECT_GE(entry.st_final, entry.st_half);
   for (const auto& group : entry.groups) {
     EXPECT_EQ(group.envelope.size(), 8u);
     for (size_t i = 1; i < group.members.size(); ++i) {
