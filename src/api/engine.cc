@@ -327,6 +327,8 @@ Status Engine::AppendSeries(TimeSeries series, size_t* index) {
   if (series.empty()) {
     return Status::InvalidArgument("cannot append an empty series");
   }
+  Status values = CheckSeriesValues(series);
+  if (!values.ok()) return values;
   WriterMutexLock lock(*rw_mutex_);
   if (append_sink_ != nullptr) {
     const Status logged = append_sink_->LogAppend(series);
@@ -344,6 +346,8 @@ Status Engine::AppendBatch(std::vector<TimeSeries> batch) {
     if (series.empty()) {
       return Status::InvalidArgument("cannot append an empty series");
     }
+    Status values = CheckSeriesValues(series);
+    if (!values.ok()) return values;
   }
   WriterMutexLock lock(*rw_mutex_);
   if (append_sink_ != nullptr) {

@@ -90,6 +90,8 @@ Status OnexBase::AppendBatch(std::vector<TimeSeries> batch) {
     if (series.empty()) {
       return Status::InvalidArgument("cannot append an empty series");
     }
+    Status values = CheckSeriesValues(series);
+    if (!values.ok()) return values;
   }
   if (batch.empty()) return Status::OK();
 

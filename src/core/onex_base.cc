@@ -1,6 +1,8 @@
 #include "core/onex_base.h"
 
+#include <cmath>
 #include <sstream>
+#include <string>
 
 #include "core/group_builder.h"
 #include "util/logging.h"
@@ -17,6 +19,21 @@ std::string BaseStats::ToString() const {
   return out.str();
 }
 
+Status CheckSeriesValues(const TimeSeries& series) {
+  for (size_t i = 0; i < series.length(); ++i) {
+    const double v = series[i];
+    if (!std::isfinite(v)) {
+      return Status::InvalidArgument("series value " + std::to_string(i) +
+                                     " is not finite");
+    }
+    if (std::abs(v) > kMaxAbsSeriesValue) {
+      return Status::InvalidArgument("series value " + std::to_string(i) +
+                                     " exceeds the magnitude limit 1e100");
+    }
+  }
+  return Status::OK();
+}
+
 Result<OnexBase> OnexBase::Build(Dataset dataset,
                                  const OnexOptions& options) {
   Status valid = options.Validate();
@@ -24,6 +41,13 @@ Result<OnexBase> OnexBase::Build(Dataset dataset,
   if (dataset.empty()) {
     return Status::InvalidArgument("cannot build a base over an empty "
                                    "dataset");
+  }
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    Status values = CheckSeriesValues(dataset[i]);
+    if (!values.ok()) {
+      return Status::InvalidArgument("series " + std::to_string(i) + ": " +
+                                     values.message());
+    }
   }
 
   OnexBase base;

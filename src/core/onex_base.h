@@ -34,12 +34,25 @@ struct BaseStats {
   std::string ToString() const;
 };
 
+/// Largest |value| a base takes in. Bounded inputs keep everything
+/// derived from them finite: group sums, squared distances, DTW costs,
+/// Dc row sums and SP-Space markers. LoadBase rejects non-finite
+/// markers and unordered sums as corruption, so every base SaveBase
+/// writes must have them finite.
+inline constexpr double kMaxAbsSeriesValue = 1e100;
+
+/// InvalidArgument unless every value of `series` is finite with
+/// |v| <= kMaxAbsSeriesValue. Build and every append path check this
+/// before anything is logged or indexed.
+Status CheckSeriesValues(const TimeSeries& series);
+
 /// Immutable-after-build knowledge base.
 class OnexBase {
  public:
   /// Builds the base over `dataset` (taken by value; the base must keep
   /// the original data to return actual sequences, paper Sec. 7).
-  /// The dataset is expected to be normalized already (Sec. 6.1).
+  /// The dataset is expected to be normalized already (Sec. 6.1);
+  /// InvalidArgument if any value fails CheckSeriesValues.
   static Result<OnexBase> Build(Dataset dataset, const OnexOptions& options);
 
   /// Reassembles a base from prebuilt parts (deserialization, refined
@@ -53,7 +66,8 @@ class OnexBase {
   /// in-radius representative or founds a new group, and the affected
   /// lengths' sum orders, envelopes, and SP-Space markers are refreshed.
   /// This is the "ONEX base maintenance" the paper defers to its tech
-  /// report. InvalidArgument for an empty series.
+  /// report. InvalidArgument for an empty series or one that fails
+  /// CheckSeriesValues.
   Status AppendSeries(TimeSeries series);
 
   /// Appends a whole batch with ONE maintenance pass: per affected
@@ -63,7 +77,8 @@ class OnexBase {
   /// envelopes, sum order, markers) are rebuilt once — instead of
   /// once per series. WAL replay batches recovery through this, turning
   /// N derived-state rebuilds into 1 per length. All-or-nothing
-  /// validation: an empty series anywhere rejects the batch unapplied.
+  /// validation: an empty series, or one that fails CheckSeriesValues,
+  /// anywhere rejects the batch unapplied.
   Status AppendBatch(std::vector<TimeSeries> batch);
 
   const Dataset& dataset() const { return dataset_; }

@@ -128,6 +128,9 @@ std::optional<std::vector<double>> ParseValuesCsv(const std::string& csv) {
     // Reject trailing garbage too ("0.1;0.2" must not become 0.1):
     // silently dropping values would answer the wrong query.
     if (end == item.c_str() || *end != '\0') return std::nullopt;
+    // "nan", "inf" and out-of-range literals such as "1e400" (strtod
+    // gives HUGE_VAL) poison every distance they touch.
+    if (!std::isfinite(v)) return std::nullopt;
     values.push_back(v);
   }
   if (values.empty()) return std::nullopt;

@@ -386,8 +386,8 @@ std::map<std::string, std::string> ParseKeyValues(const std::string& line);
 /// printf("%.17g", v), which reproduces the exact bits on parse.
 void AppendDouble(std::string& out, double v);
 
-/// Parses "0.1,0.2,-3e-1" into values; nullopt on empty or non-numeric
-/// input. Shared with the CLI's append command.
+/// Parses "0.1,0.2,-3e-1" into values; nullopt on empty, non-numeric
+/// or non-finite input. Shared with the CLI's append command.
 std::optional<std::vector<double>> ParseValuesCsv(const std::string& csv);
 
 /// "any"/"all" -> 0 (the engine's every-length sentinel); a number ->

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -113,6 +115,24 @@ TEST(DeltaTest, SmallBuffersBelowBlockSize) {
   RoundTrip("abc", "abcd");
   RoundTrip("abcd", "abc");
   RoundTrip("x", "y");
+}
+
+TEST(DeltaTest, ScanStopsAtTheEndOfAnExactSizeBuffer) {
+  // The rolling hash must not read new_bytes[n] once its window reaches
+  // the end. A std::string hides such a read behind its terminator, so
+  // the new bytes here sit in a heap buffer of exactly their size where
+  // AddressSanitizer sees every byte past it. Unrelated random content
+  // keeps the scan rolling through the last window without a match.
+  const std::string old_bytes = RandomBytes(4 * 1024, 12);
+  const std::string source = RandomBytes(4 * 1024 + 7, 13);
+  const auto exact = std::make_unique<char[]>(source.size());
+  std::memcpy(exact.get(), source.data(), source.size());
+  const std::string_view new_bytes(exact.get(), source.size());
+  const std::string delta = EncodeDelta(old_bytes, new_bytes);
+  std::string buffer = old_bytes;
+  const Status applied = ApplyDeltaInPlace(&buffer, delta);
+  ASSERT_TRUE(applied.ok()) << applied.ToString();
+  EXPECT_EQ(buffer, source);
 }
 
 TEST(DeltaTest, InspectReportsSizes) {

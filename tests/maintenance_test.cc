@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/onex_base.h"
@@ -147,6 +148,44 @@ TEST(MaintenanceTest, EmptySeriesRejected) {
   OnexBase base = BuildTestBase();
   EXPECT_EQ(base.AppendSeries(TimeSeries()).code(),
             Status::Code::kInvalidArgument);
+}
+
+TEST(MaintenanceTest, NonFiniteOrHugeValuesRejected) {
+  // Such values would make the length's distances and markers
+  // non-finite; the batch must be rejected whole, the base untouched.
+  OnexBase base = BuildTestBase();
+  const uint64_t series = base.dataset().size();
+  const uint64_t subsequences = base.stats().num_subsequences;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -2 * kMaxAbsSeriesValue}) {
+    TimeSeries poisoned = NewSeries(7);
+    poisoned[5] = bad;
+    EXPECT_EQ(base.AppendSeries(poisoned).code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(base.AppendBatch({NewSeries(8), poisoned}).code(),
+              Status::Code::kInvalidArgument);
+  }
+  EXPECT_EQ(base.dataset().size(), series);
+  EXPECT_EQ(base.stats().num_subsequences, subsequences);
+
+  // The limit itself is accepted.
+  TimeSeries edge = NewSeries(9);
+  edge[0] = kMaxAbsSeriesValue;
+  EXPECT_TRUE(base.AppendSeries(edge).ok());
+}
+
+TEST(MaintenanceTest, BuildRejectsNonFiniteValues) {
+  Dataset d("poisoned");
+  d.Add(NewSeries(10));
+  TimeSeries poisoned = NewSeries(11);
+  poisoned[2] = std::numeric_limits<double>::quiet_NaN();
+  d.Add(poisoned);
+  OnexOptions options;
+  options.lengths = {8, 24, 8};
+  auto built = OnexBase::Build(std::move(d), options);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), Status::Code::kInvalidArgument);
 }
 
 TEST(MaintenanceTest, ShortSeriesOnlyFeedsShortLengths) {

@@ -174,6 +174,9 @@ TEST(ProtocolTest, AppendAndFlushRejectMalformedLines) {
            "append 1,2 x",         // non-numeric label
            "append 1,2 4294967296",  // label out of int range
            "append 1,2 3 extra",   // too many operands
+           "append nan,0.5",       // non-finite values poison distances
+           "append 0.5,-inf",
+           "append 1e400,0.5",     // out of range: strtod gives HUGE_VAL
            "flush now",            // flush takes no operands
        }) {
     auto parsed = ParseRequestLine(line);
@@ -197,6 +200,7 @@ TEST(ProtocolTest, MalformedInputIsRejectedWithMessages) {
       "q1 8 0.1;0.2,0.3",        // trailing garbage inside an item
       "q1 8 0.1, 0.2,0.3",       // space split the list: extra token
       "q1 8 0.1,0.2,",           // trailing comma (truncated list)
+      "q1 8 0.1,nan",            // non-finite value
       "q1k 3 8 0.1,0.2 extra",   // unconsumed trailing operand
       "q2 all 8 9",              // unconsumed trailing operand
       "q3 S 8 9",                // unconsumed trailing operand

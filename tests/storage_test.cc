@@ -14,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -302,6 +303,43 @@ TEST_F(StorageTest, CheckpointRotatesWalAndMakesSnapshotSelfSufficient) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ(reopened.value()->engine()->num_series(), kSeedSeries + 3);
   EXPECT_EQ(reopened.value()->stats().replayed_records, 0u);
+}
+
+TEST_F(StorageTest, NonFiniteAppendsAreRejectedBeforeTheWal) {
+  // A NaN or overflowing value would make every distance, row sum and
+  // SP-Space marker of its length non-finite, and the loader rejects
+  // such a snapshot as corrupt. The append must fail before the WAL, so
+  // neither replay nor the next checkpoint ever sees it.
+  StorageOptions options;
+  options.background_checkpointer = false;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  {
+    auto durable = DurableEngine::Create(dir_.string(), "finite",
+                                         BuildSmallEngine(4), options);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    for (const double bad : {nan, inf, -inf, 1e200}) {
+      TimeSeries series = TaggedSeries(400);
+      series[3] = bad;
+      EXPECT_EQ(durable.value()->Append(series).code(),
+                Status::Code::kInvalidArgument)
+          << bad;
+      std::vector<TimeSeries> batch = {TaggedSeries(401), series};
+      EXPECT_EQ(durable.value()->AppendBatch(std::move(batch)).code(),
+                Status::Code::kInvalidArgument)
+          << bad;
+    }
+    EXPECT_EQ(durable.value()->stats().wal_records, 0u);
+    EXPECT_EQ(durable.value()->engine()->num_series(), kSeedSeries);
+    ASSERT_TRUE(durable.value()->Append(TaggedSeries(402)).ok());
+    ASSERT_TRUE(durable.value()->Checkpoint().ok());
+  }
+  fs::remove(WalPath("finite"));
+  auto reopened = DurableEngine::Open(dir_.string(), "finite", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ(reopened.value()->engine()->num_series(), kSeedSeries + 1);
+  EXPECT_EQ(reopened.value()->engine()->dataset()[kSeedSeries].values(),
+            TaggedSeries(402).values());
 }
 
 TEST_F(StorageTest, Version1SnapshotDirectoryOpensAndCheckpointsForward) {
