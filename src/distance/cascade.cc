@@ -24,23 +24,17 @@ std::string CascadeStats::ToString() const {
 double CascadePruner::Distance(std::span<const double> query,
                                std::span<const double> candidate,
                                const Envelope* envelope, double best_so_far) {
-  // Every increment mirrors into the optional external sink so callers
-  // can accumulate per-query counters without polling stats() deltas.
-  auto bump = [this](uint64_t CascadeStats::* field) {
-    ++(stats_.*field);
-    if (sink_ != nullptr) ++(sink_->*field);
-  };
-  bump(&CascadeStats::candidates);
+  ++stats_.candidates;
   if (options_.use_kim) {
     if (LbKim(query, candidate) > best_so_far) {
-      bump(&CascadeStats::pruned_kim);
+      ++stats_.pruned_kim;
       return kInf;
     }
   }
   if (options_.use_keogh && envelope != nullptr &&
       envelope->size() == query.size()) {
     if (LbKeoghEarlyAbandon(query, *envelope, best_so_far) > best_so_far) {
-      bump(&CascadeStats::pruned_keogh);
+      ++stats_.pruned_keogh;
       return kInf;
     }
   }
@@ -48,13 +42,13 @@ double CascadePruner::Distance(std::span<const double> query,
   if (options_.use_early_abandon) {
     d = DtwEarlyAbandon(query, candidate, best_so_far, dtw_options_);
     if (std::isinf(d)) {
-      bump(&CascadeStats::dtw_abandoned);
+      ++stats_.dtw_abandoned;
       return kInf;
     }
   } else {
     d = DtwDistance(query, candidate, dtw_options_);
   }
-  bump(&CascadeStats::dtw_completed);
+  ++stats_.dtw_completed;
   return d;
 }
 

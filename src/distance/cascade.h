@@ -58,13 +58,9 @@ struct CascadeOptions {
 /// exact DTW under `dtw_options`.
 class CascadePruner {
  public:
-  /// `sink`, when set, receives every increment the internal stats()
-  /// accumulator does — callers tee the per-stage counters into a
-  /// per-query QueryStats without polling between calls.
   explicit CascadePruner(DtwOptions dtw_options,
-                         CascadeOptions cascade_options = {},
-                         CascadeStats* sink = nullptr)
-      : dtw_options_(dtw_options), options_(cascade_options), sink_(sink) {}
+                         CascadeOptions cascade_options = {})
+      : dtw_options_(dtw_options), options_(cascade_options) {}
 
   /// `envelope` is the candidate-side envelope matching query length;
   /// pass nullptr when unavailable (e.g. cross-length comparisons), which
@@ -80,7 +76,6 @@ class CascadePruner {
   DtwOptions dtw_options_;
   CascadeOptions options_;
   CascadeStats stats_;
-  CascadeStats* sink_ = nullptr;
 };
 
 }  // namespace onex

@@ -1,24 +1,14 @@
 #include "router/router.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "router/merge.h"
-#include "server/socket_io.h"
 
 namespace onex {
 namespace router {
@@ -77,45 +67,46 @@ std::string RenderRelay(const server::WireResponse& reply) {
 
 }  // namespace
 
-// One downstream client connection. The write mutex serializes whole
-// blocks onto the socket: inline replies and untagged finals (session
-// thread), merged PART frames (upstream demux threads), and tagged
-// finals (coordinator threads) all interleave block-at-a-time, never
-// mid-block.
-struct Router::Session {
-  explicit Session(int fd) : fd(fd) {}
+struct Router::Connection final : server::SessionHandler {
+  Connection(Router* router, std::shared_ptr<server::Session> session)
+      : router(router), session(std::move(session)) {}
 
-  void Send(const std::string& block) {
-    MutexLock lock(write_mutex);
-    server::SendAll(fd, block);
+  /// Runs after the session's in-flight table drained, so every
+  /// coordinator has sent its final.
+  ~Connection() override {
+    for (server::TrackedThread& coordinator : coordinators) {
+      coordinator.thread.join();
+    }
+    if (write_client.has_value()) write_client->Close();
   }
 
-  const int fd;
-  Mutex write_mutex{LockRank::kSessionWrite, "router.session.write_mutex"};
+  void Handle(const server::Request& request, const server::RequestAttrs& attrs,
+              const std::string& line) override {
+    router->HandleRequest(this, request, attrs, line);
+  }
 
-  Mutex mutex{LockRank::kSessionState, "router.session.mutex"};
+  Router* const router;
+  const std::shared_ptr<server::Session> session;
+
+  // Session-thread-only from here on.
   /// `use` binding: an exact name or a shard-set spec.
-  std::string bound GUARDED_BY(mutex);
-  /// In-flight tagged scattered queries, by client id (CANCEL routing).
-  std::map<uint64_t, std::shared_ptr<ScatterOp>> ops GUARDED_BY(mutex);
-
-  // Write-forwarding state; session-thread-only, so unguarded. The
-  // connection is blocking and NEVER auto-reconnects: a write whose
-  // connection died has unknowable fate and must not be retried.
+  std::string bound;
+  // Write forwarding. The connection is blocking and NEVER
+  // auto-reconnects: a write whose connection died has unknowable fate
+  // and must not be retried.
   std::optional<server::Client> write_client;
   size_t write_upstream = static_cast<size_t>(-1);
   std::string write_dataset;
-
   /// Coordinator threads of this session's tagged queries. Finished
   /// ones are joined as the next tagged query arrives, the rest when
   /// the session ends.
-  std::vector<TrackedThread> op_threads;
+  std::vector<server::TrackedThread> coordinators;
 };
 
 // The merge state machine of one (possibly scattered) query.
 struct Router::ScatterOp {
-  ScatterOp(std::shared_ptr<Session> session, const QueryRequest& query,
-            uint64_t client_id, size_t legs)
+  ScatterOp(std::shared_ptr<server::Session> session,
+            const QueryRequest& query, uint64_t client_id, size_t legs)
       : session(std::move(session)),
         client_id(client_id),
         match_shaped(IsMatchShaped(query)),
@@ -125,7 +116,7 @@ struct Router::ScatterOp {
         leg_frac(legs, 0.0),
         leg_handles(legs) {}
 
-  const std::shared_ptr<Session> session;
+  const std::shared_ptr<server::Session> session;
   const uint64_t client_id;
   const bool match_shaped;
   const size_t keep;
@@ -146,282 +137,131 @@ struct Router::ScatterOp {
   CondVar completed_cv;
 };
 
-Router::TrackedThread Router::TrackedThread::Spawn(
-    std::function<void()> body) {
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  return {std::thread([body = std::move(body), done] {
-            body();
-            done->store(true);
-          }),
-          done};
-}
-
-void Router::TrackedThread::ReapFinished(std::vector<TrackedThread>* threads) {
-  const auto finished = std::stable_partition(
-      threads->begin(), threads->end(),
-      [](const TrackedThread& t) { return !t.done->load(); });
-  for (auto it = finished; it != threads->end(); ++it) it->thread.join();
-  threads->erase(finished, threads->end());
-}
-
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
       table_(options_.upstreams),
       metrics_(options_.upstreams.size()),
-      pool_(options_.pool, &table_) {}
+      pool_(options_.pool, &table_),
+      host_(options_.host, options_.port, kMaxRequestLine,
+            [this](const std::shared_ptr<server::Session>& session) {
+              return std::make_unique<Connection>(this, session);
+            }) {}
 
 Result<std::unique_ptr<Router>> Router::Start(RouterOptions options) {
   std::unique_ptr<Router> router(new Router(std::move(options)));
-  const Status listening = router->Listen();
-  if (!listening.ok()) return listening;
   router->pool_.Start();
-  router->accept_thread_ = std::thread([r = router.get()] { r->AcceptLoop(); });
+  const Status listening = router->host_.Start();
+  if (!listening.ok()) return listening;
   return router;
 }
 
 Router::~Router() { Stop(); }
 
-Status Router::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " +
-                           std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  return Status::OK();
-}
-
 void Router::Stop() {
-  bool expected = false;
-  if (!stop_.compare_exchange_strong(expected, true)) return;
-
-  // 1. No new connections.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // 2. Unblock session reads.
-  {
-    MutexLock lock(sessions_mutex_);
-    for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
-  // 3. Tear down the upstream pool: probes stop, query links close, so
-  //    every leg still in flight completes with a transport error and
-  //    its coordinator finishes.
-  pool_.Stop();
-
-  // 4. Sessions (and the op threads they join) can now run out.
-  std::vector<TrackedThread> to_join;
-  {
-    MutexLock lock(sessions_mutex_);
-    to_join.swap(session_threads_);
-  }
-  for (TrackedThread& session : to_join) {
-    if (session.thread.joinable()) session.thread.join();
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+  // The drain tears down the upstream pool: probes stop, query links
+  // close, so every leg still in flight completes with a transport
+  // error and its coordinator finishes.
+  host_.Stop([this] { pool_.Stop(); });
 }
 
-void Router::AcceptLoop() {
-  while (!stop_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stop_.load()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    server::SetNoDelay(fd);
-    MutexLock lock(sessions_mutex_);
-    if (stop_.load()) {
-      ::close(fd);
-      break;
-    }
-    TrackedThread::ReapFinished(&session_threads_);
-    session_fds_.push_back(fd);
-    session_threads_.push_back(
-        TrackedThread::Spawn([this, fd] { SessionLoop(fd); }));
-  }
-}
-
-void Router::SessionLoop(int fd) {
-  auto session = std::make_shared<Session>(fd);
-  session->Send(server::Greeting());
-
-  server::SocketLineReader reader(fd, kMaxRequestLine);
-  std::string line;
-  while (!stop_.load() && reader.ReadLine(&line)) {
-    if (line.empty()) continue;
-    server::RequestAttrs attrs;
-    auto parsed = server::ParseRequestLine(line, &attrs);
-    if (!parsed.ok()) {
-      session->Send(server::RenderError(parsed.status(), attrs.id));
-      continue;
-    }
-
-    if (const auto* control =
-            std::get_if<server::ControlRequest>(&parsed.value())) {
-      bool quit = false;
-      switch (control->verb) {
-        case server::ControlVerb::kUse: {
-          const std::string& spec = control->argument;
-          const auto names = table_.Expand(spec);
-          if (names.empty()) {
-            session->Send(server::RenderError(Status::NotFound(
-                "no upstream serves '" + spec + "'")));
-            break;
-          }
-          {
-            MutexLock lock(session->mutex);
-            session->bound = spec;
-          }
-          session->Send("OK Use dataset=" + spec +
-                        " datasets=" + std::to_string(names.size()) +
-                        "\n.\n");
+void Router::HandleRequest(Connection* connection,
+                           const server::Request& request,
+                           const server::RequestAttrs& attrs,
+                           const std::string& line) {
+  const std::shared_ptr<server::Session>& session = connection->session;
+  if (const auto* control = std::get_if<server::ControlRequest>(&request)) {
+    switch (control->verb) {
+      case server::ControlVerb::kUse: {
+        const std::string& spec = control->argument;
+        const auto names = table_.Expand(spec);
+        if (names.empty()) {
+          session->Send(server::RenderError(
+              Status::NotFound("no upstream serves '" + spec + "'")));
           break;
         }
-        case server::ControlVerb::kList:
-          session->Send(RenderRouterList());
-          break;
-        case server::ControlVerb::kStats:
-          session->Send(server::RenderErrorBlock(
-              "NOT_SUPPORTED",
-              "stats is node-local — connect to an upstream directly"));
-          break;
-        case server::ControlVerb::kPing:
-          session->Send("OK Pong\n.\n");
-          break;
-        case server::ControlVerb::kHelp:
-          session->Send(server::RenderHelp());
-          break;
-        case server::ControlVerb::kQuit:
-          session->Send("OK Bye\n.\n");
-          quit = true;
-          break;
-        case server::ControlVerb::kFlush:
-          ForwardWrite(session, line, "flush");
-          break;
-        case server::ControlVerb::kCancel: {
-          if (control->argument.find('/') != std::string::npos) {
-            session->Send(server::RenderErrorBlock(
-                "NOT_SUPPORTED",
-                "admin cancel is node-local — connect to the node"));
-            break;
-          }
-          CancelOp(session,
-                   std::strtoull(control->argument.c_str(), nullptr, 10));
-          break;
-        }
-        case server::ControlVerb::kMetrics:
-          session->Send("OK Metrics\n" +
-                        metrics_.RenderPrometheus(table_.Snapshot()) + ".\n");
-          break;
-        case server::ControlVerb::kInspect:
-          session->Send(RenderRouterInspect());
-          break;
-        case server::ControlVerb::kHealth:
-          session->Send(RenderRouterHealth());
-          break;
-        case server::ControlVerb::kManifest:
-        case server::ControlVerb::kFetch:
-          session->Send(server::RenderErrorBlock(
-              "NOT_SUPPORTED",
-              "replication verbs bypass the router — fetch from the "
-              "leader directly"));
-          break;
+        connection->bound = spec;
+        session->Send("OK Use dataset=" + spec +
+                      " datasets=" + std::to_string(names.size()) + "\n.\n");
+        break;
       }
-      if (quit) break;
-      continue;
+      case server::ControlVerb::kList:
+        session->Send(RenderRouterList());
+        break;
+      case server::ControlVerb::kStats:
+        session->Send(server::RenderErrorBlock(
+            "NOT_SUPPORTED",
+            "stats is node-local — connect to an upstream directly"));
+        break;
+      case server::ControlVerb::kFlush:
+        ForwardWrite(connection, line, "flush");
+        break;
+      case server::ControlVerb::kMetrics:
+        session->Send("OK Metrics\n" +
+                      metrics_.RenderPrometheus(table_.Snapshot()) + ".\n");
+        break;
+      case server::ControlVerb::kInspect:
+        session->Send(RenderRouterInspect());
+        break;
+      case server::ControlVerb::kHealth:
+        session->Send(RenderRouterHealth());
+        break;
+      case server::ControlVerb::kManifest:
+      case server::ControlVerb::kFetch:
+        session->Send(server::RenderErrorBlock(
+            "NOT_SUPPORTED",
+            "replication verbs bypass the router — fetch from the "
+            "leader directly"));
+        break;
+      case server::ControlVerb::kPing:
+      case server::ControlVerb::kHelp:
+      case server::ControlVerb::kQuit:
+      case server::ControlVerb::kCancel:
+        break;  // Answered by the session host.
     }
-
-    if (std::get_if<server::AppendRequest>(&parsed.value()) != nullptr) {
-      ForwardWrite(session, line, "append");
-      continue;
-    }
-
-    // Query path: resolve the target spec, expand, scatter.
-    const auto& query = std::get<QueryRequest>(parsed.value());
-    metrics_.RecordRequest();
-    std::string spec = attrs.dataset;
-    if (spec.empty()) {
-      MutexLock lock(session->mutex);
-      spec = session->bound;
-    }
-    if (spec.empty()) {
-      session->Send(server::RenderErrorBlock(
-          server::kNoDatasetCode,
-          "no dataset bound — send 'use <name>' or a dataset= attribute",
-          attrs.id));
-      continue;
-    }
-    auto datasets = table_.Expand(spec);
-    if (datasets.empty()) {
-      session->Send(server::RenderError(
-          Status::NotFound("no upstream serves '" + spec + "'"), attrs.id));
-      continue;
-    }
-    if (datasets.size() > 1) metrics_.RecordScatter(datasets.size());
-
-    auto op =
-        std::make_shared<ScatterOp>(session, query, attrs.id, datasets.size());
-    if (attrs.id == 0) {
-      // Untagged: strictly ordered replies — run inline.
-      RunScatter(op, query, attrs, datasets);
-      continue;
-    }
-    bool duplicate = false;
-    {
-      MutexLock lock(session->mutex);
-      duplicate = !session->ops.emplace(attrs.id, op).second;
-    }
-    if (duplicate) {
-      session->Send(server::RenderErrorBlock(
-          "INVALID_ARGUMENT",
-          "id " + std::to_string(attrs.id) + " is already in flight",
-          attrs.id));
-      continue;
-    }
-    // Tagged: run on a coordinator thread so this session thread can
-    // keep reading (CANCEL must be able to overtake the query).
-    TrackedThread::ReapFinished(&session->op_threads);
-    session->op_threads.push_back(TrackedThread::Spawn(
-        [this, op, query, attrs, datasets = std::move(datasets)] {
-          RunScatter(op, query, attrs, datasets);
-          MutexLock lock(op->session->mutex);
-          op->session->ops.erase(attrs.id);
-        }));
+    return;
   }
 
-  for (TrackedThread& op_thread : session->op_threads) op_thread.thread.join();
-  if (session->write_client.has_value()) session->write_client->Close();
-  {
-    MutexLock lock(sessions_mutex_);
-    session_fds_.erase(
-        std::remove(session_fds_.begin(), session_fds_.end(), fd),
-        session_fds_.end());
+  if (std::get_if<server::AppendRequest>(&request) != nullptr) {
+    ForwardWrite(connection, line, "append");
+    return;
   }
-  ::close(fd);
+
+  // Query path: resolve the target spec, expand, scatter.
+  const auto& query = std::get<QueryRequest>(request);
+  metrics_.RecordRequest();
+  const std::string spec =
+      attrs.dataset.empty() ? connection->bound : attrs.dataset;
+  if (spec.empty()) {
+    session->Send(server::RenderErrorBlock(
+        server::kNoDatasetCode,
+        "no dataset bound — send 'use <name>' or a dataset= attribute",
+        attrs.id));
+    return;
+  }
+  auto datasets = table_.Expand(spec);
+  if (datasets.empty()) {
+    session->Send(server::RenderError(
+        Status::NotFound("no upstream serves '" + spec + "'"), attrs.id));
+    return;
+  }
+  if (datasets.size() > 1) metrics_.RecordScatter(datasets.size());
+
+  auto op =
+      std::make_shared<ScatterOp>(session, query, attrs.id, datasets.size());
+  if (attrs.id == 0) {
+    // Untagged: strictly ordered replies — run inline.
+    RunScatter(op, query, attrs, datasets);
+    return;
+  }
+  if (!session->Track(attrs.id, [this, op] { CancelOp(op); })) return;
+  // Tagged: run on a coordinator thread so this session thread can
+  // keep reading (CANCEL must be able to overtake the query).
+  server::TrackedThread::ReapFinished(&connection->coordinators);
+  connection->coordinators.push_back(server::TrackedThread::Spawn(
+      [this, op, query, attrs, datasets = std::move(datasets)] {
+        RunScatter(op, query, attrs, datasets);
+        op->session->Untrack(attrs.id);
+      }));
 }
 
 void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
@@ -636,14 +476,10 @@ void Router::OnLegPart(const std::shared_ptr<ScatterOp>& op, size_t leg,
   op->session->Send(frame);
 }
 
-void Router::ForwardWrite(const std::shared_ptr<Session>& session,
-                          const std::string& raw_line,
+void Router::ForwardWrite(Connection* connection, const std::string& raw_line,
                           const std::string& verb) {
-  std::string dataset;
-  {
-    MutexLock lock(session->mutex);
-    dataset = session->bound;
-  }
+  const std::shared_ptr<server::Session>& session = connection->session;
+  const std::string& dataset = connection->bound;
   if (dataset.empty()) {
     session->Send(server::RenderErrorBlock(
         server::kNoDatasetCode,
@@ -664,11 +500,12 @@ void Router::ForwardWrite(const std::shared_ptr<Session>& session,
   }
   const size_t idx = pick.value();
 
-  if (!session->write_client.has_value() ||
-      session->write_upstream != idx || session->write_dataset != dataset) {
-    if (session->write_client.has_value()) {
-      session->write_client->Close();
-      session->write_client.reset();
+  if (!connection->write_client.has_value() ||
+      connection->write_upstream != idx ||
+      connection->write_dataset != dataset) {
+    if (connection->write_client.has_value()) {
+      connection->write_client->Close();
+      connection->write_client.reset();
     }
     const UpstreamConfig config = table_.Snapshot()[idx].config;
     server::ClientOptions client_options;
@@ -680,29 +517,29 @@ void Router::ForwardWrite(const std::shared_ptr<Session>& session,
       session->Send(server::RenderError(dialed.status()));
       return;
     }
-    session->write_client.emplace(std::move(dialed).value());
-    auto bound = session->write_client->Roundtrip("use " + dataset);
+    connection->write_client.emplace(std::move(dialed).value());
+    auto bound = connection->write_client->Roundtrip("use " + dataset);
     if (!bound.ok() || !bound.value().ok) {
       const std::string detail =
           bound.ok() ? bound.value().code + " " + bound.value().message
                      : bound.status().message();
-      session->write_client->Close();
-      session->write_client.reset();
+      connection->write_client->Close();
+      connection->write_client.reset();
       session->Send(server::RenderError(Status::IOError(
           "binding '" + dataset + "' on the leader failed: " + detail)));
       return;
     }
-    session->write_upstream = idx;
-    session->write_dataset = dataset;
+    connection->write_upstream = idx;
+    connection->write_dataset = dataset;
   }
 
   metrics_.RecordUpstreamRequest(idx, /*follower=*/false);
-  auto reply = session->write_client->Roundtrip(raw_line);
+  auto reply = connection->write_client->Roundtrip(raw_line);
   if (!reply.ok()) {
     // The write's fate is unknown — never retried. Surface and re-dial
     // on the NEXT write.
-    session->write_client->Close();
-    session->write_client.reset();
+    connection->write_client->Close();
+    connection->write_client.reset();
     session->Send(server::RenderError(Status::IOError(
         verb + " to the leader failed: " + reply.status().message())));
     return;
@@ -710,19 +547,7 @@ void Router::ForwardWrite(const std::shared_ptr<Session>& session,
   session->Send(RenderRelay(reply.value()));
 }
 
-void Router::CancelOp(const std::shared_ptr<Session>& session, uint64_t id) {
-  std::shared_ptr<ScatterOp> op;
-  {
-    MutexLock lock(session->mutex);
-    auto it = session->ops.find(id);
-    if (it != session->ops.end()) op = it->second;
-  }
-  if (op == nullptr) {
-    session->Send(server::RenderErrorBlock(
-        "NOT_FOUND",
-        "query id=" + std::to_string(id) + " is not in flight"));
-    return;
-  }
+void Router::CancelOp(const std::shared_ptr<ScatterOp>& op) {
   std::vector<server::Client::Handle> handles;
   {
     MutexLock lock(op->mutex);
@@ -736,7 +561,6 @@ void Router::CancelOp(const std::shared_ptr<Session>& session, uint64_t id) {
     ++fanned;
   }
   metrics_.RecordCancelFanout(fanned);
-  session->Send("OK Cancel id=" + std::to_string(id) + "\n.\n");
 }
 
 std::string Router::RenderRouterHealth() const {
@@ -763,11 +587,7 @@ std::string Router::RenderRouterHealth() const {
 
 std::string Router::RenderRouterInspect() const {
   const auto upstreams = table_.Snapshot();
-  size_t sessions = 0;
-  {
-    MutexLock lock(sessions_mutex_);
-    sessions = session_fds_.size();
-  }
+  const size_t sessions = host_.SessionFds().size();
   std::string reply = "OK Inspect sessions=" + std::to_string(sessions) +
                       " upstreams=" + std::to_string(upstreams.size()) +
                       "\n";

@@ -19,29 +19,33 @@
 //     Re-submits are idempotent — tagged queries are read-only by
 //     grammar. Writes are NEVER auto-retried.
 //
-// Concurrency model: one session thread per downstream client (reads
-// lines, answers control verbs inline, and runs untagged queries),
-// one coordinator thread per tagged query (so CANCEL can overtake it
-// on the session thread), plus each upstream link's demux reader. A
-// query's coordinator — the session thread when untagged — submits
-// every leg on the shared upstream links and gathers the finals in
-// completion order: the handles' completion hooks, run on the demux
-// readers, queue the leg on the op, and a dead leg is re-submitted as
+// Concurrency model: the wire side — listener, accept thread, one
+// session thread per downstream client, the line loop, ping/help/quit,
+// cancel and the per-session in-flight table — is the shared
+// server/session_host.h, the same code a node runs. The router's
+// session handler answers `use`, its own introspection verbs and
+// forwarded writes inline, and runs untagged queries on the session
+// thread. Each tagged query gets a coordinator thread (so CANCEL can
+// overtake it on the session thread) and an in-flight entry whose
+// cancel action fans the cancel out to every leg; a client that
+// disconnects therefore cancels its scatters upstream too. A query's
+// coordinator — the session thread when untagged — submits every leg
+// on the shared upstream links and gathers the finals in completion
+// order: the handles' completion hooks, run on each link's demux
+// reader, queue the leg on the op, and a dead leg is re-submitted as
 // soon as its failure is dequeued. The demux readers also deliver PART
 // frames into the per-query merge state machine. Finished coordinators
 // are joined as the next tagged query arrives on their session. Every
-// accepted and dialed socket sets TCP_NODELAY. Lock order: routing
-// table (44) < upstream pool (46) < merge op (48) < session write
-// (52) < client locks (70+).
+// accepted and dialed socket sets TCP_NODELAY. Lock order: session
+// host (10) < routing table (44) < upstream pool (46) < merge op (48) <
+// session write (52) < session in-flight table (54) < client locks
+// (70+).
 
 #ifndef ONEX_ROUTER_ROUTER_H_
 #define ONEX_ROUTER_ROUTER_H_
 
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "router/router_metrics.h"
@@ -49,9 +53,8 @@
 #include "router/upstream.h"
 #include "server/client.h"
 #include "server/protocol.h"
-#include "util/mutex.h"
+#include "server/session_host.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace onex {
 namespace router {
@@ -74,7 +77,7 @@ class Router {
 
   void Stop();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return host_.port(); }
 
   // Test and introspection access.
   RoutingTable& table() { return table_; }
@@ -82,25 +85,18 @@ class Router {
   UpstreamPool& pool() { return pool_; }
 
  private:
-  struct Session;
+  /// The router's half of one downstream session: its `use` binding,
+  /// write link and coordinator threads. Defined in router.cc.
+  struct Connection;
   struct ScatterOp;
-
-  /// A thread that raises `done` as its last act, so finished ones can
-  /// be joined while the rest still run (sessions, tagged queries).
-  struct TrackedThread {
-    static TrackedThread Spawn(std::function<void()> body);
-    /// Joins and drops the finished entries of `threads`.
-    static void ReapFinished(std::vector<TrackedThread>* threads);
-
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
 
   explicit Router(RouterOptions options);
 
-  Status Listen();
-  void AcceptLoop();
-  void SessionLoop(int fd);
+  /// Answers one request the host leaves to the router: `use`, the
+  /// introspection verbs, forwarded writes, and queries.
+  void HandleRequest(Connection* connection, const server::Request& request,
+                     const server::RequestAttrs& attrs,
+                     const std::string& line);
 
   /// Runs one (possibly scattered) query to its merged final block:
   /// submits one leg per dataset, gathers them in completion order, and
@@ -117,10 +113,10 @@ class Router {
 
   /// Forwards APPEND/FLUSH to the leader over the session's dedicated
   /// blocking write connection (dialed and `use`-bound on demand).
-  void ForwardWrite(const std::shared_ptr<Session>& session,
-                    const std::string& raw_line, const std::string& verb);
-  /// Fans a downstream CANCEL out to every leg of the op.
-  void CancelOp(const std::shared_ptr<Session>& session, uint64_t id);
+  void ForwardWrite(Connection* connection, const std::string& raw_line,
+                    const std::string& verb);
+  /// A tagged query's cancel action: fans the cancel out to every leg.
+  void CancelOp(const std::shared_ptr<ScatterOp>& op);
 
   std::string RenderRouterHealth() const;
   std::string RenderRouterInspect() const;
@@ -131,15 +127,7 @@ class Router {
   RouterMetrics metrics_;
   UpstreamPool pool_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-
-  mutable Mutex sessions_mutex_{LockRank::kServerSessions,
-                                "router.sessions_mutex"};
-  std::vector<TrackedThread> session_threads_ GUARDED_BY(sessions_mutex_);
-  std::vector<int> session_fds_ GUARDED_BY(sessions_mutex_);
+  server::SessionHost host_;
 };
 
 }  // namespace router

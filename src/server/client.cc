@@ -626,7 +626,13 @@ void Client::Close() {
     // so close ITS fd, not fd_.
     demux->Shutdown();
     if (demux->thread.joinable()) demux->thread.join();
-    ::close(demux->fd.load(std::memory_order_relaxed));
+    {
+      // A handle's Cancel() may still be sending: close under the send
+      // lock, and leave -1 so a later send fails instead of writing to
+      // whatever socket reuses the number.
+      MutexLock lock(demux->send_mutex);
+      ::close(demux->fd.exchange(-1, std::memory_order_relaxed));
+    }
     fd_ = -1;
     reader_.reset();
   }

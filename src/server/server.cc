@@ -1,26 +1,17 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
-#include <map>
 #include <sstream>
 #include <thread>
 #include <utility>
 
 #include "core/inflight.h"
 #include "server/protocol.h"
-#include "server/socket_io.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 #include "util/process_stats.h"
@@ -47,30 +38,6 @@ constexpr auto kDeadlineLessRankBudget = std::chrono::milliseconds(500);
 
 }  // namespace
 
-/// Shared between the session thread (reads, inline replies) and the
-/// workers completing this session's tagged jobs (final replies, PART
-/// frames). The write mutex serializes whole blocks onto the socket so
-/// multiplexed replies never interleave mid-block.
-struct Server::Session {
-  explicit Session(int fd) : fd(fd) {}
-
-  void Send(const std::string& block) {
-    MutexLock lock(write_mutex);
-    SendAll(fd, block);
-  }
-
-  const int fd;
-  /// Below kEngine: PART frames are sent from inside Engine::Execute
-  /// with the engine's reader lock held.
-  Mutex write_mutex{LockRank::kSessionWrite, "session.write_mutex"};
-
-  /// Tagged-query registry: id -> cancel token while in flight.
-  Mutex mutex{LockRank::kSessionState, "session.mutex"};
-  CondVar cv;
-  std::map<uint64_t, CancelToken> tokens GUARDED_BY(mutex);
-  size_t inflight GUARDED_BY(mutex) = 0;
-};
-
 namespace {
 
 /// Batches a tagged query's typed progress events into the PART frame
@@ -80,8 +47,7 @@ namespace {
 /// shape, so only one pending buffer is ever populated.
 class PartStreamer {
  public:
-  PartStreamer(std::shared_ptr<Server::Session> session, QueryKind kind,
-               uint64_t id)
+  PartStreamer(std::shared_ptr<Session> session, QueryKind kind, uint64_t id)
       : session_(std::move(session)), kind_(kind), id_(id) {}
 
   void OnEvent(const ProgressEvent& event) {
@@ -140,7 +106,7 @@ class PartStreamer {
         std::span<const QueryMatch>(matches_.data(), matches_.size()));
   }
 
-  std::shared_ptr<Server::Session> session_;
+  std::shared_ptr<Session> session_;
   QueryKind kind_;
   uint64_t id_;
   // Touched only by the one worker running the query — no lock needed.
@@ -155,8 +121,39 @@ class PartStreamer {
 
 }  // namespace
 
+struct Server::Connection final : SessionHandler {
+  Connection(Server* server, std::shared_ptr<Session> session)
+      : server(server), session(std::move(session)) {
+    server->metrics_.RecordConnection();
+    const std::string& name = server->options_.default_dataset;
+    if (name.empty()) return;
+    auto acquired = server->catalog_->Acquire(name);
+    if (acquired.ok()) {
+      engine = std::move(acquired).value();
+      dataset = name;
+    }
+  }
+
+  void Handle(const Request& request, const RequestAttrs& attrs,
+              const std::string& /*line*/) override {
+    server->HandleRequest(this, request, attrs);
+  }
+  void OnBadRequest() override { server->metrics_.RecordBadRequest(); }
+
+  Server* const server;
+  const std::shared_ptr<Session> session;
+  // Session-thread-only.
+  std::shared_ptr<const Engine> engine;
+  std::string dataset;  // Bound dataset name, for APPEND/FLUSH routing.
+};
+
 Server::Server(ServerOptions options, std::shared_ptr<Catalog> catalog)
-    : options_(std::move(options)), catalog_(std::move(catalog)) {
+    : options_(std::move(options)),
+      catalog_(std::move(catalog)),
+      host_(options_.host, options_.port, options_.max_line_bytes,
+            [this](const std::shared_ptr<Session>& session) {
+              return std::make_unique<Connection>(this, session);
+            }) {
   if (options_.max_queue == 0) options_.max_queue = 1;
   if (options_.num_workers == 0) options_.num_workers = 1;
 }
@@ -165,8 +162,6 @@ Result<std::unique_ptr<Server>> Server::Start(
     ServerOptions options, std::shared_ptr<Catalog> catalog) {
   std::unique_ptr<Server> server(
       new Server(std::move(options), std::move(catalog)));
-  const Status listening = server->Listen();
-  if (!listening.ok()) return listening;
   {
     // Workers don't exist yet, but the analysis (rightly) can't assume
     // that — size the per-worker slots under the queue lock.
@@ -179,84 +174,12 @@ Result<std::unique_ptr<Server>> Server::Start(
   if (server->options_.stall_ms > 0) {
     server->watchdog_ = std::thread([s = server.get()] { s->WatchdogLoop(); });
   }
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  const Status listening = server->host_.Start();
+  if (!listening.ok()) return listening;
   return server;
 }
 
 Server::~Server() { Stop(); }
-
-Status Server::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::IOError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(options_.port);
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad host '" + options_.host + "'");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IOError("bind " + options_.host + ":" +
-                           std::to_string(options_.port) + ": " +
-                           std::strerror(errno));
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    return Status::IOError(std::string("listen: ") + std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
-  return Status::OK();
-}
-
-void Server::AcceptLoop() {
-  while (!stop_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stop_.load()) break;
-      // Transient (EINTR) or resource exhaustion (EMFILE): back off
-      // briefly instead of spinning at 100% CPU exactly when the
-      // process is starved for fds.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
-    }
-    SetNoDelay(fd);
-    metrics_.RecordConnection();
-    MutexLock lock(sessions_mutex_);
-    if (stop_.load()) {
-      ::close(fd);
-      break;
-    }
-    ReapFinishedSessionsLocked();
-    session_fds_.insert(fd);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    session_threads_.push_back(
-        {std::thread([this, fd, done] {
-           SessionLoop(fd);
-           done->store(true);
-         }),
-         done});
-  }
-}
-
-void Server::ReapFinishedSessionsLocked() {
-  for (auto it = session_threads_.begin(); it != session_threads_.end();) {
-    if (it->done->load()) {
-      if (it->thread.joinable()) it->thread.join();
-      it = session_threads_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
 
 bool Server::Submit(Job job) {
   // Jobs swept from the queue by the deadline shed; completed OUTSIDE
@@ -540,11 +463,7 @@ std::string Server::RenderInspect() {
       queued.push_back(std::move(row));
     }
   }
-  std::vector<int> fds;
-  {
-    MutexLock lock(sessions_mutex_);
-    fds.assign(session_fds_.begin(), session_fds_.end());
-  }
+  const std::vector<int> fds = host_.SessionFds();
   const std::vector<CatalogEntryInfo> datasets = catalog_->List();
 
   std::string reply =
@@ -787,474 +706,318 @@ void Server::RecordOutcome(QueryKind kind, const std::string& dataset,
   line.Write();
 }
 
-void Server::SessionLoop(int fd) {
-  auto session = std::make_shared<Session>(fd);
-  {
-    // Published for cross-session CANCEL before the first line is read:
-    // an admin must be able to target a session from its first query.
-    MutexLock lock(sessions_mutex_);
-    sessions_by_fd_[fd] = session;
+void Server::HandleRequest(Connection* connection, const Request& request,
+                           const RequestAttrs& attrs) {
+  const std::shared_ptr<Session>& session = connection->session;
+  std::shared_ptr<const Engine>& engine = connection->engine;
+  std::string& dataset = connection->dataset;
+
+  if (const auto* control = std::get_if<ControlRequest>(&request)) {
+    switch (control->verb) {
+      case ControlVerb::kUse: {
+        auto acquired = catalog_->Acquire(control->argument);
+        if (!acquired.ok()) {
+          session->Send(RenderError(acquired.status()));
+          break;
+        }
+        engine = std::move(acquired).value();
+        dataset = control->argument;
+        session->Send("OK Use dataset=" + control->argument + " series=" +
+                      std::to_string(engine->num_series()) + " durable=" +
+                      (engine->durable() ? "1" : "0") + "\n.\n");
+        break;
+      }
+      case ControlVerb::kFlush: {
+        if (engine == nullptr) {
+          metrics_.RecordBadRequest();
+          session->Send(RenderErrorBlock(
+              kNoDatasetCode,
+              "no dataset bound — send 'use <name>' first"));
+          break;
+        }
+        if (catalog_->read_only()) {
+          session->Send(RenderErrorBlock(
+              kReadOnlyCode,
+              "this node is a read-only follower — flush on the leader"));
+          break;
+        }
+        const Status flushed = catalog_->Flush(dataset);
+        metrics_.RecordFlush(flushed.ok());
+        session->Send(flushed.ok()
+                          ? "OK Flush dataset=" + dataset + "\n.\n"
+                          : RenderError(flushed));
+        break;
+      }
+      case ControlVerb::kList: {
+        const auto rows = catalog_->List();
+        std::string reply =
+            "OK List datasets=" + std::to_string(rows.size()) + "\n";
+        for (const auto& row : rows) {
+          reply += "dataset name=" + row.name +
+                   " resident=" + (row.resident ? "1" : "0") +
+                   " pinned=" + (row.pinned ? "1" : "0") +
+                   " durable=" + (row.durable ? "1" : "0") +
+                   " dirty=" + (row.dirty ? "1" : "0") + "\n";
+        }
+        session->Send(reply + ".\n");
+        break;
+      }
+      case ControlVerb::kStats: {
+        const CatalogStats cat = catalog_->stats();
+        session->Send("OK Stats\n" + metrics_.Render() +
+                      "catalog resident=" + std::to_string(cat.resident) +
+                      " lazy_opens=" + std::to_string(cat.lazy_opens) +
+                      " hits=" + std::to_string(cat.hits) +
+                      " evictions=" + std::to_string(cat.evictions) +
+                      "\n.\n");
+        break;
+      }
+      case ControlVerb::kMetrics: {
+        // v5: Prometheus text exposition. The gauge snapshot is
+        // assembled BEFORE RenderPrometheus runs — the metrics mutex
+        // is a leaf rank and must never reach out to the queue,
+        // catalog, or storage locks.
+        GaugeSnapshot gauges;
+        {
+          MutexLock lock(queue_mutex_);
+          gauges.queue_depth = queue_.size();
+          for (const RunningJob& running : running_) {
+            if (running.active) {
+              ++gauges.workers_busy;
+              if (running.stalled) ++gauges.stalled_workers;
+            }
+          }
+        }
+        gauges.workers_total = options_.num_workers;
+        for (const CatalogEntryInfo& row : catalog_->List()) {
+          if (row.resident) ++gauges.catalog_resident;
+          if (row.dirty) ++gauges.catalog_dirty;
+        }
+        const storage::StorageStats durable = catalog_->DurableStats();
+        gauges.wal_bytes = durable.wal_bytes;
+        gauges.wal_records = durable.wal_records;
+        gauges.checkpoint_age_seconds = durable.checkpoint_age_seconds;
+        gauges.checkpoint_last_duration_seconds =
+            durable.checkpoint_last_duration_seconds;
+        gauges.wal_write_failed = durable.wal_write_failed;
+        gauges.checkpoint_delta_bytes = durable.last_delta_bytes;
+        gauges.delta_chain_length = durable.delta_chain_length;
+        gauges.delta_gc_reclaimed_bytes = durable.gc_reclaimed_bytes;
+        gauges.delta_gc_pending_artifacts = durable.gc_pending_artifacts;
+        if (options_.replica_status) {
+          const ReplicaStatus replica = options_.replica_status();
+          gauges.replica_lag_seconds = replica.lag_seconds;
+          gauges.replica_last_applied_seq = replica.last_applied_seq;
+        }
+        gauges.process = SampleProcessStats();
+        session->Send("OK Metrics\n" + metrics_.RenderPrometheus(gauges) +
+                      ".\n");
+        break;
+      }
+      case ControlVerb::kInspect:
+        // v6: answered inline on the session thread, like every
+        // control verb — deliberately so, INSPECT must still answer
+        // when every worker is wedged on a stuck query.
+        session->Send(RenderInspect());
+        break;
+      case ControlVerb::kHealth:
+        session->Send(RenderHealth());
+        break;
+      case ControlVerb::kManifest: {
+        // v7: each MANIFEST request IS a consistent cut — the catalog
+        // checkpoints every durable dataset and publishes the JSON
+        // manifest, and the reply renders the same value. Repeated
+        // polls are cheap: an engine whose state hasn't moved takes
+        // the no-op early-out instead of growing its chain.
+        auto cut = catalog_->CheckpointAll();
+        if (!cut.ok()) {
+          session->Send(RenderError(cut.status()));
+          break;
+        }
+        session->Send(RenderManifestBlock(cut.value()));
+        break;
+      }
+      case ControlVerb::kFetch:
+        session->Send(RenderFetch(control->argument, control->argument2));
+        break;
+      case ControlVerb::kPing:
+      case ControlVerb::kHelp:
+      case ControlVerb::kQuit:
+      case ControlVerb::kCancel:
+        break;  // Answered by the session host.
+    }
+    return;
   }
-  session->Send(Greeting());
 
-  std::shared_ptr<const Engine> engine;
-  std::string dataset;  // Bound dataset name, for APPEND/FLUSH routing.
-  if (!options_.default_dataset.empty()) {
-    auto acquired = catalog_->Acquire(options_.default_dataset);
-    if (acquired.ok()) {
-      engine = std::move(acquired).value();
-      dataset = options_.default_dataset;
-    }
-  }
-
-  SocketLineReader reader(fd, options_.max_line_bytes);
-  std::string line;
-  while (!stop_.load() && reader.ReadLine(&line)) {
-    if (line.empty()) continue;
-    RequestAttrs attrs;
-    auto parsed = ParseRequestLine(line, &attrs);
-    if (!parsed.ok()) {
-      metrics_.RecordBadRequest();
-      session->Send(RenderError(parsed.status()));
-      continue;
-    }
-
-    if (const auto* control = std::get_if<ControlRequest>(&parsed.value())) {
-      bool quit = false;
-      switch (control->verb) {
-        case ControlVerb::kUse: {
-          auto acquired = catalog_->Acquire(control->argument);
-          if (!acquired.ok()) {
-            session->Send(RenderError(acquired.status()));
-            break;
-          }
-          engine = std::move(acquired).value();
-          dataset = control->argument;
-          session->Send("OK Use dataset=" + control->argument + " series=" +
-                        std::to_string(engine->num_series()) + " durable=" +
-                        (engine->durable() ? "1" : "0") + "\n.\n");
-          break;
-        }
-        case ControlVerb::kCancel: {
-          // Parse validated the integers already. The v7 admin form
-          // `<session>/<id>` routes to ANOTHER session's token table —
-          // session numbers are the fds INSPECT prints.
-          const size_t slash = control->argument.find('/');
-          std::shared_ptr<Session> target = session;
-          uint64_t id = 0;
-          bool session_known = true;
-          if (slash == std::string::npos) {
-            id = std::strtoull(control->argument.c_str(), nullptr, 10);
-          } else {
-            const int target_fd = static_cast<int>(
-                std::strtoull(control->argument.c_str(), nullptr, 10));
-            id = std::strtoull(control->argument.c_str() + slash + 1,
-                               nullptr, 10);
-            target.reset();
-            {
-              MutexLock lock(sessions_mutex_);
-              const auto it = sessions_by_fd_.find(target_fd);
-              if (it != sessions_by_fd_.end()) target = it->second.lock();
-            }
-            session_known = target != nullptr;
-          }
-          bool cancelled = false;
-          if (target != nullptr) {
-            MutexLock lock(target->mutex);
-            auto it = target->tokens.find(id);
-            if (it != target->tokens.end()) {
-              it->second.Cancel();
-              cancelled = true;
-            }
-          }
-          // An unknown id is a structured no-op: the query may have
-          // completed a microsecond ago — that's a race the client
-          // cannot avoid, so it gets an ERR it can recognize, not a
-          // dropped session. Same for an unknown session in the admin
-          // form: it may have just disconnected.
-          if (cancelled) {
-            session->Send("OK Cancel " +
-                          (slash == std::string::npos
-                               ? "id=" + std::to_string(id)
-                               : "target=" + control->argument) +
-                          "\n.\n");
-          } else {
-            session->Send(RenderErrorBlock(
-                "NOT_FOUND",
-                session_known
-                    ? "no in-flight query with id " + std::to_string(id) +
-                          " — already completed, or never sent"
-                    : "no session " +
-                          control->argument.substr(0, slash) +
-                          " — check INSPECT for live session fds",
-                slash == std::string::npos ? id : 0));
-          }
-          break;
-        }
-        case ControlVerb::kFlush: {
-          if (engine == nullptr) {
-            metrics_.RecordBadRequest();
-            session->Send(RenderErrorBlock(
-                kNoDatasetCode,
-                "no dataset bound — send 'use <name>' first"));
-            break;
-          }
-          if (catalog_->read_only()) {
-            session->Send(RenderErrorBlock(
-                kReadOnlyCode,
-                "this node is a read-only follower — flush on the leader"));
-            break;
-          }
-          const Status flushed = catalog_->Flush(dataset);
-          metrics_.RecordFlush(flushed.ok());
-          session->Send(flushed.ok()
-                            ? "OK Flush dataset=" + dataset + "\n.\n"
-                            : RenderError(flushed));
-          break;
-        }
-        case ControlVerb::kList: {
-          const auto rows = catalog_->List();
-          std::string reply =
-              "OK List datasets=" + std::to_string(rows.size()) + "\n";
-          for (const auto& row : rows) {
-            reply += "dataset name=" + row.name +
-                     " resident=" + (row.resident ? "1" : "0") +
-                     " pinned=" + (row.pinned ? "1" : "0") +
-                     " durable=" + (row.durable ? "1" : "0") +
-                     " dirty=" + (row.dirty ? "1" : "0") + "\n";
-          }
-          session->Send(reply + ".\n");
-          break;
-        }
-        case ControlVerb::kStats: {
-          const CatalogStats cat = catalog_->stats();
-          session->Send("OK Stats\n" + metrics_.Render() +
-                        "catalog resident=" + std::to_string(cat.resident) +
-                        " lazy_opens=" + std::to_string(cat.lazy_opens) +
-                        " hits=" + std::to_string(cat.hits) +
-                        " evictions=" + std::to_string(cat.evictions) +
-                        "\n.\n");
-          break;
-        }
-        case ControlVerb::kMetrics: {
-          // v5: Prometheus text exposition. The gauge snapshot is
-          // assembled BEFORE RenderPrometheus runs — the metrics mutex
-          // is a leaf rank and must never reach out to the queue,
-          // catalog, or storage locks.
-          GaugeSnapshot gauges;
-          {
-            MutexLock lock(queue_mutex_);
-            gauges.queue_depth = queue_.size();
-            for (const RunningJob& running : running_) {
-              if (running.active) {
-                ++gauges.workers_busy;
-                if (running.stalled) ++gauges.stalled_workers;
-              }
-            }
-          }
-          gauges.workers_total = options_.num_workers;
-          for (const CatalogEntryInfo& row : catalog_->List()) {
-            if (row.resident) ++gauges.catalog_resident;
-            if (row.dirty) ++gauges.catalog_dirty;
-          }
-          const storage::StorageStats durable = catalog_->DurableStats();
-          gauges.wal_bytes = durable.wal_bytes;
-          gauges.wal_records = durable.wal_records;
-          gauges.checkpoint_age_seconds = durable.checkpoint_age_seconds;
-          gauges.checkpoint_last_duration_seconds =
-              durable.checkpoint_last_duration_seconds;
-          gauges.wal_write_failed = durable.wal_write_failed;
-          gauges.checkpoint_delta_bytes = durable.last_delta_bytes;
-          gauges.delta_chain_length = durable.delta_chain_length;
-          gauges.delta_gc_reclaimed_bytes = durable.gc_reclaimed_bytes;
-          gauges.delta_gc_pending_artifacts = durable.gc_pending_artifacts;
-          if (options_.replica_status) {
-            const ReplicaStatus replica = options_.replica_status();
-            gauges.replica_lag_seconds = replica.lag_seconds;
-            gauges.replica_last_applied_seq = replica.last_applied_seq;
-          }
-          gauges.process = SampleProcessStats();
-          session->Send("OK Metrics\n" + metrics_.RenderPrometheus(gauges) +
-                        ".\n");
-          break;
-        }
-        case ControlVerb::kInspect:
-          // v6: answered inline on the session thread, like every
-          // control verb — deliberately so, INSPECT must still answer
-          // when every worker is wedged on a stuck query.
-          session->Send(RenderInspect());
-          break;
-        case ControlVerb::kHealth:
-          session->Send(RenderHealth());
-          break;
-        case ControlVerb::kManifest: {
-          // v7: each MANIFEST request IS a consistent cut — the catalog
-          // checkpoints every durable dataset and publishes the JSON
-          // manifest, and the reply renders the same value. Repeated
-          // polls are cheap: an engine whose state hasn't moved takes
-          // the no-op early-out instead of growing its chain.
-          auto cut = catalog_->CheckpointAll();
-          if (!cut.ok()) {
-            session->Send(RenderError(cut.status()));
-            break;
-          }
-          session->Send(RenderManifestBlock(cut.value()));
-          break;
-        }
-        case ControlVerb::kFetch:
-          session->Send(RenderFetch(control->argument, control->argument2));
-          break;
-        case ControlVerb::kPing:
-          session->Send("OK Pong\n.\n");
-          break;
-        case ControlVerb::kHelp:
-          session->Send(RenderHelp());
-          break;
-        case ControlVerb::kQuit:
-          session->Send("OK Bye\n.\n");
-          quit = true;
-          break;
-      }
-      if (quit) break;
-      continue;
-    }
-
-    // Mutation path: APPEND is catalog-mediated (the session's engine
-    // handle is const) and answered inline — appends take the engine's
-    // writer lock, so routing them through the worker pool would let
-    // one slow append occupy a worker every query is waiting for.
-    if (const auto* append = std::get_if<AppendRequest>(&parsed.value())) {
-      if (engine == nullptr) {
-        metrics_.RecordBadRequest();
-        session->Send(RenderErrorBlock(
-            kNoDatasetCode, "no dataset bound — send 'use <name>' first"));
-        continue;
-      }
-      if (catalog_->read_only()) {
-        session->Send(RenderErrorBlock(
-            kReadOnlyCode,
-            "this node is a read-only follower — append on the leader"));
-        continue;
-      }
-      auto appended = catalog_->Append(
-          dataset, TimeSeries(append->values, append->label));
-      metrics_.RecordAppend(appended.ok());
-      if (!appended.ok()) {
-        session->Send(RenderError(appended.status()));
-        continue;
-      }
-      const AppendOutcome& outcome = appended.value();
-      session->Send("OK Append series=" + std::to_string(outcome.series) +
-                    " total=" + std::to_string(outcome.total) +
-                    " durable=" + (outcome.durable ? "1" : "0") + "\n.\n");
-      continue;
-    }
-
-    // Query path: resolve through the bounded queue + worker pool.
-    const QueryRequest& request = std::get<QueryRequest>(parsed.value());
-
-    // v8: the `dataset=` attribute overrides the session binding for
-    // this one query. Exact names resolve through the catalog; a
-    // shard-set glob only means something to the scatter-gather router,
-    // so refuse it here with a pointer at the right front door.
-    std::shared_ptr<const Engine> query_engine = engine;
-    std::string query_dataset = dataset;
-    if (!attrs.dataset.empty()) {
-      if (attrs.dataset.find('*') != std::string::npos) {
-        metrics_.RecordBadRequest();
-        session->Send(RenderErrorBlock(
-            "INVALID_ARGUMENT",
-            "shard-set '" + attrs.dataset +
-                "' needs the onex_router front door — this server serves "
-                "exact dataset names",
-            attrs.id));
-        continue;
-      }
-      auto acquired = catalog_->Acquire(attrs.dataset);
-      if (!acquired.ok()) {
-        metrics_.RecordBadRequest();
-        session->Send(RenderError(acquired.status(), attrs.id));
-        continue;
-      }
-      query_engine = std::move(acquired).value();
-      query_dataset = attrs.dataset;
-    }
-    if (query_engine == nullptr) {
+  // Mutation path: APPEND is catalog-mediated (the session's engine
+  // handle is const) and answered inline — appends take the engine's
+  // writer lock, so routing them through the worker pool would let
+  // one slow append occupy a worker every query is waiting for.
+  if (const auto* append = std::get_if<AppendRequest>(&request)) {
+    if (engine == nullptr) {
       metrics_.RecordBadRequest();
       session->Send(RenderErrorBlock(
-          kNoDatasetCode, "no dataset bound — send 'use <name>' first",
+          kNoDatasetCode, "no dataset bound — send 'use <name>' first"));
+      return;
+    }
+    if (catalog_->read_only()) {
+      session->Send(RenderErrorBlock(
+          kReadOnlyCode,
+          "this node is a read-only follower — append on the leader"));
+      return;
+    }
+    auto appended = catalog_->Append(
+        dataset, TimeSeries(append->values, append->label));
+    metrics_.RecordAppend(appended.ok());
+    if (!appended.ok()) {
+      session->Send(RenderError(appended.status()));
+      return;
+    }
+    const AppendOutcome& outcome = appended.value();
+    session->Send("OK Append series=" + std::to_string(outcome.series) +
+                  " total=" + std::to_string(outcome.total) +
+                  " durable=" + (outcome.durable ? "1" : "0") + "\n.\n");
+    return;
+  }
+
+  // Query path: resolve through the bounded queue + worker pool.
+  const QueryRequest& query = std::get<QueryRequest>(request);
+
+  // v8: the `dataset=` attribute overrides the session binding for
+  // this one query. Exact names resolve through the catalog; a
+  // shard-set glob only means something to the scatter-gather router,
+  // so refuse it here with a pointer at the right front door.
+  std::shared_ptr<const Engine> query_engine = engine;
+  std::string query_dataset = dataset;
+  if (!attrs.dataset.empty()) {
+    if (attrs.dataset.find('*') != std::string::npos) {
+      metrics_.RecordBadRequest();
+      session->Send(RenderErrorBlock(
+          "INVALID_ARGUMENT",
+          "shard-set '" + attrs.dataset +
+              "' needs the onex_router front door — this server serves "
+              "exact dataset names",
           attrs.id));
-      continue;
+      return;
     }
-
-    // Shared context plumbing for both paths.
-    std::shared_ptr<ExecContext> ctx;
-    if (attrs.any()) {
-      ctx = std::make_shared<ExecContext>();
-      if (attrs.deadline_ms != 0) {
-        ctx->deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(attrs.deadline_ms);
-      }
+    auto acquired = catalog_->Acquire(attrs.dataset);
+    if (!acquired.ok()) {
+      metrics_.RecordBadRequest();
+      session->Send(RenderError(acquired.status(), attrs.id));
+      return;
     }
+    query_engine = std::move(acquired).value();
+    query_dataset = attrs.dataset;
+  }
+  if (query_engine == nullptr) {
+    metrics_.RecordBadRequest();
+    session->Send(RenderErrorBlock(
+        kNoDatasetCode, "no dataset bound — send 'use <name>' first",
+        attrs.id));
+    return;
+  }
 
-    if (attrs.id != 0) {
-      // ---- v3 multiplexed query: register, submit, keep reading.
-      bool duplicate = false;
-      {
-        MutexLock lock(session->mutex);
-        duplicate = !session->tokens.emplace(attrs.id, ctx->cancel).second;
-        if (!duplicate) ++session->inflight;
-      }
-      if (duplicate) {
-        // Sent with session->mutex released: the write lock ranks below.
-        metrics_.RecordBadRequest();
-        session->Send(RenderErrorBlock(
-            "INVALID_ARGUMENT",
-            "id " + std::to_string(attrs.id) + " is already in flight",
-            attrs.id));
-        continue;
-      }
-      if (attrs.progress) {
-        auto streamer = std::make_shared<PartStreamer>(
-            session, KindOf(request), attrs.id);
-        ctx->progress = [streamer](const ProgressEvent& event) {
-          streamer->OnEvent(event);
-        };
-      }
-      Job job;
-      job.request = request;
-      job.engine = query_engine;
-      job.ctx = ctx;
-      job.deadline = ctx->deadline;
-      job.wire_id = attrs.id;
-      job.session_fd = fd;
-      job.dataset = query_dataset;
-      job.kind = KindOf(request);
-      job.done = [this, session, id = attrs.id, trace = attrs.trace,
-                  dataset = query_dataset, kind = KindOf(request),
-                  latency = Timer()](Result<QueryResponse> result) {
-        RecordOutcome(kind, dataset, latency.ElapsedSeconds(), result);
-        session->Send(result.ok() ? RenderResponse(result.value(), id, trace)
-                                  : RenderError(result.status(), id));
-        {
-          MutexLock lock(session->mutex);
-          session->tokens.erase(id);
-          --session->inflight;
-        }
-        session->cv.NotifyAll();
+  // Shared context plumbing for both paths.
+  std::shared_ptr<ExecContext> ctx;
+  if (attrs.any()) {
+    ctx = std::make_shared<ExecContext>();
+    if (attrs.deadline_ms != 0) {
+      ctx->deadline = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(attrs.deadline_ms);
+    }
+  }
+
+  if (attrs.id != 0) {
+    // ---- v3 multiplexed query: register, submit, keep reading.
+    if (!session->Track(attrs.id,
+                        [cancel = ctx->cancel] { cancel.Cancel(); })) {
+      metrics_.RecordBadRequest();
+      return;
+    }
+    if (attrs.progress) {
+      auto streamer = std::make_shared<PartStreamer>(
+          session, KindOf(query), attrs.id);
+      ctx->progress = [streamer](const ProgressEvent& event) {
+        streamer->OnEvent(event);
       };
-      if (!Submit(std::move(job))) {
-        metrics_.RecordOverloaded();
-        {
-          MutexLock lock(session->mutex);
-          session->tokens.erase(attrs.id);
-          --session->inflight;
-        }
-        session->cv.NotifyAll();
-        session->Send(RenderErrorBlock(
-            kOverloadedCode, "request queue is full — retry", attrs.id));
-      }
-      continue;
     }
-
-    // ---- untagged (v2, possibly deadline-bounded): block for the
-    // reply so per-connection ordering holds.
-    Timer latency;
-    auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
-    std::future<Result<QueryResponse>> reply = promise->get_future();
     Job job;
-    job.request = request;
+    job.request = query;
     job.engine = query_engine;
     job.ctx = ctx;
-    job.deadline = ctx != nullptr ? ctx->deadline : std::nullopt;
-    job.session_fd = fd;
+    job.deadline = ctx->deadline;
+    job.wire_id = attrs.id;
+    job.session_fd = session->fd();
     job.dataset = query_dataset;
-    job.kind = KindOf(request);
-    job.done = [promise](Result<QueryResponse> result) {
-      promise->set_value(std::move(result));
+    job.kind = KindOf(query);
+    job.done = [this, session, id = attrs.id, trace = attrs.trace,
+                dataset = query_dataset, kind = KindOf(query),
+                latency = Timer()](Result<QueryResponse> result) {
+      RecordOutcome(kind, dataset, latency.ElapsedSeconds(), result);
+      session->Send(result.ok() ? RenderResponse(result.value(), id, trace)
+                                : RenderError(result.status(), id));
+      session->Untrack(id);
     };
     if (!Submit(std::move(job))) {
       metrics_.RecordOverloaded();
-      session->Send(RenderErrorBlock(kOverloadedCode,
-                                     "request queue is full — retry"));
-      continue;
+      session->Untrack(attrs.id);
+      session->Send(RenderErrorBlock(
+          kOverloadedCode, "request queue is full — retry", attrs.id));
     }
-    Result<QueryResponse> result = reply.get();
-    RecordOutcome(KindOf(request), query_dataset, latency.ElapsedSeconds(),
-                  result);
-    session->Send(result.ok()
-                      ? RenderResponse(result.value(), 0, attrs.trace)
-                      : RenderError(result.status()));
+    return;
   }
 
-  // Disconnect: abort whatever is still in flight and wait for the
-  // workers' completions before closing the socket underneath them.
-  {
-    MutexLock lock(session->mutex);
-    for (auto& [id, token] : session->tokens) token.Cancel();
+  // ---- untagged (v2, possibly deadline-bounded): block for the
+  // reply so per-connection ordering holds.
+  Timer latency;
+  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
+  std::future<Result<QueryResponse>> reply = promise->get_future();
+  Job job;
+  job.request = query;
+  job.engine = query_engine;
+  job.ctx = ctx;
+  job.deadline = ctx != nullptr ? ctx->deadline : std::nullopt;
+  job.session_fd = session->fd();
+  job.dataset = query_dataset;
+  job.kind = KindOf(query);
+  job.done = [promise](Result<QueryResponse> result) {
+    promise->set_value(std::move(result));
+  };
+  if (!Submit(std::move(job))) {
+    metrics_.RecordOverloaded();
+    session->Send(RenderErrorBlock(kOverloadedCode,
+                                   "request queue is full — retry"));
+    return;
   }
-  {
-    MutexLock lock(session->mutex);
-    while (session->inflight != 0) session->cv.Wait(session->mutex);
-  }
-  {
-    MutexLock lock(sessions_mutex_);
-    session_fds_.erase(fd);
-    sessions_by_fd_.erase(fd);
-  }
-  ::close(fd);
+  Result<QueryResponse> result = reply.get();
+  RecordOutcome(KindOf(query), query_dataset, latency.ElapsedSeconds(),
+                result);
+  session->Send(result.ok()
+                    ? RenderResponse(result.value(), 0, attrs.trace)
+                    : RenderError(result.status()));
 }
 
 void Server::Stop() {
-  bool expected = false;
-  if (!stop_.compare_exchange_strong(expected, true)) return;
+  host_.Stop([this] {
+    // Retire the watchdog before the workers it observes.
+    {
+      MutexLock lock(watchdog_mutex_);
+      watchdog_stop_ = true;
+    }
+    watchdog_cv_.NotifyAll();
+    if (watchdog_.joinable()) watchdog_.join();
 
-  // 1. No new connections.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // 1b. Retire the watchdog before the workers it observes.
-  {
-    MutexLock lock(watchdog_mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.NotifyAll();
-  if (watchdog_.joinable()) watchdog_.join();
-
-  // 2. Unblock session reads (sessions blocked on a future stay put
-  //    until step 3 fulfils it).
-  {
-    MutexLock lock(sessions_mutex_);
-    for (const int fd : session_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-
-  // 3. Drain the queue — every accepted job still gets an answer — and
-  //    retire the workers.
-  {
-    MutexLock lock(queue_mutex_);
-    draining_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-
-  // 4. Sessions can now run to completion. Swap the list out under the
-  //    lock and join outside it: a disconnecting session thread takes
-  //    sessions_mutex_ to erase its fd, so joining while holding the
-  //    lock would deadlock — and the old unlocked iteration raced the
-  //    accept loop's concurrent reap. stop_ is set and the accept
-  //    thread is joined, so no new entries can appear.
-  std::vector<SessionThread> to_join;
-  {
-    MutexLock lock(sessions_mutex_);
-    to_join.swap(session_threads_);
-  }
-  for (SessionThread& session : to_join) {
-    if (session.thread.joinable()) session.thread.join();
-  }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
+    // Drain the queue — every accepted job still gets an answer — and
+    // retire the workers.
+    {
+      MutexLock lock(queue_mutex_);
+      draining_ = true;
+    }
+    queue_cv_.NotifyAll();
+    for (std::thread& worker : workers_) {
+      if (worker.joinable()) worker.join();
+    }
+  });
 }
 
 }  // namespace server

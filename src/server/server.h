@@ -6,59 +6,54 @@
 // session facade, resolved per session through the server/catalog.h
 // registry.
 //
-// Architecture (one Server instance):
+// Architecture (one Server instance): the wire side — listener, accept
+// thread, one session thread per connection, the line loop, ping/help/
+// quit, cancel and the per-session in-flight table — is the shared
+// server/session_host.h. What the node adds behind it:
 //
-//   accept thread ── one lightweight session thread per connection
-//        │            (socket I/O + protocol parsing only)
-//        │                     │  query lines become jobs
-//        ▼                     ▼
-//   listen socket      bounded job queue ──► fixed worker pool
-//                      (sheds load with an     (num_workers threads run
-//                       explicit OVERLOADED     Engine::Execute — the
-//                       reply when full)        only CPU-heavy work)
+//   session thread ── query lines become jobs ──► bounded job queue
+//   (use/append/flush and the                     (sheds load with an
+//    introspection verbs answered                  explicit OVERLOADED
+//    inline, so they work even                     reply when full)
+//    when every worker is wedged)                          │
+//                                                          ▼
+//                                         fixed worker pool: num_workers
+//                                         threads run Engine::Execute,
+//                                         the only CPU-heavy work
 //
 // UNTAGGED (v2) queries: the session thread blocks on its job's future
 // and writes the reply itself, so replies stay strictly ordered per
 // connection. TAGGED (v3, `id=<n>`) queries multiplex: the session
-// thread submits the job and immediately returns to reading — CANCEL
-// lines can overtake running queries — while the worker that finishes
-// the job writes its reply (and any PART progress frames) directly,
-// serialized by a per-session write mutex. Workers dispatch EARLIEST-
-// DEADLINE-FIRST: the queued job with the nearest DEADLINE_MS runs
-// next, and deadline-less jobs rank by admission time plus a fixed
-// implicit budget — an aging rank, so they yield briefly to urgent
-// work but can never be starved. This cuts deadline-miss rates under
-// load — watch the `deadline_miss` STATS counter. The worker pool
-// caps CPU concurrency at `num_workers`
-// no matter how many sessions are connected, and the queue bound
-// converts overload into shedding:
-// first, queued jobs whose DEADLINE_MS already passed are completed
-// with DEADLINE_EXCEEDED; then the oldest over-deadline RUNNING query
-// is cancelled to free its worker; only when neither applies does the
-// new query get `ERR OVERLOADED`. Control verbs (use/list/stats/ping/
-// help/quit/cancel) are answered inline on the session thread — they
-// never queue.
+// thread enters the job in the in-flight table (its cancel action
+// trips the job's CancelToken), submits it and returns to reading,
+// while the worker that finishes the job writes its reply (and any
+// PART progress frames) directly and then removes the entry. Workers
+// dispatch EARLIEST-DEADLINE-FIRST: the queued job with the nearest
+// DEADLINE_MS runs next, and deadline-less jobs rank by admission time
+// plus a fixed implicit budget — an aging rank, so they yield briefly
+// to urgent work but can never be starved. This cuts deadline-miss
+// rates under load — watch the `deadline_miss` STATS counter. The
+// worker pool caps CPU concurrency at `num_workers` no matter how many
+// sessions are connected, and the queue bound converts overload into
+// shedding: first, queued jobs whose DEADLINE_MS already passed are
+// completed with DEADLINE_EXCEEDED; then the oldest over-deadline
+// RUNNING query is cancelled to free its worker; only when neither
+// applies does the new query get `ERR OVERLOADED`.
 //
-// Shutdown: Stop() closes the listener, shuts down every session
-// socket, drains the job queue (every submitted job still gets its
-// completion run), then joins all threads. Safe to call from any
-// thread; the destructor calls it. A disconnecting session cancels its
-// in-flight tagged queries and waits for their completions before
-// closing the socket, so workers never write to a dead fd.
+// Shutdown: Stop() runs the host's sequence with the node's drain —
+// the watchdog stops, then the job queue drains (every submitted job
+// still gets its completion run) and the workers exit. Safe to call
+// from any thread; the destructor calls it.
 
 #ifndef ONEX_SERVER_SERVER_H_
 #define ONEX_SERVER_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,6 +62,7 @@
 #include "core/inflight.h"
 #include "server/catalog.h"
 #include "server/metrics.h"
+#include "server/session_host.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -157,17 +153,16 @@ class Server {
   void Stop();
 
   /// The bound TCP port (resolves port 0 to the kernel's choice).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return host_.port(); }
 
   const ServerMetrics& metrics() const { return metrics_; }
   const Catalog& catalog() const { return *catalog_; }
 
-  /// Per-session state shared between the session thread and the
-  /// workers completing its tagged jobs. Defined in server.cc; public
-  /// only so the PART-frame streamer there can hold one.
-  struct Session;
-
  private:
+  /// The node's half of one session: its dataset binding. Defined in
+  /// server.cc; hands every request to HandleRequest.
+  struct Connection;
+
   /// One queued query: the session's resolved engine travels with the
   /// job, so a catalog eviction mid-flight cannot invalidate it.
   struct Job {
@@ -226,9 +221,10 @@ class Server {
 
   Server(ServerOptions options, std::shared_ptr<Catalog> catalog);
 
-  Status Listen();
-  void AcceptLoop();
-  void SessionLoop(int fd);
+  /// Answers one request the host leaves to the node: `use`, the
+  /// introspection and replication verbs, append/flush, and queries.
+  void HandleRequest(Connection* connection, const Request& request,
+                     const RequestAttrs& attrs);
   void WorkerLoop(size_t index);
   /// Periodically flags running jobs past their stall budget (see
   /// ServerOptions::stall_ms). Started only when stall_ms > 0.
@@ -266,39 +262,6 @@ class Server {
   std::shared_ptr<Catalog> catalog_;
   ServerMetrics metrics_;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-
-  /// One tracked session thread; `done` flips after SessionLoop returns
-  /// so the accept loop can reap (join + erase) finished sessions —
-  /// otherwise every past connection would retain an un-reaped joinable
-  /// pthread (descriptor + stack) until Stop().
-  struct SessionThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-
-  /// Joins and erases finished session threads. Caller holds
-  /// sessions_mutex_; joins are instant because `done` flips after all
-  /// locking in SessionLoop.
-  void ReapFinishedSessionsLocked() REQUIRES(sessions_mutex_);
-
-  /// Live session sockets, for shutdown; still-running threads are
-  /// joined in Stop(). Outermost rank: the accept loop and Stop() hold
-  /// it while touching per-session state, and a disconnecting session
-  /// takes it (alone) to erase its fd.
-  Mutex sessions_mutex_{LockRank::kServerSessions, "server.sessions_mutex"};
-  std::set<int> session_fds_ GUARDED_BY(sessions_mutex_);
-  std::vector<SessionThread> session_threads_ GUARDED_BY(sessions_mutex_);
-  /// v7 admin-cancel routing: fd -> live session, so one session can
-  /// cancel a query in flight on ANOTHER (`cancel <session>/<id>`; the
-  /// session numbers are the fds INSPECT prints). weak_ptr: the map
-  /// must never extend a session's life past its disconnect.
-  std::map<int, std::weak_ptr<Session>> sessions_by_fd_
-      GUARDED_BY(sessions_mutex_);
-
   Mutex queue_mutex_{LockRank::kServerQueue, "server.queue_mutex"};
   CondVar queue_cv_;
   std::deque<Job> queue_ GUARDED_BY(queue_mutex_);
@@ -317,6 +280,9 @@ class Server {
   CondVar watchdog_cv_;
   bool watchdog_stop_ GUARDED_BY(watchdog_mutex_) = false;
   std::thread watchdog_;
+
+  /// Last: its session threads use everything above.
+  SessionHost host_;
 };
 
 }  // namespace server

@@ -62,7 +62,7 @@ namespace onex {
 /// the same process only in tests, and its threads never hold server
 /// locks.
 enum class LockRank : int {
-  kServerSessions = 10,    ///< Server::sessions_mutex_
+  kServerSessions = 10,    ///< server::SessionHost::mutex_
   kServerWatchdog = 12,    ///< Server::watchdog_mutex_
   kServerQueue = 15,       ///< Server::queue_mutex_
   kCatalog = 20,           ///< Catalog::mutex_
@@ -76,8 +76,8 @@ enum class LockRank : int {
   kRouterTable = 44,       ///< router::RoutingTable::mutex_
   kRouterUpstream = 46,    ///< router::UpstreamPool link mutex
   kRouterMerge = 48,       ///< router::ScatterOp::mutex
-  kSessionWrite = 52,      ///< Server::Session::write_mutex
-  kSessionState = 54,      ///< Server::Session::mutex
+  kSessionWrite = 52,      ///< server::Session::write_mutex_
+  kSessionState = 54,      ///< server::Session::mutex_
   kMetrics = 60,           ///< ServerMetrics::mutex_
   kClientDemuxStart = 70,  ///< Client::demux_mutex_
   kClientSend = 72,        ///< Client::Demux::send_mutex

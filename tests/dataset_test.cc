@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "dataset/dataset.h"
-#include "dataset/dataset_stats.h"
 #include "dataset/length_spec.h"
 #include "dataset/normalize.h"
 #include "dataset/subsequence.h"
@@ -216,21 +215,6 @@ TEST(NormalizeTest, MeanStddevKnownValues) {
       MeanStddev(std::span<const double>(v.data(), v.size()));
   EXPECT_DOUBLE_EQ(mean, 5.0);
   EXPECT_DOUBLE_EQ(stddev, 2.0);
-}
-
-// ----------------------------------------------------------- DatasetStats.
-
-TEST(DatasetStatsTest, ComputesSummary) {
-  Dataset d = SmallDataset();
-  const DatasetStats stats = ComputeStats(d);
-  EXPECT_EQ(stats.name, "small");
-  EXPECT_EQ(stats.num_series, 3u);
-  EXPECT_EQ(stats.min_length, 4u);
-  EXPECT_EQ(stats.max_length, 4u);
-  EXPECT_EQ(stats.num_subsequences, 3u * 4 * 3 / 2);
-  EXPECT_EQ(stats.num_classes, 2u);
-  EXPECT_DOUBLE_EQ(stats.value_min, -1.0);
-  EXPECT_NE(stats.ToString().find("small"), std::string::npos);
 }
 
 }  // namespace

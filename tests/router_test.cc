@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -592,6 +593,86 @@ TEST_F(RouterWireTest, CancelFansOutToEveryLegAndMergesPartials) {
     }
   }
   EXPECT_TRUE(saw_fanout);
+}
+
+TEST_F(RouterWireTest, CancelOfAnIdNotInFlightIsTaggedWithThatId) {
+  StartUpstream();
+  StartRouter();
+  server::Client client = Connect(router_->port());
+
+  // The node's no-op reply: tagged, so a client's demux hands it to the
+  // Handle::Cancel() that lost the race with completion.
+  auto reply = client.Roundtrip("cancel 99");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_FALSE(reply.value().ok);
+  EXPECT_EQ(reply.value().code, "NOT_FOUND");
+  EXPECT_EQ(reply.value().id(), 99u);
+
+  // The admin form names a session by fd, as on a node.
+  auto admin = client.Roundtrip("cancel 99999/1");
+  ASSERT_TRUE(admin.ok()) << admin.status().ToString();
+  EXPECT_EQ(admin.value().code, "NOT_FOUND");
+}
+
+TEST_F(RouterWireTest, DisconnectCancelsEveryLegUpstream) {
+  // As in CancelFansOutToEveryLegAndMergesPartials: the single worker
+  // parks at job start, so the leg is provably in flight upstream when
+  // the client goes away.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool job_started = false;
+  bool release = false;
+  server::ServerOptions options;
+  options.num_workers = 1;
+  options.on_job_start = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    job_started = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  StartUpstream(std::move(options));
+  StartRouter();
+
+  auto cancel_fanout = [&] {
+    const std::string text =
+        router_->metrics().RenderPrometheus(router_->table().Snapshot());
+    const std::string key = "\nonex_router_cancel_fanout_total ";
+    const size_t at = text.find(key);
+    return at == std::string::npos
+               ? 0.0
+               : std::strtod(text.c_str() + at + key.size(), nullptr);
+  };
+  auto within_1s = [](const std::function<bool()>& done) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!done() && std::chrono::steady_clock::now() < until) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return done();
+  };
+
+  bool started = false;
+  {
+    server::Client client = Connect(router_->port());
+    EXPECT_TRUE(client.Roundtrip("use sales-*").ok());
+    auto handle = client.Submit(QueryRequest(
+        RangeWithinRequest{Probe(0, 0, 8), 10.0, 0, false}));
+    EXPECT_TRUE(handle.ok()) << handle.status().ToString();
+    std::unique_lock<std::mutex> lock(mutex);
+    started = cv.wait_for(lock, std::chrono::seconds(5),
+                          [&] { return job_started; });
+  }  // The client disconnects with its query in flight.
+  EXPECT_TRUE(started);
+
+  // The router fans the cancel out while the leg is still parked...
+  EXPECT_TRUE(within_1s([&] { return cancel_fanout() >= 1.0; }));
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+  // ...so the upstream runs it cancelled instead of to completion.
+  EXPECT_TRUE(within_1s([&] { return upstream_->metrics().cancelled() >= 1; }));
 }
 
 TEST_F(RouterWireTest, DeadlineBudgetPropagatesToUpstreamLegs) {

@@ -19,6 +19,8 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -385,6 +387,35 @@ TEST_F(ServerTest, ControlVerbsAndErrorPaths) {
   ASSERT_TRUE(bye.ok());
   EXPECT_EQ(bye.value().kind, "Bye");
   EXPECT_FALSE(client.Roundtrip("ping").ok());
+}
+
+TEST_F(ServerTest, TaggedRequestThatFailsToParseStillCompletes) {
+  StartServer(ServerOptions{});
+  Client client = Connect();
+  ASSERT_TRUE(client.Roundtrip("use power").ok());
+
+  // A NaN renders as a value the server's parser refuses, after the
+  // line's id= attribute has been read.
+  auto done = std::make_shared<std::promise<void>>();
+  Client::SubmitOptions options;
+  options.on_done = [done] { done->set_value(); };
+  auto handle = client.Submit(
+      QueryRequest(BestMatchRequest{
+          {0.1, std::numeric_limits<double>::quiet_NaN(), 0.3}, 3}),
+      options);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  ASSERT_EQ(done->get_future().wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  auto final = handle.value().Wait();
+  ASSERT_TRUE(final.ok()) << final.status().ToString();
+  EXPECT_FALSE(final.value().ok);
+  EXPECT_EQ(final.value().code, "INVALID_ARGUMENT");
+
+  // The error answered the tagged request, so untagged replies stay in
+  // step with their requests.
+  auto ping = client.Roundtrip("ping");
+  ASSERT_TRUE(ping.ok());
+  EXPECT_EQ(ping.value().kind, "Pong");
 }
 
 TEST_F(ServerTest, DefaultDatasetBindsSessionsAtConnect) {
