@@ -128,16 +128,6 @@ OnexBase BuildBase(const Dataset& dataset, const BenchConfig& config,
   return std::move(built).value();
 }
 
-double MinMaxDistance(const Dataset& dataset, std::span<const double> query,
-                      const SubsequenceRef& ref, const BenchConfig& config) {
-  const auto candidate = ref.View(dataset);
-  const DtwOptions options = DtwOptions::FromRatio(
-      config.window_ratio, query.size(), candidate.size());
-  const double norm =
-      2.0 * static_cast<double>(std::max(query.size(), candidate.size()));
-  return DtwDistance(query, candidate, options) / norm;
-}
-
 double AccuracyDistance(const Dataset& dataset, std::span<const double> query,
                         const SubsequenceRef& ref,
                         const BenchConfig& config) {

@@ -71,11 +71,6 @@ std::vector<BenchQuery> MakeQueries(const Dataset& dataset,
 OnexBase BuildBase(const Dataset& dataset, const BenchConfig& config,
                    double st_override = 0.0);
 
-/// Recomputes the comparison metric (normalized DTW in min-max space,
-/// banded by config.window_ratio) between a query and a match location.
-double MinMaxDistance(const Dataset& dataset, std::span<const double> query,
-                      const SubsequenceRef& ref, const BenchConfig& config);
-
 /// Accuracy metric for Tables 2-3: root-length-normalized DTW in
 /// min-max space, DTW / sqrt(max(n, m)) — the DTW analog of the
 /// normalized ED (Def. 5). Def. 6's 1/(2n) scale compresses every error

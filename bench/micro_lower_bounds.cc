@@ -1,17 +1,14 @@
-// Lower-bound tightness and pruning-rate ablation. Admissible bounds
-// are only useful if they are *tight* (close to the true DTW) and
-// *cheap*; this bench reports, for each bound, the mean tightness ratio
-// LB/DTW on random and on structured (ECG-like) data, plus the fraction
-// of a 1-NN scan's candidates each cascade stage prunes — the numbers
-// behind the Sec. 5.3 design choices.
+// Lower-bound tightness. Admissible bounds are only useful if they are
+// *tight* (close to the true DTW) and *cheap*; this bench reports, for
+// each bound, the mean tightness ratio LB/DTW on random data — one of
+// the numbers behind the Sec. 5.3 design choices. The share of a scan's
+// candidates each cascade stage prunes is perfbench's
+// core.pruned_*_share rows, measured on the production cascade.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "datagen/generators.h"
-#include "dataset/normalize.h"
-#include "distance/cascade.h"
 #include "distance/dtw.h"
 #include "distance/envelope.h"
 #include "distance/lb_keogh.h"
@@ -72,72 +69,6 @@ void BM_TightnessLbKeogh(benchmark::State& state) {
   state.counters["tightness"] = count ? ratio_sum / count : 0.0;
 }
 BENCHMARK(BM_TightnessLbKeogh)->Arg(64)->Arg(256);
-
-// Full 1-NN scans over an ECG-like pool with different cascade stages
-// enabled; counters report the per-stage pruning fractions.
-void ScanWithOptions(benchmark::State& state,
-                     const CascadeOptions& cascade_options) {
-  GenOptions gen;
-  gen.num_series = 64;
-  gen.length = 128;
-  gen.seed = 5;
-  Dataset pool = MakeEcg(gen);
-  MinMaxNormalize(&pool);
-  const size_t w = 12;
-  std::vector<Envelope> envelopes;
-  envelopes.reserve(pool.size());
-  for (size_t i = 0; i < pool.size(); ++i) {
-    envelopes.push_back(ComputeEnvelope(pool[i].View(), w));
-  }
-  Rng rng(9);
-  CascadePruner pruner(DtwOptions{static_cast<int>(w)}, cascade_options);
-  for (auto _ : state) {
-    const auto query = RandomVector(128, &rng);
-    double best = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const double d = pruner.Distance(std::span<const double>(query),
-                                       pool[i].View(), &envelopes[i], best);
-      best = std::min(best, d);
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  const CascadeStats& stats = pruner.stats();
-  const double total = static_cast<double>(stats.candidates);
-  if (total > 0) {
-    state.counters["kim%"] = 100.0 * stats.pruned_kim / total;
-    state.counters["keogh%"] = 100.0 * stats.pruned_keogh / total;
-    state.counters["abandon%"] = 100.0 * stats.dtw_abandoned / total;
-    state.counters["full_dtw%"] = 100.0 * stats.dtw_completed / total;
-  }
-}
-
-void BM_ScanFullCascade(benchmark::State& state) {
-  ScanWithOptions(state, CascadeOptions{});
-}
-BENCHMARK(BM_ScanFullCascade);
-
-void BM_ScanNoKim(benchmark::State& state) {
-  CascadeOptions options;
-  options.use_kim = false;
-  ScanWithOptions(state, options);
-}
-BENCHMARK(BM_ScanNoKim);
-
-void BM_ScanNoKeogh(benchmark::State& state) {
-  CascadeOptions options;
-  options.use_keogh = false;
-  ScanWithOptions(state, options);
-}
-BENCHMARK(BM_ScanNoKeogh);
-
-void BM_ScanNoBounds(benchmark::State& state) {
-  CascadeOptions options;
-  options.use_kim = false;
-  options.use_keogh = false;
-  options.use_early_abandon = false;
-  ScanWithOptions(state, options);
-}
-BENCHMARK(BM_ScanNoBounds);
 
 }  // namespace
 }  // namespace onex

@@ -5,7 +5,7 @@
 //
 //   A. Context-check overhead — the same query with an inert default
 //      context vs with an armed-but-never-firing one (far deadline +
-//      live token). The acceptance bar is <2% on micro_distance-scale
+//      live token). The acceptance bar is <2% on per-window DTW
 //      work.
 //   B. Cancel-to-abort latency — a second thread fires the CancelToken
 //      mid-query; measured from Cancel() to Execute() returning. The

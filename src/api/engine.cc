@@ -48,29 +48,24 @@ QueryPayload EmptyPayloadOf(QueryKind kind) {
   return MatchResult{};
 }
 
-Engine::Engine(OnexBase base, QueryOptions query_options)
+Engine::Engine(OnexBase base)
     : rw_mutex_(std::make_unique<SharedMutex>(LockRank::kEngine,
                                               "engine.rw_mutex")),
       base_(std::make_unique<OnexBase>(std::move(base))),
-      query_options_(query_options),
       lazy_(std::make_unique<LazyComponents>()) {}
 
-Result<Engine> Engine::Build(Dataset dataset, const OnexOptions& options,
-                             QueryOptions query_options) {
+Result<Engine> Engine::Build(Dataset dataset, const OnexOptions& options) {
   auto built = OnexBase::Build(std::move(dataset), options);
   if (!built.ok()) return built.status();
-  return Engine(std::move(built).value(), query_options);
+  return Engine(std::move(built).value());
 }
 
-Engine Engine::FromBase(OnexBase base, QueryOptions query_options) {
-  return Engine(std::move(base), query_options);
-}
+Engine Engine::FromBase(OnexBase base) { return Engine(std::move(base)); }
 
-Result<Engine> Engine::Open(const std::string& path,
-                            QueryOptions query_options) {
+Result<Engine> Engine::Open(const std::string& path) {
   auto loaded = LoadBase(path);
   if (!loaded.ok()) return loaded.status();
-  return Engine(std::move(loaded).value(), query_options);
+  return Engine(std::move(loaded).value());
 }
 
 Status Engine::Save(const std::string& path) const {
@@ -80,8 +75,7 @@ Status Engine::Save(const std::string& path) const {
 
 const QueryProcessor& Engine::processor() const {
   std::call_once(lazy_->processor_once, [this] {
-    lazy_->processor =
-        std::make_unique<QueryProcessor>(base_.get(), query_options_);
+    lazy_->processor = std::make_unique<QueryProcessor>(base_.get());
   });
   return *lazy_->processor;
 }

@@ -220,16 +220,14 @@ class Engine {
  public:
   /// Builds the ONEX base over `dataset` (Algorithm 1) and wraps it.
   /// The dataset is expected to be normalized already (Sec. 6.1).
-  static Result<Engine> Build(Dataset dataset, const OnexOptions& options,
-                              QueryOptions query_options = {});
+  static Result<Engine> Build(Dataset dataset, const OnexOptions& options);
 
   /// Wraps an already-built base (e.g. deserialized via LoadBase or
   /// refined via ThresholdRefiner::RefinedBase).
-  static Engine FromBase(OnexBase base, QueryOptions query_options = {});
+  static Engine FromBase(OnexBase base);
 
   /// Reads a base persisted with Save()/SaveBase() and wraps it.
-  static Result<Engine> Open(const std::string& path,
-                             QueryOptions query_options = {});
+  static Result<Engine> Open(const std::string& path);
 
   /// Persists the underlying base (serialization.h format).
   Status Save(const std::string& path) const;
@@ -326,7 +324,7 @@ class Engine {
   SharedMutex& mu() const RETURN_CAPABILITY(*rw_mutex_) { return *rw_mutex_; }
 
  private:
-  Engine(OnexBase base, QueryOptions query_options);
+  explicit Engine(OnexBase base);
 
   /// Dispatch body; the caller holds the reader lock.
   Result<QueryResponse> ExecuteLocked(const QueryRequest& request,
@@ -359,7 +357,6 @@ class Engine {
   /// across moves), the POINTEE mutates under the writer lock —
   /// PT_GUARDED_BY is exactly that split.
   std::unique_ptr<OnexBase> base_ PT_GUARDED_BY(*rw_mutex_);
-  QueryOptions query_options_;
   /// Write-ahead sink of the optional durable mode; nullptr = memory
   /// only. Owned by the attaching storage manager, not the engine.
   storage::AppendSink* append_sink_ GUARDED_BY(*rw_mutex_) = nullptr;

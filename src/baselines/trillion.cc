@@ -21,9 +21,9 @@ constexpr double kMinStddev = 1e-12;
 // O(1) LB_Kim_FL against a window whose z-normalization is implied by
 // (mu, sigma): z(x) = (x - mu) * inv_sigma. Uses first/last points plus
 // their neighbours (admissible for m >= 4; callers guarantee that).
-double LbKimFlImplicitZ(std::span<const double> zq,
-                        const double* window, size_t m, double mu,
-                        double inv_sigma) {
+double LbKimFirstLastImplicitZ(std::span<const double> zq,
+                               const double* window, size_t m, double mu,
+                               double inv_sigma) {
   auto z = [mu, inv_sigma](double x) { return (x - mu) * inv_sigma; };
   const double d00 = zq[0] - z(window[0]);
   double lb = d00 * d00;
@@ -162,7 +162,7 @@ SearchResult TrillionSearch::FindBestMatch(std::span<const double> query) {
       const double* window = data + j;
 
       const double lb_kim =
-          LbKimFlImplicitZ(zq, window, m, mu, inv_sigma);
+          LbKimFirstLastImplicitZ(zq, window, m, mu, inv_sigma);
       if (lb_kim >= best_sq) {
         ++stats_.pruned_kim;
       } else {

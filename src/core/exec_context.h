@@ -150,7 +150,7 @@ struct ExecContext {
   ProgressSink progress;
   /// Inner loops consult the token/clock every `check_every` candidate
   /// comparisons. Smaller = faster abort, more overhead; the default
-  /// keeps uncancelled overhead <2% on micro_distance-scale work while
+  /// keeps uncancelled overhead <2% on per-window DTW work while
   /// bounding abort latency to a handful of DTW invocations.
   size_t check_every = 32;
   /// Set by the API layer when `progress` exists only to capture

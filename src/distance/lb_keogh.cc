@@ -72,18 +72,4 @@ std::vector<double> CumulativeBound(std::span<const double> contributions) {
   return cb;
 }
 
-double LbKeoghOrdered(std::span<const double> query, const Envelope& envelope,
-                      std::span<const size_t> order, double threshold) {
-  assert(query.size() == envelope.size());
-  const double threshold_sq = threshold * threshold;
-  double sum = 0.0;
-  size_t steps = 0;
-  for (size_t idx : order) {
-    sum += PointContribution(query[idx], envelope.lower[idx],
-                             envelope.upper[idx]);
-    if (++steps % 16 == 0 && sum > threshold_sq) return kInf;
-  }
-  return sum > threshold_sq ? kInf : std::sqrt(sum);
-}
-
 }  // namespace onex

@@ -38,12 +38,6 @@ double LbKeoghWithContributions(std::span<const double> query,
 /// cb[n] = 0.
 std::vector<double> CumulativeBound(std::span<const double> contributions);
 
-/// Ordered early-abandoning LB_Keogh: visits points in the given order
-/// (typically descending |z-normalized query|, the UCR-suite reordering
-/// optimization) so large contributions accumulate first.
-double LbKeoghOrdered(std::span<const double> query, const Envelope& envelope,
-                      std::span<const size_t> order, double threshold);
-
 }  // namespace onex
 
 #endif  // ONEX_DISTANCE_LB_KEOGH_H_

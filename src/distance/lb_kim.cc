@@ -1,7 +1,6 @@
 #include "distance/lb_kim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace onex {
@@ -25,33 +24,6 @@ double LbKim(std::span<const double> a, std::span<const double> b) {
   const double feature_sq =
       std::max(d_min * d_min, d_max * d_max);
   return std::sqrt(std::max(bound_sq, feature_sq));
-}
-
-double LbKimFl(std::span<const double> a, std::span<const double> b) {
-  assert(a.size() >= 3 && b.size() >= 3);
-  const size_t n = a.size();
-  const size_t m = b.size();
-  // Front pair: points 0 and 1 of each series. The path's first element
-  // is (0,0); its second touches (0,1), (1,0) or (1,1).
-  const double d00 = a[0] - b[0];
-  double lb = d00 * d00;
-  const double c01 = (a[0] - b[1]) * (a[0] - b[1]);
-  const double c10 = (a[1] - b[0]) * (a[1] - b[0]);
-  const double c11 = (a[1] - b[1]) * (a[1] - b[1]);
-  lb += std::min({c01, c10, c11});
-  // Back pair, symmetric. The back neighbour term is only admissible
-  // when the minimal path length max(n, m) is >= 4; on a length-3
-  // diagonal the second and second-to-last path elements coincide and
-  // adding both would double-count.
-  const double dnn = a[n - 1] - b[m - 1];
-  lb += dnn * dnn;
-  if (std::max(n, m) >= 4) {
-    const double e01 = (a[n - 1] - b[m - 2]) * (a[n - 1] - b[m - 2]);
-    const double e10 = (a[n - 2] - b[m - 1]) * (a[n - 2] - b[m - 1]);
-    const double e11 = (a[n - 2] - b[m - 2]) * (a[n - 2] - b[m - 2]);
-    lb += std::min({e01, e10, e11});
-  }
-  return std::sqrt(lb);
 }
 
 }  // namespace onex

@@ -1,5 +1,5 @@
 // Copyright 2026 The ONEX Reproduction Authors.
-// LB_Kim-style constant-time lower bounds on DTW. Stage 1 of the
+// LB_Kim-style cheap lower bound on DTW. Stage 1 of the
 // cascading-lower-bound pruning the paper adopts from the UCR suite
 // (Sec. 5.3, [11], [22]).
 
@@ -15,11 +15,6 @@ namespace onex {
 /// with *some* point of the other. Valid for unequal lengths and any
 /// window. O(n) (dominated by the min/max scan).
 double LbKim(std::span<const double> a, std::span<const double> b);
-
-/// UCR-suite LB_Kim_FL on z-normalized data: uses the first/last points
-/// plus their two neighbours (the min/max features are near-useless after
-/// z-normalization, so they are skipped). O(1). Requires sizes >= 3.
-double LbKimFl(std::span<const double> a, std::span<const double> b);
 
 }  // namespace onex
 

@@ -15,8 +15,6 @@ namespace router {
 
 namespace {
 
-constexpr size_t kMaxRequestLine = size_t{1} << 20;
-
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -142,7 +140,7 @@ Router::Router(RouterOptions options)
       table_(options_.upstreams),
       metrics_(options_.upstreams.size()),
       pool_(options_.pool, &table_),
-      host_(options_.host, options_.port, kMaxRequestLine,
+      host_(options_.host, options_.port,
             [this](const std::shared_ptr<server::Session>& session) {
               return std::make_unique<Connection>(this, session);
             }) {}

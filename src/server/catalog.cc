@@ -49,8 +49,7 @@ void Catalog::Register(const std::string& name, Engine engine) {
     auto durable =
         fs::exists(PathFor(name))
             ? storage::DurableEngine::Open(options_.data_dir, name,
-                                           options_.storage,
-                                           options_.query_options)
+                                           options_.storage)
             : storage::DurableEngine::Create(options_.data_dir, name,
                                              std::move(engine),
                                              options_.storage);
@@ -110,13 +109,13 @@ Result<Catalog::Entry*> Catalog::ResolveLocked(const std::string& name) {
   std::shared_ptr<storage::DurableEngine> durable;
   std::shared_ptr<Engine> engine;
   if (options_.durable) {
-    auto opened = storage::DurableEngine::Open(
-        options_.data_dir, name, options_.storage, options_.query_options);
+    auto opened = storage::DurableEngine::Open(options_.data_dir, name,
+                                               options_.storage);
     if (!opened.ok()) return opened.status();
     durable = std::move(opened).value();
     engine = durable->engine();
   } else {
-    auto opened = Engine::Open(path, options_.query_options);
+    auto opened = Engine::Open(path);
     if (!opened.ok()) return opened.status();
     engine = std::make_shared<Engine>(std::move(opened).value());
   }

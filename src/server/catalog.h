@@ -60,8 +60,6 @@ struct CatalogOptions {
   std::string data_dir;
   /// Resident-engine cap enforced by LRU eviction.
   size_t max_open_engines = 8;
-  /// Query options applied to lazily opened engines.
-  QueryOptions query_options;
   /// Open engines with WAL durability (requires data_dir for lazy
   /// opens; Register()ed engines fall back to memory-only when no
   /// data_dir is set).

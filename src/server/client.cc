@@ -30,6 +30,11 @@ namespace {
 
 constexpr size_t kMaxReplyLine = size_t{64} << 20;
 
+/// auto_reconnect: dial attempts per outage, and the flat pause between
+/// them.
+constexpr int kReconnectAttempts = 3;
+constexpr auto kReconnectBackoff = std::chrono::milliseconds(100);
+
 Status SetSockTimeout(int fd, int which, uint64_t ms) {
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(ms / 1000);
@@ -403,16 +408,12 @@ bool Client::TryReconnect(const std::shared_ptr<Demux>& demux) {
   // blocking in Wait() and are answered by the re-submitted run.
   demux->FailUntagged(
       Status::IOError("connection reset; non-idempotent request state unknown"));
-  for (int attempt = 0; attempt < demux->options.reconnect_attempts;
-       ++attempt) {
+  for (int attempt = 0; attempt < kReconnectAttempts; ++attempt) {
     {
       MutexLock lock(demux->mutex);
       if (demux->closing) return false;
     }
-    if (attempt > 0 && demux->options.reconnect_backoff_ms > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(demux->options.reconnect_backoff_ms));
-    }
+    if (attempt > 0) std::this_thread::sleep_for(kReconnectBackoff);
     auto dialed = DialFd(demux->host, demux->port, demux->options);
     if (!dialed.ok()) continue;
     const int new_fd = dialed.value();

@@ -59,11 +59,9 @@ struct ClientOptions {
   /// the dead connection is unknowable. Progress streams restart from
   /// seq 0 on the new connection (at-least-once for PART frames; the
   /// final block is delivered exactly once).
+  /// Three dial attempts per outage, 100 ms apart, before the session
+  /// is declared dead.
   bool auto_reconnect = false;
-  /// Dial attempts per outage before the session is declared dead.
-  int reconnect_attempts = 3;
-  /// Flat pause between dial attempts.
-  uint64_t reconnect_backoff_ms = 100;
 };
 
 class Client {

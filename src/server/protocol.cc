@@ -59,9 +59,11 @@ std::optional<uint64_t> ParseUnsigned(const std::string& token) {
   if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
     return std::nullopt;
   }
+  errno = 0;
   char* end = nullptr;
   const uint64_t v = std::strtoull(token.c_str(), &end, 10);
-  if (*end != '\0') return std::nullopt;
+  // strtoull saturates at 2^64-1 on overflow; that value is a real id.
+  if (*end != '\0' || errno == ERANGE) return std::nullopt;
   return v;
 }
 

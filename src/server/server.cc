@@ -36,6 +36,11 @@ constexpr size_t kPartMaxBatch = 64;
 /// FIFO's progress guarantee is preserved.
 constexpr auto kDeadlineLessRankBudget = std::chrono::milliseconds(500);
 
+/// HEALTH readiness degrades once queue depth reaches this fraction of
+/// max_queue — deliberately BEFORE the queue starts shedding with
+/// OVERLOADED, so a router can drain the node while it still answers.
+constexpr double kReadyQueueRatio = 0.8;
+
 }  // namespace
 
 namespace {
@@ -150,7 +155,7 @@ struct Server::Connection final : SessionHandler {
 Server::Server(ServerOptions options, std::shared_ptr<Catalog> catalog)
     : options_(std::move(options)),
       catalog_(std::move(catalog)),
-      host_(options_.host, options_.port, options_.max_line_bytes,
+      host_(options_.host, options_.port,
             [this](const std::shared_ptr<Session>& session) {
               return std::make_unique<Connection>(this, session);
             }) {
@@ -532,7 +537,7 @@ std::string Server::RenderHealth() {
       durable.checkpoint_age_seconds < 0.0 ||
       durable.checkpoint_age_seconds <= options_.checkpoint_age_budget_s;
   const auto degrade_at = static_cast<size_t>(
-      std::max(1.0, options_.ready_queue_ratio *
+      std::max(1.0, kReadyQueueRatio *
                         static_cast<double>(options_.max_queue)));
   const bool queue_ok = queue_depth < degrade_at;
   const bool workers_ok = stalled_workers == 0;

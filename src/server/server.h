@@ -94,8 +94,6 @@ struct ServerOptions {
   /// When set, every session starts bound to this dataset (as if the
   /// client's first line were "use <default_dataset>").
   std::string default_dataset;
-  /// Lines longer than this are a protocol error and close the session.
-  size_t max_line_bytes = 1 << 20;
   /// Queries whose total latency (queue wait + execution) meets or
   /// exceeds this many milliseconds are written to the slow-query log —
   /// one structured JSON line each (kind, dataset, stage breakdown,
@@ -112,10 +110,6 @@ struct ServerOptions {
   uint64_t stall_ms = 10000;
   /// How often the watchdog scans the running set. Tests shrink this.
   uint64_t watchdog_period_ms = 1000;
-  /// HEALTH readiness degrades once queue depth reaches this fraction
-  /// of max_queue — deliberately BEFORE the queue starts shedding with
-  /// OVERLOADED, so a router can drain the node while it still answers.
-  double ready_queue_ratio = 0.8;
   /// HEALTH readiness fails when the newest completed checkpoint across
   /// durable engines is older than this many seconds (0 = no budget;
   /// a server that has never checkpointed is not penalized).

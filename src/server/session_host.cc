@@ -81,12 +81,8 @@ void Session::CancelAllAndWait() {
   while (!inflight_.empty()) untracked_.Wait(mutex_);
 }
 
-SessionHost::SessionHost(std::string host, uint16_t port,
-                         size_t max_line_bytes, OpenSession open)
-    : host_(std::move(host)),
-      requested_port_(port),
-      max_line_bytes_(max_line_bytes),
-      open_(std::move(open)) {}
+SessionHost::SessionHost(std::string host, uint16_t port, OpenSession open)
+    : host_(std::move(host)), requested_port_(port), open_(std::move(open)) {}
 
 SessionHost::~SessionHost() { Stop({}); }
 
@@ -154,7 +150,7 @@ void SessionHost::RunSession(const std::shared_ptr<Session>& session) {
   session->Send(Greeting());
   std::unique_ptr<SessionHandler> handler = open_(session);
 
-  SocketLineReader reader(session->fd(), max_line_bytes_);
+  SocketLineReader reader(session->fd(), kMaxRequestLineBytes);
   std::string line;
   while (!stop_.load() && reader.ReadLine(&line)) {
     if (line.empty()) continue;

@@ -117,14 +117,16 @@ class SessionHandler {
   virtual void OnBadRequest() {}
 };
 
+/// Request lines longer than this are a protocol error and close the
+/// session (node and router alike).
+constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 class SessionHost {
  public:
   using OpenSession = std::function<std::unique_ptr<SessionHandler>(
       const std::shared_ptr<Session>&)>;
 
-  /// Lines longer than `max_line_bytes` close the session.
-  SessionHost(std::string host, uint16_t port, size_t max_line_bytes,
-              OpenSession open);
+  SessionHost(std::string host, uint16_t port, OpenSession open);
   ~SessionHost();
   SessionHost(const SessionHost&) = delete;
   SessionHost& operator=(const SessionHost&) = delete;
@@ -152,7 +154,6 @@ class SessionHost {
 
   const std::string host_;
   const uint16_t requested_port_;
-  const size_t max_line_bytes_;
   const OpenSession open_;
 
   int listen_fd_ = -1;

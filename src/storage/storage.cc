@@ -27,6 +27,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Compaction threshold on the chain's summed delta bytes (alongside
+/// StorageOptions::max_delta_chain_length).
+constexpr uint64_t kMaxDeltaChainBytes = 64ull << 20;
+
 Status RenameFile(const std::string& from, const std::string& to) {
   if (std::rename(from.c_str(), to.c_str()) != 0) {
     return Status::IOError("rename '" + from + "' -> '" + to + "': " +
@@ -244,9 +248,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Create(
     MutexLock lock(durable->checkpoint_mutex_);
     durable->base_bytes_ = bytes.value().size();
     durable->base_crc_ = Crc32(bytes.value().data(), bytes.value().size());
-    if (options.delta_checkpoints) {
-      durable->prev_snapshot_ = std::move(bytes).value();
-    }
+    durable->prev_snapshot_ = std::move(bytes).value();
   }
   durable->snapshot_series_.store(num_series);
   durable->Start();
@@ -255,7 +257,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Create(
 
 Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     const std::string& dir, const std::string& name,
-    const StorageOptions& options, QueryOptions query_options) {
+    const StorageOptions& options) {
   const std::string base_path = BasePathFor(dir, name);
   const std::string wal_path = WalPathFor(dir, name);
 
@@ -266,7 +268,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
   RecoveredChain rc = std::move(recovered).value();
   auto parsed = LoadBaseFromBuffer(rc.bytes);
   if (!parsed.ok()) return parsed.status();
-  Engine engine = Engine::FromBase(std::move(parsed).value(), query_options);
+  Engine engine = Engine::FromBase(std::move(parsed).value());
   const uint64_t chain_series = engine.num_series();
 
   uint64_t replayed = 0;
@@ -307,7 +309,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     // already cover, then apply them through ONE AppendBatch — one
     // derived-state rebuild per length instead of one per record, so
     // recovery cost approaches a single maintenance pass
-    // (bench/storage_recovery.cc quantifies the speedup).
+    // (perfbench's reopen_s and catchup_s track it).
     std::vector<TimeSeries> to_replay;
     to_replay.reserve(log.records.size());
     for (size_t i = 0; i < log.records.size(); ++i) {
@@ -388,9 +390,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     // The reconstructed chain state IS the encoder's previous
     // snapshot: the next incremental checkpoint deltas against it
     // without touching disk.
-    if (options.delta_checkpoints) {
-      durable->prev_snapshot_ = std::move(rc.bytes);
-    }
+    durable->prev_snapshot_ = std::move(rc.bytes);
   }
   durable->Start();
   return durable;
@@ -546,11 +546,7 @@ void DurableEngine::CheckpointerLoop() {
 
 Status DurableEngine::Checkpoint() {
   MutexLock serialize(checkpoint_mutex_);
-  const Status result =
-      options_.delta_checkpoints
-          ? CheckpointIncremental()
-          : engine_.Exclusive(
-                [this](const OnexBase& base) { return CheckpointLocked(base); });
+  const Status result = CheckpointIncremental();
   // Every publish is a fresh manifest that names no retired artifact —
   // sweep whatever has aged out of the grace window.
   SweepRetiredLocked();
@@ -560,48 +556,6 @@ Status DurableEngine::Checkpoint() {
 size_t DurableEngine::CollectGarbage() {
   MutexLock lock(checkpoint_mutex_);
   return SweepRetiredLocked();
-}
-
-Status DurableEngine::CheckpointLocked(const OnexBase& base) {
-  // Runs inside Engine::Exclusive — the writer lock crossed an untyped
-  // std::function boundary to get here; the caller (Checkpoint) holds
-  // checkpoint_mutex_ across the Exclusive call.
-  engine_.mu().AssertHeld();
-  checkpoint_mutex_.AssertHeld();
-  ONEX_TRACE_SPAN("storage.checkpoint");
-  Timer duration;
-  // 1. Snapshot publish: readers of base_path_ never observe a
-  //    half-written snapshot. The WHOLE rewrite (serialize + write +
-  //    fsync) runs under the engine writer lock — the stall the
-  //    incremental path exists to remove; kept as the baseline.
-  auto bytes = SaveBaseToString(base);
-  if (!bytes.ok()) return bytes.status();
-  const Status saved = WriteFileDurable(base_path_, bytes.value());
-  if (!saved.ok()) return saved;
-  // A full rewrite folds (and orphans) any delta chain.
-  RetireChainLocked();
-  chain_.clear();
-  base_bytes_ = bytes.value().size();
-  base_crc_ = Crc32(bytes.value().data(), bytes.value().size());
-  chain_length_.store(0);
-  chain_bytes_.store(0);
-
-  // 2. Rotate the WAL the same way. If we crash between steps 1 and 2,
-  //    the old log pairs with the new snapshot via sequence-number
-  //    skipping in Open — no duplicates, no loss.
-  const Status rotated = RotateWalLocked(base, base.dataset().size());
-  if (!rotated.ok()) return rotated;
-
-  snapshot_series_.store(base.dataset().size());
-  checkpoints_.fetch_add(1);
-  const int64_t elapsed = duration.ElapsedNanos();
-  last_checkpoint_duration_ns_.store(elapsed);
-  last_lock_hold_ns_.store(elapsed);  // Lock held for the whole rewrite.
-  last_checkpoint_ns_.store(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  return Status::OK();
 }
 
 Status DurableEngine::CheckpointIncremental() {
@@ -631,21 +585,14 @@ Status DurableEngine::CheckpointIncremental() {
     return Status::OK();
   }
 
-  // Out-of-lock: delta against the previous snapshot shadow. The
-  // shadow is re-seeded from disk if absent (delta_checkpoints turned
-  // on over an existing full snapshot).
-  if (prev_snapshot_.empty() && chain_.empty()) {
-    auto prev = ReadFileBytes(base_path_);
-    if (prev.ok()) prev_snapshot_ = std::move(prev).value();
-  }
+  // Out-of-lock: delta against the previous snapshot shadow.
   const std::string delta = EncodeDelta(prev_snapshot_, shadow);
 
   const bool over_length =
       options_.max_delta_chain_length > 0 &&
       chain_.size() + 1 > options_.max_delta_chain_length;
   const bool over_bytes =
-      options_.max_delta_chain_bytes > 0 &&
-      chain_bytes_.load() + delta.size() > options_.max_delta_chain_bytes;
+      chain_bytes_.load() + delta.size() > kMaxDeltaChainBytes;
   // A delta as large as the snapshot itself isn't paying for its link
   // in the recovery chain; fold immediately.
   const bool not_paying = delta.size() >= shadow.size();

@@ -21,14 +21,14 @@
 //     proportional to log length; checkpoints bound it). Every file is
 //     replaced via write-temp-then-rename, so a crash at any instant
 //     leaves a recoverable set.
-//   - Checkpoints are INCREMENTAL by default (delta_checkpoints): the
-//     base is serialized to a memory shadow under a brief writer-lock
-//     hold, then a binary delta against the previous snapshot
-//     (storage/delta.h) is encoded and published OUTSIDE every engine
-//     lock; a second brief hold rotates the WAL and re-logs whatever
-//     appends landed mid-encode. Recovery applies the chain in place
-//     on top of the base, then replays the WAL tail; the chain is
-//     compacted into a fresh full snapshot past a length/bytes budget.
+//   - Checkpoints are INCREMENTAL: the base is serialized to a memory
+//     shadow under a brief writer-lock hold, then a binary delta
+//     against the previous snapshot (storage/delta.h) is encoded and
+//     published OUTSIDE every engine lock; a second brief hold rotates
+//     the WAL and re-logs whatever appends landed mid-encode. Recovery
+//     applies the chain in place on top of the base, then replays the
+//     WAL tail; the chain is compacted into a fresh full snapshot past
+//     a length/bytes budget.
 //     A crash between delta publish and WAL rotation is covered by the
 //     existing sequence-number skip (the old log pairs with the newer
 //     chain); a crash between compaction publish and stale-delta
@@ -86,21 +86,13 @@ struct StorageOptions {
   /// non-OK status — the deterministic way to flip wal_write_failed
   /// (HEALTH readiness) without breaking a real file descriptor.
   std::function<Status()> wal_fault_injection;
-  /// Incremental checkpoints: serialize the base to a memory shadow
-  /// under a BRIEF writer-lock hold, then (outside every engine lock)
-  /// publish a delta against the previous snapshot instead of
-  /// rewriting `<name>.onex`. Recovery becomes base + delta chain +
-  /// WAL tail. Off, checkpoints are the PR-3 full rewrite under the
-  /// writer lock.
-  bool delta_checkpoints = true;
   /// Compact the chain (fold every delta into a fresh full snapshot,
   /// written from the shadow outside the engine lock) once it would
-  /// exceed either bound (0 = unbounded). Bounds recovery and
-  /// follower-bootstrap time.
+  /// hold more deltas than this (0 = unbounded) or more than 64 MiB of
+  /// them. Bounds recovery and follower-bootstrap time.
   uint64_t max_delta_chain_length = 8;
-  uint64_t max_delta_chain_bytes = 64ull << 20;
   /// Leader-side delta garbage collection. 0 (default): artifacts a
-  /// compaction or full rewrite orphans are unlinked immediately (the
+  /// compaction orphans are unlinked immediately (the
   /// historical behavior). > 0: they are RETIRED instead — left on
   /// disk, still servable to a follower mid-FETCH against an older
   /// manifest — and unlinked only once this many seconds have passed
@@ -129,7 +121,7 @@ struct StorageStats {
   /// cannot acknowledge durable appends — the HEALTH verb's readiness
   /// check fails on it so a router drains the node.
   bool wal_write_failed = false;
-  // ---- incremental-checkpoint facts (zero when delta_checkpoints off).
+  // ---- incremental-checkpoint facts.
   uint64_t delta_checkpoints = 0;   ///< Checkpoints published as deltas.
   uint64_t chain_compactions = 0;   ///< Full rewrites folding the chain.
   uint64_t delta_chain_length = 0;  ///< Deltas currently after the base.
@@ -138,7 +130,8 @@ struct StorageStats {
   /// Series covered by base + chain == the live WAL's sequence base.
   uint64_t snapshot_series = 0;
   /// Engine writer-lock hold time of the last checkpoint — the number
-  /// incremental checkpoints exist to shrink (BENCH_delta.json).
+  /// incremental checkpoints exist to shrink (perfbench's
+  /// storage.checkpoint_lock_hold_ms).
   double checkpoint_lock_hold_seconds = 0.0;
   /// Recovery degraded to the last valid chain prefix (corrupt or torn
   /// delta artifact dropped — state may predate the newest checkpoint).
@@ -211,7 +204,7 @@ class DurableEngine : public AppendSink,
   /// are unreadable beyond repair.
   static Result<std::shared_ptr<DurableEngine>> Open(
       const std::string& dir, const std::string& name,
-      const StorageOptions& options = {}, QueryOptions query_options = {});
+      const StorageOptions& options = {});
 
   ~DurableEngine() override;
   DurableEngine(const DurableEngine&) = delete;
@@ -229,11 +222,10 @@ class DurableEngine : public AppendSink,
   /// Group commit: one fsync for the whole batch.
   Status AppendBatch(std::vector<TimeSeries> batch);
 
-  /// Checkpoints the engine, atomically with respect to appends. With
-  /// delta_checkpoints (default) the engine writer lock is held only
-  /// for the in-memory serialization and the WAL rotation — disk I/O,
-  /// fsyncs, and delta encoding run outside it; otherwise this is the
-  /// full rewrite under the lock (queries stall for its duration).
+  /// Checkpoints the engine, atomically with respect to appends. The
+  /// engine writer lock is held only for the in-memory serialization
+  /// and the WAL rotation — disk I/O, fsyncs, and delta encoding run
+  /// outside it.
   Status Checkpoint();
 
   StorageStats stats() const;
@@ -272,13 +264,7 @@ class DurableEngine : public AppendSink,
   void CheckpointerLoop();
   bool OverThreshold() const;
 
-  /// Full-rewrite body (delta_checkpoints off); runs under the engine
-  /// writer lock via Exclusive (an untyped std::function boundary — it
-  /// opens with engine_.mu().AssertHeld(), the analysis-visible form
-  /// of that contract). The caller holds checkpoint_mutex_.
-  Status CheckpointLocked(const OnexBase& base);
-
-  /// Incremental path: brief-lock shadow serialization, out-of-lock
+  /// Checkpoint body: brief-lock shadow serialization, out-of-lock
   /// delta publish (or chain compaction), brief-lock WAL rotation with
   /// mid-encode appends re-logged.
   Status CheckpointIncremental() REQUIRES(checkpoint_mutex_);
@@ -286,14 +272,16 @@ class DurableEngine : public AppendSink,
   /// Phase 2 of the incremental path: rotate the WAL to sequence base
   /// `series` and re-log every engine series at index >= `series`
   /// (appends that landed while the delta was encoding). Runs under
-  /// the engine writer lock via Exclusive.
+  /// the engine writer lock via Exclusive (an untyped std::function
+  /// boundary — it opens with engine_.mu().AssertHeld(), the
+  /// analysis-visible form of that contract).
   Status RotateWalLocked(const OnexBase& base, uint64_t series);
 
   /// Removes every `<base>.onex.delta.<k>` on disk from k = `from` up
-  /// (stale artifacts after a compaction or full rewrite).
+  /// (stale artifacts after a compaction or a re-persist).
   void RemoveDeltaFiles(uint64_t from) const;
 
-  /// Compaction/full-rewrite hand-off for the orphaned chain: unlink
+  /// Compaction hand-off for the orphaned chain: unlink
   /// immediately (grace 0) or move every live link onto the retirement
   /// list with a timestamp. Caller clears chain_ afterwards.
   void RetireChainLocked() REQUIRES(checkpoint_mutex_);
@@ -355,8 +343,7 @@ class DurableEngine : public AppendSink,
   /// Serialized bytes of the last checkpointed state — the encoder's
   /// "old" side. Kept resident so successive deltas never re-read the
   /// chain from disk; one serialized snapshot per durable engine is
-  /// the leader-side price of delta encoding. Empty when
-  /// delta_checkpoints is off.
+  /// the leader-side price of delta encoding. Both factories seed it.
   std::string prev_snapshot_ GUARDED_BY(checkpoint_mutex_);
   /// Live chain description, in apply order (also written pre-share by
   /// the factories).

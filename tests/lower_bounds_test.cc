@@ -105,18 +105,6 @@ TEST_P(LowerBoundSweep, LbKimNeverExceedsDtw) {
   }
 }
 
-TEST_P(LowerBoundSweep, LbKimFlNeverExceedsDtw) {
-  const auto [n, m, seed] = GetParam();
-  if (n < 3 || m < 3) return;
-  Rng rng(seed + 100);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto a = RandomVector(n, &rng);
-    const auto b = RandomVector(m, &rng);
-    const double dtw = DtwDistance(S(a), S(b));
-    EXPECT_LE(LbKimFl(S(a), S(b)), dtw + 1e-9);
-  }
-}
-
 TEST_P(LowerBoundSweep, LbKeoghNeverExceedsBandedDtw) {
   const auto [n, m, seed] = GetParam();
   if (n != m) return;  // LB_Keogh requires equal lengths.
@@ -189,19 +177,6 @@ TEST(LbKeoghTest, CumulativeBoundIsReversedPrefixSum) {
   EXPECT_DOUBLE_EQ(cb[1], 9.0);
   EXPECT_DOUBLE_EQ(cb[3], 4.0);
   EXPECT_DOUBLE_EQ(cb[4], 0.0);
-}
-
-TEST(LbKeoghTest, OrderedVariantMatchesUnordered) {
-  Rng rng(13);
-  const auto a = RandomVector(32, &rng);
-  const auto b = RandomVector(32, &rng);
-  const Envelope env = ComputeEnvelope(S(b), 3);
-  std::vector<size_t> order(a.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = order.size() - 1 - i;
-  const double exact = LbKeogh(S(a), env);
-  EXPECT_NEAR(
-      LbKeoghOrdered(S(a), env, std::span<const size_t>(order), exact + 1.0),
-      exact, 1e-9);
 }
 
 // CB-pruned DTW must stay exact when fed admissible bounds.

@@ -218,9 +218,15 @@ TEST(ProtocolTest, MalformedInputIsRejectedWithMessages) {
       "q3 XL",                   // unknown degree
       "refine 0.1",              // missing length
       "use",                     // missing dataset
+      // Integers past 2^64-1: strtoull saturates them to a real id.
+      "id=99999999999999999999999 q1 any 0.1,0.2",
+      "cancel 99999999999999999999999",
+      "q1k 99999999999999999999999 any 0.1,0.2",
   };
   for (const std::string& line : bad) {
-    auto parsed = ParseRequestLine(line);
+    // With an attrs sink, so a bad attribute is judged on its own merits.
+    RequestAttrs attrs;
+    auto parsed = ParseRequestLine(line, &attrs);
     EXPECT_FALSE(parsed.ok()) << "accepted: '" << line << "'";
     if (!parsed.ok()) {
       EXPECT_EQ(parsed.status().code(), Status::Code::kInvalidArgument);

@@ -126,6 +126,20 @@ TEST(QueryProcessorTest, AnyAtLeastAsGoodAsExactWithoutEarlyStop) {
 
 // --------------------------------------------------- Optimization toggles.
 
+// Every candidate lands in exactly one cascade stage, the LB stages are
+// the representative prunes, and they prune nothing with the cascade off.
+void ExpectCascadeAccounting(const QueryStats& stats,
+                             const QueryOptions& options) {
+  EXPECT_TRUE(stats.cascade.Consistent());
+  EXPECT_GT(stats.cascade.candidates, 0u);
+  EXPECT_EQ(stats.cascade.pruned_kim + stats.cascade.pruned_keogh,
+            stats.reps_pruned);
+  if (!options.use_cascade) {
+    EXPECT_EQ(stats.cascade.pruned_kim, 0u);
+    EXPECT_EQ(stats.cascade.pruned_keogh, 0u);
+  }
+}
+
 TEST(QueryProcessorTest, CascadeTogglesPreserveTheAnswer) {
   OnexBase base = BuildBase(TestDataset(10, 24, 7));
   Rng rng(13);
@@ -145,9 +159,10 @@ TEST(QueryProcessorTest, CascadeTogglesPreserveTheAnswer) {
     QueryProcessor p1(&base, all_on);
     QueryProcessor p2(&base, all_off);
     QueryProcessor p3(&base, no_cascade);
-    auto r1 = p1.FindBestMatchOfLength(S(query), 16);
-    auto r2 = p2.FindBestMatchOfLength(S(query), 16);
-    auto r3 = p3.FindBestMatchOfLength(S(query), 16);
+    QueryStats s1, s2, s3;
+    auto r1 = p1.FindBestMatchOfLength(S(query), 16, &s1);
+    auto r2 = p2.FindBestMatchOfLength(S(query), 16, &s2);
+    auto r3 = p3.FindBestMatchOfLength(S(query), 16, &s3);
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     ASSERT_TRUE(r3.ok());
@@ -155,6 +170,9 @@ TEST(QueryProcessorTest, CascadeTogglesPreserveTheAnswer) {
     // chosen group, so the distances must agree no matter the toggles.
     EXPECT_NEAR(r1.value().distance, r2.value().distance, 1e-9);
     EXPECT_NEAR(r1.value().distance, r3.value().distance, 1e-9);
+    ExpectCascadeAccounting(s1, all_on);
+    ExpectCascadeAccounting(s2, all_off);
+    ExpectCascadeAccounting(s3, no_cascade);
   }
 }
 
@@ -177,6 +195,9 @@ TEST(QueryProcessorTest, PruningReducesWork) {
   // (reps_compared counts non-pruned representative comparisons).
   EXPECT_LE(pruned_stats.reps_compared, plain_stats.reps_compared);
   EXPECT_GT(plain_stats.reps_compared, 0u);
+  ExpectCascadeAccounting(pruned_stats, QueryOptions{});
+  ExpectCascadeAccounting(plain_stats, off);
+  EXPECT_EQ(pruned_stats.cascade.candidates, plain_stats.cascade.candidates);
 }
 
 // ------------------------------------------------- Accuracy vs oracle.
