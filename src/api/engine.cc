@@ -220,8 +220,8 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
             response.payload = RecommendResult{std::move(rows)};
           }
         } else if constexpr (std::is_same_v<T, RefineThresholdRequest>) {
-          ScopedTimer stage(&response.stats.refine_seconds);
-          InflightStageScope live_stage(effective, QueryStage::kRefine);
+          StageScope stage(&response.stats, effective->probe,
+                           QueryStage::kRefine);
           RefineResult refinements;
           auto summarize = [&](size_t length, const GtiEntry& refined) {
             const GtiEntry* before = base_->EntryFor(length);

@@ -296,35 +296,6 @@ class ExecChecker {
   const CascadeStats* observed_cascade_ = nullptr;
 };
 
-/// RAII stage publisher: flips the probe's live stage on entry and
-/// restores the previous one on exit (stages nest — FindAllWithin's
-/// member scans sit inside its group loop). Two relaxed stores at
-/// call/group granularity; placed at the SAME sites as the stage-
-/// seconds ScopedTimers so live stage and post-hoc attribution can
-/// never disagree. No-op when no probe is attached.
-class InflightStageScope {
- public:
-  InflightStageScope(InflightProbe* probe, QueryStage stage)
-      : probe_(probe) {
-    if (probe_ == nullptr) return;
-    prev_ = probe_->CurrentStage();
-    probe_->PublishStage(stage);
-  }
-  InflightStageScope(const ExecChecker& check, QueryStage stage)
-      : InflightStageScope(check.probe(), stage) {}
-  InflightStageScope(const ExecContext* ctx, QueryStage stage)
-      : InflightStageScope(ctx != nullptr ? ctx->probe : nullptr, stage) {}
-  ~InflightStageScope() {
-    if (probe_ != nullptr) probe_->PublishStage(prev_);
-  }
-  InflightStageScope(const InflightStageScope&) = delete;
-  InflightStageScope& operator=(const InflightStageScope&) = delete;
-
- private:
-  InflightProbe* probe_;
-  QueryStage prev_ = QueryStage::kQueued;
-};
-
 }  // namespace onex
 
 #endif  // ONEX_CORE_EXEC_CONTEXT_H_

@@ -33,10 +33,9 @@
 
 namespace onex {
 
-/// Where a query currently is. Published at stage-transition points
-/// (the same ScopedTimer sites that attribute stage seconds), so the
-/// live value and the post-hoc breakdown can never disagree about what
-/// the stages ARE.
+/// Where a query currently is. Published by the StageScope that also
+/// times the stage (core/query_processor.h), so the live value and the
+/// post-hoc breakdown can never disagree about what the stages ARE.
 enum class QueryStage : uint32_t {
   kQueued = 0,      ///< Admitted, waiting for a worker.
   kRepScan = 1,     ///< Scanning group representatives (LB cascade).

@@ -9,7 +9,6 @@
 #include "distance/dtw.h"
 #include "distance/lb_keogh.h"
 #include "distance/lb_kim.h"
-#include "util/timer.h"
 #include "util/trace.h"
 
 namespace onex {
@@ -75,8 +74,7 @@ std::string QueryStats::ToString() const {
 std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
     std::span<const double> query, const GtiEntry& entry, double bsf,
     QueryStats& stats, ExecChecker& check) const {
-  ScopedTimer stage(&stats.rep_scan_seconds);
-  InflightStageScope live_stage(check, QueryStage::kRepScan);
+  StageScope stage(&stats, check.probe(), QueryStage::kRepScan);
   const size_t g = entry.NumGroups();
   const size_t m = query.size();
   const double norm = Norm(m, entry.length);
@@ -148,8 +146,7 @@ QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
                                        uint32_t group_id, double rep_distance,
                                        double bsf, QueryStats& stats,
                                        ExecChecker& check) const {
-  ScopedTimer stage(&stats.member_scan_seconds);
-  InflightStageScope live_stage(check, QueryStage::kMemberScan);
+  StageScope stage(&stats, check.probe(), QueryStage::kMemberScan);
   const LsiEntry& group = entry.groups[group_id];
   const size_t m = query.size();
   const double norm = Norm(m, entry.length);
@@ -206,8 +203,7 @@ QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
 std::vector<std::pair<uint32_t, double>> QueryProcessor::TopRepresentatives(
     std::span<const double> query, const GtiEntry& entry,
     QueryStats& stats, ExecChecker& check) const {
-  ScopedTimer stage(&stats.rep_scan_seconds);
-  InflightStageScope live_stage(check, QueryStage::kRepScan);
+  StageScope stage(&stats, check.probe(), QueryStage::kRepScan);
   const size_t m = query.size();
   const double norm = Norm(m, entry.length);
   const DtwOptions dtw_options = DtwOptions::FromRatio(
@@ -439,8 +435,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
   {
     // Scoped so the ranking time is flushed into `call` before
     // CommitStats copies it out below.
-    ScopedTimer stage(&call.knn_seconds);
-    InflightStageScope live_stage(check, QueryStage::kKnn);
+    StageScope stage(&call, check.probe(), QueryStage::kKnn);
     const size_t size = group.members.size();
     ScoreInBatches(
         query, size,
@@ -570,8 +565,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
         call.reps_compared += count;
         call.cascade.candidates += count;
         call.cascade.dtw_completed += count;
-        ScopedTimer stage(&call.rep_scan_seconds);
-        InflightStageScope live_stage(check, QueryStage::kRepScan);
+        StageScope stage(&call, check.probe(), QueryStage::kRepScan);
         rep_distances =
             ScoreBatch(query, k, count, rep_view, kInf, norm, dtw_options);
       }
@@ -586,8 +580,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
           group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
       if (rep_d <= st / 2.0 && group_radius <= st / 2.0) {
         // Lemma 2: every member of this group is within st of the query.
-        ScopedTimer stage(&call.member_scan_seconds);
-        InflightStageScope live_stage(check, QueryStage::kMemberScan);
+        StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
         call.members_admitted_by_lemma2 += group.members.size();
         const auto admit = [&](size_t i, double d, bool upper_bound) {
           QueryMatch match;
@@ -613,8 +606,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
         }
       } else {
         // Individual scan with early abandoning at the range threshold.
-        ScopedTimer stage(&call.member_scan_seconds);
-        InflightStageScope live_stage(check, QueryStage::kMemberScan);
+        StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
         ScoreInBatches(query, group.members.size(), member_view, st, norm,
                        dtw_options, check, [&](size_t i, double d) {
                          ++call.members_compared;

@@ -21,6 +21,7 @@
 #include "core/query_match.h"
 #include "distance/cascade.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace onex {
 
@@ -69,7 +70,7 @@ struct QueryStats {
   CascadeStats cascade;
 
   /// Stage timings, seconds. Accumulated at call/group granularity
-  /// (one ScopedTimer per representative scan, group scan, or ranking
+  /// (one StageScope per representative scan, group scan, or ranking
   /// loop — never per candidate, so the cost is two clock reads against
   /// microseconds of DTW). queue_wait_seconds is filled by the server
   /// after execution (the processor never sees the queue); envelopes
@@ -80,6 +81,23 @@ struct QueryStats {
   double member_scan_seconds = 0;  ///< Within-group member refinement.
   double knn_seconds = 0;          ///< Exact top-k ranking loop.
   double refine_seconds = 0;       ///< Threshold refine (split/merge).
+
+  /// The stage-seconds field that times `stage`.
+  double& seconds(QueryStage stage) {
+    switch (stage) {
+      case QueryStage::kQueued:
+        return queue_wait_seconds;
+      case QueryStage::kRepScan:
+        return rep_scan_seconds;
+      case QueryStage::kMemberScan:
+        return member_scan_seconds;
+      case QueryStage::kKnn:
+        return knn_seconds;
+      case QueryStage::kRefine:
+        break;
+    }
+    return refine_seconds;
+  }
 
   void Reset() { *this = QueryStats(); }
 
@@ -99,6 +117,35 @@ struct QueryStats {
   }
 
   std::string ToString() const;
+};
+
+/// One query stage, scoped: adds the scope's elapsed seconds to the
+/// stats field of `stage` and publishes `stage` as the probe's live
+/// stage, restoring the previous one on exit (stages nest —
+/// FindAllWithin's member scans sit inside its group loop). Used at
+/// call/group granularity only, so the live stage (INSPECT, watchdog)
+/// and the post-hoc breakdown always name the same stages. The probe
+/// may be nullptr (no visibility asked).
+class StageScope {
+ public:
+  StageScope(QueryStats* stats, InflightProbe* probe, QueryStage stage)
+      : seconds_(&stats->seconds(stage)), probe_(probe) {
+    if (probe_ == nullptr) return;
+    prev_ = probe_->CurrentStage();
+    probe_->PublishStage(stage);
+  }
+  ~StageScope() {
+    *seconds_ += timer_.ElapsedSeconds();
+    if (probe_ != nullptr) probe_->PublishStage(prev_);
+  }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+ private:
+  double* seconds_;
+  InflightProbe* probe_;
+  QueryStage prev_ = QueryStage::kQueued;
+  Timer timer_;
 };
 
 /// Stateless query engine over a built base. Every query method is const

@@ -35,34 +35,6 @@ std::string HeaderString(const std::map<std::string, std::string>& header,
   return it == header.end() ? std::string() : it->second;
 }
 
-/// Re-renders a relayed (write-path) reply block. The header map lost
-/// the original key order, so the known write-verb orders are spelled
-/// out; anything else falls back to map order.
-std::string RenderRelay(const server::WireResponse& reply) {
-  if (!reply.ok) return server::RenderErrorBlock(reply.code, reply.message);
-  std::string out = "OK " + reply.kind;
-  auto emit = [&](const char* key) {
-    auto it = reply.header.find(key);
-    if (it != reply.header.end()) {
-      out += std::string(" ") + key + "=" + it->second;
-    }
-  };
-  if (reply.kind == "Append") {
-    emit("series");
-    emit("total");
-    emit("durable");
-  } else if (reply.kind == "Flush") {
-    emit("dataset");
-  } else {
-    for (const auto& [key, value] : reply.header) {
-      out += " " + key + "=" + value;
-    }
-  }
-  out += "\n";
-  for (const std::string& row : reply.payload) out += row + "\n";
-  return out + ".\n";
-}
-
 }  // namespace
 
 struct Router::Connection final : server::SessionHandler {
@@ -542,7 +514,10 @@ void Router::ForwardWrite(Connection* connection, const std::string& raw_line,
         verb + " to the leader failed: " + reply.status().message())));
     return;
   }
-  session->Send(RenderRelay(reply.value()));
+  // Relayed verbatim: the node's reply grammar stays the node's.
+  std::string block = reply.value().header_line + "\n";
+  for (const std::string& row : reply.value().payload) block += row + "\n";
+  session->Send(block + ".\n");
 }
 
 void Router::CancelOp(const std::shared_ptr<ScatterOp>& op) {

@@ -7,68 +7,10 @@
 namespace onex {
 namespace router {
 
-namespace {
-
-// Local copies of the exposition helpers (the server's live in an
-// anonymous namespace on purpose — the formats below must stay lintable
-// by scripts/check_metrics.sh, which is the real shared contract).
-
-void Preamble(std::string* out, const char* name, const char* type,
-              const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += ' ';
-  *out += type;
-  *out += '\n';
-}
-
-void SimpleCounter(std::string* out, const char* name, const char* help,
-                   uint64_t value) {
-  Preamble(out, name, "counter", help);
-  char line[128];
-  std::snprintf(line, sizeof(line), "%s %llu\n", name,
-                static_cast<unsigned long long>(value));
-  *out += line;
-}
-
-void GaugeLine(std::string* out, const char* name, const char* help,
-               double value) {
-  Preamble(out, name, "gauge", help);
-  char line[128];
-  std::snprintf(line, sizeof(line), "%s %.9g\n", name, value);
-  *out += line;
-}
-
-void HistogramFamily(std::string* out, const char* name, const char* help,
-                     const server::LatencyHistogram& histogram) {
-  Preamble(out, name, "histogram", help);
-  char line[160];
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < server::LatencyHistogram::kBuckets; ++i) {
-    const uint64_t in_bucket = histogram.bucket_count(i);
-    if (in_bucket == 0) continue;
-    cumulative += in_bucket;
-    std::snprintf(line, sizeof(line), "%s_bucket{le=\"%.9g\"} %llu\n", name,
-                  server::LatencyHistogram::UpperBound(i),
-                  static_cast<unsigned long long>(cumulative));
-    *out += line;
-  }
-  std::snprintf(line, sizeof(line), "%s_bucket{le=\"+Inf\"} %llu\n", name,
-                static_cast<unsigned long long>(histogram.count()));
-  *out += line;
-  std::snprintf(line, sizeof(line), "%s_sum %.9g\n", name,
-                histogram.total_seconds());
-  *out += line;
-  std::snprintf(line, sizeof(line), "%s_count %llu\n", name,
-                static_cast<unsigned long long>(histogram.count()));
-  *out += line;
-}
-
-}  // namespace
+using server::HistogramFamily;
+using server::Preamble;
+using server::ProcessFamilies;
+using server::SimpleCounter;
 
 RouterMetrics::RouterMetrics(size_t num_upstreams) {
   MutexLock lock(mutex_);
@@ -187,32 +129,7 @@ std::string RouterMetrics::RenderPrometheus(
     out += line;
   }
 
-  // Process gauges, same family names as the server's so one dashboard
-  // row template fits every hop.
-  const ProcessStats process = SampleProcessStats();
-  GaugeLine(&out, "onex_process_uptime_seconds",
-            "Seconds since process start.", process.uptime_seconds);
-  GaugeLine(&out, "onex_process_resident_memory_bytes",
-            "Resident set size in bytes.",
-            static_cast<double>(process.rss_bytes));
-  GaugeLine(&out, "onex_process_open_fds",
-            "Open file descriptors (-1 when unavailable).",
-            static_cast<double>(process.open_fds));
-  GaugeLine(&out, "onex_process_threads",
-            "Live threads (-1 when unavailable).",
-            static_cast<double>(process.threads));
-  Preamble(&out, "onex_process_cpu_user_seconds_total", "counter",
-           "User-mode CPU seconds consumed.");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_user_seconds_total %.9g\n",
-                process.cpu_user_seconds);
-  out += line;
-  Preamble(&out, "onex_process_cpu_sys_seconds_total", "counter",
-           "Kernel-mode CPU seconds consumed.");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_sys_seconds_total %.9g\n",
-                process.cpu_sys_seconds);
-  out += line;
+  ProcessFamilies(&out, SampleProcessStats());
   return out;
 }
 

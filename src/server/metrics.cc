@@ -219,9 +219,6 @@ std::string ServerMetrics::Render() const {
   return out;
 }
 
-namespace {
-
-/// `# HELP` / `# TYPE` preamble for one metric family.
 void Preamble(std::string* out, const char* name, const char* type,
               const char* help) {
   *out += "# HELP ";
@@ -235,17 +232,13 @@ void Preamble(std::string* out, const char* name, const char* type,
   *out += '\n';
 }
 
-void CounterLine(std::string* out, const char* name, uint64_t value) {
+void SimpleCounter(std::string* out, const char* name, const char* help,
+                   uint64_t value) {
+  Preamble(out, name, "counter", help);
   char line[128];
   std::snprintf(line, sizeof(line), "%s %llu\n", name,
                 static_cast<unsigned long long>(value));
   *out += line;
-}
-
-void SimpleCounter(std::string* out, const char* name, const char* help,
-                   uint64_t value) {
-  Preamble(out, name, "counter", help);
-  CounterLine(out, name, value);
 }
 
 void GaugeLine(std::string* out, const char* name, const char* help,
@@ -256,9 +249,6 @@ void GaugeLine(std::string* out, const char* name, const char* help,
   *out += line;
 }
 
-/// One histogram family: cumulative _bucket lines for non-empty buckets
-/// (a sparse-but-monotonic series is valid exposition format), the
-/// mandatory le="+Inf" bucket, then _sum and _count.
 void HistogramFamily(std::string* out, const char* name, const char* help,
                      const LatencyHistogram& histogram) {
   Preamble(out, name, "histogram", help);
@@ -284,7 +274,32 @@ void HistogramFamily(std::string* out, const char* name, const char* help,
   *out += line;
 }
 
-}  // namespace
+void ProcessFamilies(std::string* out, const ProcessStats& process) {
+  GaugeLine(out, "onex_process_uptime_seconds",
+            "Seconds since process start.", process.uptime_seconds);
+  GaugeLine(out, "onex_process_resident_memory_bytes",
+            "Resident set size in bytes (0 = unreadable).",
+            static_cast<double>(process.rss_bytes));
+  GaugeLine(out, "onex_process_open_fds",
+            "Open file descriptors (-1 = unreadable).",
+            static_cast<double>(process.open_fds));
+  GaugeLine(out, "onex_process_threads",
+            "Kernel threads in the process (-1 = unreadable).",
+            static_cast<double>(process.threads));
+  char line[128];
+  Preamble(out, "onex_process_cpu_user_seconds_total", "counter",
+           "User-mode CPU time consumed (getrusage).");
+  std::snprintf(line, sizeof(line),
+                "onex_process_cpu_user_seconds_total %.9g\n",
+                process.cpu_user_seconds);
+  *out += line;
+  Preamble(out, "onex_process_cpu_sys_seconds_total", "counter",
+           "Kernel-mode CPU time consumed (getrusage).");
+  std::snprintf(line, sizeof(line),
+                "onex_process_cpu_sys_seconds_total %.9g\n",
+                process.cpu_sys_seconds);
+  *out += line;
+}
 
 std::string ServerMetrics::RenderPrometheus(
     const GaugeSnapshot& gauges) const {
@@ -409,69 +424,47 @@ std::string ServerMetrics::RenderPrometheus(
             "Resident engines with unflushed in-memory state.",
             static_cast<double>(gauges.catalog_dirty));
   GaugeLine(&out, "onex_wal_bytes", "Live WAL bytes since last checkpoint.",
-            static_cast<double>(gauges.wal_bytes));
+            static_cast<double>(gauges.storage.wal_bytes));
   GaugeLine(&out, "onex_wal_records",
             "Live WAL records since last checkpoint.",
-            static_cast<double>(gauges.wal_records));
+            static_cast<double>(gauges.storage.wal_records));
   GaugeLine(&out, "onex_checkpoint_age_seconds",
             "Seconds since the last completed checkpoint (-1 = never).",
-            gauges.checkpoint_age_seconds);
+            gauges.storage.checkpoint_age_seconds);
   GaugeLine(&out, "onex_checkpoint_last_duration_seconds",
             "Duration of the last completed checkpoint.",
-            gauges.checkpoint_last_duration_seconds);
+            gauges.storage.checkpoint_last_duration_seconds);
   GaugeLine(&out, "onex_stalled_workers",
             "Workers currently flagged by the stall watchdog.",
             static_cast<double>(gauges.stalled_workers));
   GaugeLine(&out, "onex_wal_write_failed",
             "1 when any durable engine's last WAL write failed.",
-            gauges.wal_write_failed ? 1.0 : 0.0);
+            gauges.storage.wal_write_failed ? 1.0 : 0.0);
 
   // ---- v7 replication gauges (stable family set on every node).
   GaugeLine(&out, "onex_checkpoint_delta_bytes",
             "Bytes of the most recent incremental-checkpoint delta.",
-            static_cast<double>(gauges.checkpoint_delta_bytes));
+            static_cast<double>(gauges.storage.last_delta_bytes));
   GaugeLine(&out, "onex_delta_chain_length",
             "Longest live snapshot delta chain across durable engines.",
-            static_cast<double>(gauges.delta_chain_length));
+            static_cast<double>(gauges.storage.delta_chain_length));
   GaugeLine(&out, "onex_delta_gc_reclaimed_bytes",
             "Bytes of retired checkpoint artifacts unlinked by delta GC.",
-            static_cast<double>(gauges.delta_gc_reclaimed_bytes));
+            static_cast<double>(gauges.storage.gc_reclaimed_bytes));
   GaugeLine(&out, "onex_delta_gc_pending_artifacts",
             "Retired checkpoint artifacts still inside the GC grace "
             "period.",
-            static_cast<double>(gauges.delta_gc_pending_artifacts));
+            static_cast<double>(gauges.storage.gc_pending_artifacts));
   GaugeLine(&out, "onex_replica_lag_seconds",
             "Seconds since the last successful leader sync (-1 = not "
             "following).",
-            gauges.replica_lag_seconds);
+            gauges.replica.lag_seconds);
   GaugeLine(&out, "onex_replica_last_applied_seq",
             "Total series this replica has applied (0 on leaders).",
-            static_cast<double>(gauges.replica_last_applied_seq));
+            static_cast<double>(gauges.replica.last_applied_seq));
 
   // ---- process-level resource gauges (sampled at render time).
-  GaugeLine(&out, "onex_process_uptime_seconds",
-            "Seconds since process start.", gauges.process.uptime_seconds);
-  GaugeLine(&out, "onex_process_resident_memory_bytes",
-            "Resident set size in bytes (0 = unreadable).",
-            static_cast<double>(gauges.process.rss_bytes));
-  GaugeLine(&out, "onex_process_open_fds",
-            "Open file descriptors (-1 = unreadable).",
-            static_cast<double>(gauges.process.open_fds));
-  GaugeLine(&out, "onex_process_threads",
-            "Kernel threads in the process (-1 = unreadable).",
-            static_cast<double>(gauges.process.threads));
-  Preamble(&out, "onex_process_cpu_user_seconds_total", "counter",
-           "User-mode CPU time consumed (getrusage).");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_user_seconds_total %.9g\n",
-                gauges.process.cpu_user_seconds);
-  out += line;
-  Preamble(&out, "onex_process_cpu_sys_seconds_total", "counter",
-           "Kernel-mode CPU time consumed (getrusage).");
-  std::snprintf(line, sizeof(line),
-                "onex_process_cpu_sys_seconds_total %.9g\n",
-                gauges.process.cpu_sys_seconds);
-  out += line;
+  ProcessFamilies(&out, gauges.process);
   return out;
 }
 

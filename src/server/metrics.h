@@ -29,6 +29,7 @@
 
 #include "api/engine.h"
 #include "distance/cascade.h"
+#include "storage/storage.h"
 #include "util/mutex.h"
 #include "util/process_stats.h"
 #include "util/thread_annotations.h"
@@ -69,47 +70,41 @@ class LatencyHistogram {
   double total_seconds_ = 0.0;
 };
 
+/// What a follower's sync loop reports into the serving layer: the
+/// HEALTH replica_lag gate and the onex_replica_* gauges read this
+/// through ServerOptions::replica_status (unset on leaders).
+struct ReplicaStatus {
+  /// Seconds since the last successful sync round against the leader;
+  /// negative = never synced yet (a follower that has not bootstrapped
+  /// is not ready).
+  double lag_seconds = -1.0;
+  /// Total series applied locally (the replica's replication position).
+  uint64_t last_applied_seq = 0;
+};
+
 /// Point-in-time gauges rendered by RenderPrometheus. Assembled by the
 /// SERVER at render time — queue depth under the queue mutex, catalog
 /// and WAL figures from the catalog — never by ServerMetrics itself:
-/// the metrics mutex is a leaf and cannot reach into those locks.
+/// the metrics mutex is a leaf and cannot reach into those locks. The
+/// defaults render as a node that has no durable engine, follows no
+/// leader and could not sample its process.
 struct GaugeSnapshot {
   uint64_t queue_depth = 0;       ///< Jobs admitted, not yet picked up.
   uint64_t workers_busy = 0;      ///< Workers executing a job right now.
   uint64_t workers_total = 0;     ///< Worker pool size.
   uint64_t catalog_resident = 0;  ///< Engines resident in memory.
   uint64_t catalog_dirty = 0;     ///< Resident engines with unflushed state.
-  uint64_t wal_bytes = 0;         ///< Live WAL bytes since last checkpoint.
-  uint64_t wal_records = 0;       ///< Live WAL records since last checkpoint.
-  /// Seconds since the most recent completed checkpoint across all
-  /// durable engines; negative when none has ever completed.
-  double checkpoint_age_seconds = -1.0;
-  double checkpoint_last_duration_seconds = 0.0;
   /// Workers the stall watchdog currently flags (running past
   /// max(3x deadline budget, --stall-ms)). Cleared as stalled jobs
   /// finish; the cumulative count is onex_watchdog_stalls_total.
   uint64_t stalled_workers = 0;
-  /// True when any durable engine's last WAL write failed and has not
-  /// succeeded since (the HEALTH readiness gate; surfaced here so
-  /// dashboards see it without a wire probe).
-  bool wal_write_failed = false;
-  /// v7 replication gauges, always emitted so dashboards and the
-  /// metrics lint see one stable family set on leaders and followers
-  /// alike. Leader side: bytes of the largest most-recent incremental
-  /// checkpoint delta and the longest live delta chain across durable
-  /// engines (both 0 before the first delta checkpoint).
-  uint64_t checkpoint_delta_bytes = 0;
-  uint64_t delta_chain_length = 0;
-  /// v8 delta GC: cumulative bytes of retired checkpoint artifacts
-  /// unlinked after the grace period, and retired files still waiting
-  /// inside it (both 0 when GC is off).
-  uint64_t delta_gc_reclaimed_bytes = 0;
-  uint64_t delta_gc_pending_artifacts = 0;
-  /// Follower side: seconds since the last successful leader sync
-  /// (negative = not following / never synced) and total series the
-  /// replica has applied (0 on leaders).
-  double replica_lag_seconds = -1.0;
-  uint64_t replica_last_applied_seq = 0;
+  /// Durable-engine facts merged across the catalog (Catalog::
+  /// DurableStats): live WAL size, checkpoint age and duration, the
+  /// sticky WAL-write failure, the newest delta and longest chain, and
+  /// delta-GC progress.
+  storage::StorageStats storage;
+  /// Follower position (lag -1 = not following / never synced).
+  ReplicaStatus replica;
   /// Process-level resource gauges, sampled by the server at render
   /// time (one /proc read per METRICS call).
   ProcessStats process;
@@ -223,6 +218,28 @@ class ServerMetrics {
   /// QueryStats roll up here).
   CascadeStats cascade_ GUARDED_BY(mutex_);
 };
+
+// ---- Prometheus text-exposition helpers. The node's and the router's
+// renderers both write through these, so the two exposition surfaces
+// cannot drift apart in format (scripts/check_metrics.sh lints both).
+
+/// `# HELP` / `# TYPE` preamble for one metric family.
+void Preamble(std::string* out, const char* name, const char* type,
+              const char* help);
+/// A counter family with one unlabelled sample.
+void SimpleCounter(std::string* out, const char* name, const char* help,
+                   uint64_t value);
+/// A gauge family with one unlabelled sample.
+void GaugeLine(std::string* out, const char* name, const char* help,
+               double value);
+/// One histogram family: cumulative _bucket lines for non-empty buckets
+/// (a sparse-but-monotonic series is valid exposition format), the
+/// mandatory le="+Inf" bucket, then _sum and _count.
+void HistogramFamily(std::string* out, const char* name, const char* help,
+                     const LatencyHistogram& histogram);
+/// The onex_process_* families every process kind exposes, under the
+/// same names, so one dashboard row template fits every hop.
+void ProcessFamilies(std::string* out, const ProcessStats& process);
 
 }  // namespace server
 }  // namespace onex

@@ -922,6 +922,7 @@ Result<WireResponse> ParseResponseBlock(
   if (lines.empty()) return Status::InvalidArgument("empty reply block");
   WireResponse response;
   const std::string& header = lines[0];
+  response.header_line = header;
   const auto tokens = Tokenize(header);
   if (tokens.empty()) return Status::InvalidArgument("blank reply header");
   if (tokens[0] == "OK" || tokens[0] == "PART") {

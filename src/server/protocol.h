@@ -347,6 +347,9 @@ const char* WireCode(Status::Code code);
 
 /// A reply block as seen by a client, split back into its parts.
 struct WireResponse {
+  /// The header line verbatim (no newline), for relaying the block
+  /// unchanged.
+  std::string header_line;
   bool ok = false;
   /// v3: a PART progressive frame (ok is also true). Final replies have
   /// part == false.

@@ -41,9 +41,11 @@ constexpr auto kDeadlineLessRankBudget = std::chrono::milliseconds(500);
 /// OVERLOADED, so a router can drain the node while it still answers.
 constexpr double kReadyQueueRatio = 0.8;
 
-}  // namespace
-
-namespace {
+int64_t SteadyNanos(std::chrono::steady_clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             t.time_since_epoch())
+      .count();
+}
 
 /// Batches a tagged query's typed progress events into the PART frame
 /// variant matching their shape (match / GROUP / REC). Called from the
@@ -197,9 +199,8 @@ bool Server::Submit(Job job) {
     if (!draining_) {
       job.seq = ++job_seq_;
       job.admitted = std::chrono::steady_clock::now();
-      job.rank = job.deadline.has_value()
-                     ? *job.deadline
-                     : job.admitted + kDeadlineLessRankBudget;
+      job.rank = job.ctx.deadline.value_or(job.admitted +
+                                           kDeadlineLessRankBudget);
       if (queue_.size() >= options_.max_queue) {
         const auto now = std::chrono::steady_clock::now();
         // Shed 1: queued queries that can no longer meet their deadline
@@ -207,7 +208,7 @@ bool Server::Submit(Job job) {
         // complete them as DEADLINE_EXCEEDED right here and reuse their
         // slots.
         for (auto it = queue_.begin(); it != queue_.end();) {
-          if (it->deadline.has_value() && now >= *it->deadline) {
+          if (it->ctx.deadline.has_value() && now >= *it->ctx.deadline) {
             expired.push_back(std::move(*it));
             it = queue_.erase(it);
           } else {
@@ -217,19 +218,22 @@ bool Server::Submit(Job job) {
         // Shed 2: cancel the OLDEST running query whose deadline has
         // passed; its worker notices within one check period and frees
         // up. The new job is admitted one-over-bound on that promise
-        // (bounded by num_workers extra entries).
+        // (bounded by num_workers extra entries). The victim keeps its
+        // slot — it still runs until the worker notices — but the shed
+        // latch buys exactly one admission per victim.
         if (queue_.size() >= options_.max_queue) {
           RunningJob* oldest = nullptr;
           for (RunningJob& running : running_) {
-            if (!running.active || !running.deadline.has_value()) continue;
-            if (now < *running.deadline) continue;
-            if (oldest == nullptr || running.seq < oldest->seq) {
+            if (running.job == nullptr || running.shed) continue;
+            const auto& deadline = running.job->ctx.deadline;
+            if (!deadline.has_value() || now < *deadline) continue;
+            if (oldest == nullptr || running.job->seq < oldest->job->seq) {
               oldest = &running;
             }
           }
           if (oldest != nullptr) {
-            oldest->token.Cancel();
-            oldest->active = false;  // One admission per shed victim.
+            oldest->job->ctx.cancel.Cancel();
+            oldest->shed = true;
             accepted = true;
           }
         }
@@ -281,34 +285,17 @@ void Server::WorkerLoop(size_t index) {
       queue_.erase(best);
       // Claim an in-flight registry slot before the job becomes
       // visible as running: INSPECT, the watchdog, and the crash
-      // recorder all read the probe, never the Job. Claim is a
-      // lock-free CAS scan, safe under queue_mutex_.
+      // recorder read the live stage and counters from the probe. Claim
+      // is a lock-free CAS scan, safe under queue_mutex_.
       const auto started = std::chrono::steady_clock::now();
-      int64_t deadline_ns = -1;
-      if (job.deadline.has_value()) {
-        deadline_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          job.deadline->time_since_epoch())
-                          .count();
-      }
       claim = InflightClaim(
           this, job.wire_id, static_cast<uint64_t>(job.session_fd),
-          static_cast<uint32_t>(job.kind), job.dataset,
-          static_cast<uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  started.time_since_epoch())
-                  .count()),
-          deadline_ns);
-      RunningJob& slot = running_[index];
-      slot.active = true;
-      slot.deadline = job.deadline;
-      slot.token = job.ctx != nullptr ? job.ctx->cancel : CancelToken{};
-      slot.seq = job.seq;
-      slot.started = started;
-      slot.admitted = job.admitted;
-      slot.wire_id = job.wire_id;
-      slot.kind = job.kind;
-      slot.stalled = false;
-      slot.probe = claim.probe();
+          static_cast<uint32_t>(KindOf(job.request)), job.dataset,
+          static_cast<uint64_t>(SteadyNanos(started)),
+          job.ctx.deadline.has_value() ? SteadyNanos(*job.ctx.deadline)
+                                       : -1);
+      job.ctx.probe = claim.probe();
+      running_[index] = RunningJob{.job = &job, .started = started};
     }
     if (options_.on_job_start) options_.on_job_start();
     // How long the job sat between admission and this worker picking it
@@ -320,29 +307,22 @@ void Server::WorkerLoop(size_t index) {
             .count();
     Result<QueryResponse> result = [&]() -> Result<QueryResponse> {
       ONEX_TRACE_SPAN("server.execute");
-      // The probe rides into Execute through a context copy: Execute
-      // copies its context wholesale anyway, so the pointer reaches
-      // the checker's publish path for free.
-      ExecContext exec_ctx = job.ctx != nullptr ? *job.ctx : ExecContext{};
-      exec_ctx.probe = claim.probe();
-      return job.engine->Execute(job.request, exec_ctx);
+      return job.engine->Execute(job.request, job.ctx);
     }();
     if (result.ok()) result.value().stats.queue_wait_seconds = queue_wait;
     {
+      // Clear the slot BEFORE the claim releases the probe and before
+      // the job leaves this stack frame — the shedder, the watchdog and
+      // INSPECT dereference both under this same mutex.
       MutexLock lock(queue_mutex_);
-      RunningJob& slot = running_[index];
-      slot.active = false;
-      slot.stalled = false;
-      // Forget the probe BEFORE the claim releases it — the watchdog
-      // dereferences running_[i].probe under this same mutex.
-      slot.probe = nullptr;
+      running_[index] = RunningJob{};
     }
     claim = InflightClaim();
     // A completion past the job's own deadline is a miss whether or not
     // the context interrupted it (a query can squeak past its last
     // check and finish whole, yet still be late).
-    if (job.deadline.has_value() &&
-        std::chrono::steady_clock::now() > *job.deadline) {
+    if (job.ctx.deadline.has_value() &&
+        std::chrono::steady_clock::now() > *job.ctx.deadline) {
       metrics_.RecordDeadlineMiss();
     }
     job.done(std::move(result));
@@ -367,30 +347,31 @@ void Server::WatchdogLoop() {
     {
       MutexLock lock(queue_mutex_);
       for (RunningJob& slot : running_) {
-        if (!slot.active || slot.stalled) continue;
+        if (slot.job == nullptr || slot.stalled) continue;
+        const Job& job = *slot.job;
         // Stall budget: 3x the job's own deadline budget when it has
         // one, floored at --stall-ms; deadline-less jobs get the
         // floor alone.
         std::chrono::steady_clock::duration threshold =
             std::chrono::milliseconds(options_.stall_ms);
-        if (slot.deadline.has_value()) {
-          const auto deadline_budget = (*slot.deadline - slot.admitted) * 3;
+        if (job.ctx.deadline.has_value()) {
+          const auto deadline_budget = (*job.ctx.deadline - job.admitted) * 3;
           if (deadline_budget > threshold) threshold = deadline_budget;
         }
         const auto elapsed = now - slot.started;
         if (elapsed <= threshold) continue;
         slot.stalled = true;  // Flag (and count) each job once.
         InflightRow row;
-        if (slot.probe != nullptr) {
-          slot.probe->stalled.store(1, std::memory_order_relaxed);
-          row = DecodeProbe(*slot.probe);
-        } else {  // Registry saturated: name what the slot knows.
-          row.id = slot.wire_id;
-          row.kind = static_cast<uint32_t>(slot.kind);
+        if (job.ctx.probe != nullptr) {
+          job.ctx.probe->stalled.store(1, std::memory_order_relaxed);
+          row = DecodeProbe(*job.ctx.probe);
+        } else {  // Registry saturated: name what the job knows.
+          row.id = job.wire_id;
+          row.kind = static_cast<uint32_t>(KindOf(job.request));
         }
         flagged.push_back(std::move(row));
         flagged_meta.emplace_back(
-            slot.seq,
+            job.seq,
             std::chrono::duration<double, std::milli>(elapsed).count());
       }
     }
@@ -415,11 +396,20 @@ void Server::WatchdogLoop() {
   }
 }
 
+Server::WorkerGauges Server::ScanWorkers() const {
+  WorkerGauges gauges;
+  gauges.queue_depth = queue_.size();
+  for (const RunningJob& running : running_) {
+    if (running.job == nullptr) continue;
+    ++gauges.busy;
+    if (running.stalled) ++gauges.stalled;
+  }
+  return gauges;
+}
+
 std::string Server::RenderInspect() {
   const auto now = std::chrono::steady_clock::now();
-  const int64_t now_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             now.time_since_epoch())
-                             .count();
+  const int64_t now_ns = SteadyNanos(now);
 
   // Live rows come from the registry (filtered to this server), not
   // from running_: the probe mirror carries the stage and cascade
@@ -437,32 +427,25 @@ std::string Server::RenderInspect() {
     int64_t deadline_remaining_us = 0;
   };
   std::vector<QueuedRow> queued;
-  uint64_t workers_busy = 0;
-  uint64_t stalled_workers = 0;
-  size_t queue_depth = 0;
+  WorkerGauges workers;
   {
     MutexLock lock(queue_mutex_);
-    queue_depth = queue_.size();
-    for (const RunningJob& running : running_) {
-      if (!running.active) continue;
-      ++workers_busy;
-      if (running.stalled) ++stalled_workers;
-    }
+    workers = ScanWorkers();
     queued.reserve(queue_.size());
     for (const Job& job : queue_) {
       QueuedRow row;
       row.seq = job.seq;
       row.wire_id = job.wire_id;
-      row.kind = job.kind;
+      row.kind = KindOf(job.request);
       row.dataset = job.dataset;
       row.waited_us = std::chrono::duration_cast<std::chrono::microseconds>(
                           now - job.admitted)
                           .count();
-      if (job.deadline.has_value()) {
+      if (job.ctx.deadline.has_value()) {
         row.has_deadline = true;
         row.deadline_remaining_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
-                *job.deadline - now)
+                *job.ctx.deadline - now)
                 .count();
       }
       queued.push_back(std::move(row));
@@ -473,11 +456,11 @@ std::string Server::RenderInspect() {
 
   std::string reply =
       "OK Inspect queries=" + std::to_string(live.size()) +
-      " queue_depth=" + std::to_string(queue_depth) +
-      " workers_busy=" + std::to_string(workers_busy) +
+      " queue_depth=" + std::to_string(workers.queue_depth) +
+      " workers_busy=" + std::to_string(workers.busy) +
       " workers_total=" + std::to_string(options_.num_workers) +
       " sessions=" + std::to_string(fds.size()) +
-      " stalled_workers=" + std::to_string(stalled_workers) + "\n";
+      " stalled_workers=" + std::to_string(workers.stalled) + "\n";
   for (const InflightRow& row : live) {
     const int64_t elapsed_us =
         (now_ns - static_cast<int64_t>(row.start_ns)) / 1000;
@@ -520,14 +503,10 @@ std::string Server::RenderInspect() {
 
 std::string Server::RenderHealth() {
   const storage::StorageStats durable = catalog_->DurableStats();
-  size_t queue_depth = 0;
-  uint64_t stalled_workers = 0;
+  WorkerGauges workers;
   {
     MutexLock lock(queue_mutex_);
-    queue_depth = queue_.size();
-    for (const RunningJob& running : running_) {
-      if (running.active && running.stalled) ++stalled_workers;
-    }
+    workers = ScanWorkers();
   }
   const bool wal_ok = !durable.wal_write_failed;
   // A server that never checkpointed (age < 0) is not stale, just
@@ -539,8 +518,8 @@ std::string Server::RenderHealth() {
   const auto degrade_at = static_cast<size_t>(
       std::max(1.0, kReadyQueueRatio *
                         static_cast<double>(options_.max_queue)));
-  const bool queue_ok = queue_depth < degrade_at;
-  const bool workers_ok = stalled_workers == 0;
+  const bool queue_ok = workers.queue_depth < degrade_at;
+  const bool workers_ok = workers.stalled == 0;
   // v7 follower gate: a replica that never synced is not ready (it
   // would serve an empty or stale bootstrap), and one whose lag blew
   // the budget should be drained by the router until it catches up.
@@ -569,11 +548,11 @@ std::string Server::RenderHealth() {
            (age_ok ? "1" : "0") + " age_s=" + age + " budget_s=" + budget +
            "\n";
   reply += std::string("check name=queue ok=") + (queue_ok ? "1" : "0") +
-           " depth=" + std::to_string(queue_depth) +
+           " depth=" + std::to_string(workers.queue_depth) +
            " degrade_at=" + std::to_string(degrade_at) +
            " shed_at=" + std::to_string(options_.max_queue) + "\n";
   reply += std::string("check name=workers ok=") + (workers_ok ? "1" : "0") +
-           " stalled=" + std::to_string(stalled_workers) + "\n";
+           " stalled=" + std::to_string(workers.stalled) + "\n";
   if (is_replica) {
     char lag[64];
     std::snprintf(lag, sizeof(lag), "%.3f", replica.lag_seconds);
@@ -785,35 +764,18 @@ void Server::HandleRequest(Connection* connection, const Request& request,
         GaugeSnapshot gauges;
         {
           MutexLock lock(queue_mutex_);
-          gauges.queue_depth = queue_.size();
-          for (const RunningJob& running : running_) {
-            if (running.active) {
-              ++gauges.workers_busy;
-              if (running.stalled) ++gauges.stalled_workers;
-            }
-          }
+          const WorkerGauges workers = ScanWorkers();
+          gauges.queue_depth = workers.queue_depth;
+          gauges.workers_busy = workers.busy;
+          gauges.stalled_workers = workers.stalled;
         }
         gauges.workers_total = options_.num_workers;
         for (const CatalogEntryInfo& row : catalog_->List()) {
           if (row.resident) ++gauges.catalog_resident;
           if (row.dirty) ++gauges.catalog_dirty;
         }
-        const storage::StorageStats durable = catalog_->DurableStats();
-        gauges.wal_bytes = durable.wal_bytes;
-        gauges.wal_records = durable.wal_records;
-        gauges.checkpoint_age_seconds = durable.checkpoint_age_seconds;
-        gauges.checkpoint_last_duration_seconds =
-            durable.checkpoint_last_duration_seconds;
-        gauges.wal_write_failed = durable.wal_write_failed;
-        gauges.checkpoint_delta_bytes = durable.last_delta_bytes;
-        gauges.delta_chain_length = durable.delta_chain_length;
-        gauges.delta_gc_reclaimed_bytes = durable.gc_reclaimed_bytes;
-        gauges.delta_gc_pending_artifacts = durable.gc_pending_artifacts;
-        if (options_.replica_status) {
-          const ReplicaStatus replica = options_.replica_status();
-          gauges.replica_lag_seconds = replica.lag_seconds;
-          gauges.replica_last_applied_seq = replica.last_applied_seq;
-        }
+        gauges.storage = catalog_->DurableStats();
+        if (options_.replica_status) gauges.replica = options_.replica_status();
         gauges.process = SampleProcessStats();
         session->Send("OK Metrics\n" + metrics_.RenderPrometheus(gauges) +
                       ".\n");
@@ -922,84 +884,58 @@ void Server::HandleRequest(Connection* connection, const Request& request,
     return;
   }
 
-  // Shared context plumbing for both paths.
-  std::shared_ptr<ExecContext> ctx;
-  if (attrs.any()) {
-    ctx = std::make_shared<ExecContext>();
-    if (attrs.deadline_ms != 0) {
-      ctx->deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(attrs.deadline_ms);
-    }
+  Job job;
+  job.request = query;
+  job.engine = std::move(query_engine);
+  if (attrs.deadline_ms != 0) {
+    job.ctx.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(attrs.deadline_ms);
   }
-
+  job.wire_id = attrs.id;
+  job.session_fd = session->fd();
+  job.dataset = std::move(query_dataset);
+  // v3 multiplexed query: register the id (its cancel trips the job's
+  // token) and stream PART frames when asked; the session thread keeps
+  // reading. An untagged query holds the session until it is answered.
+  std::shared_ptr<std::promise<void>> answered;
   if (attrs.id != 0) {
-    // ---- v3 multiplexed query: register, submit, keep reading.
     if (!session->Track(attrs.id,
-                        [cancel = ctx->cancel] { cancel.Cancel(); })) {
+                        [cancel = job.ctx.cancel] { cancel.Cancel(); })) {
       metrics_.RecordBadRequest();
       return;
     }
     if (attrs.progress) {
-      auto streamer = std::make_shared<PartStreamer>(
-          session, KindOf(query), attrs.id);
-      ctx->progress = [streamer](const ProgressEvent& event) {
+      auto streamer =
+          std::make_shared<PartStreamer>(session, KindOf(query), attrs.id);
+      job.ctx.progress = [streamer](const ProgressEvent& event) {
         streamer->OnEvent(event);
       };
     }
-    Job job;
-    job.request = query;
-    job.engine = query_engine;
-    job.ctx = ctx;
-    job.deadline = ctx->deadline;
-    job.wire_id = attrs.id;
-    job.session_fd = session->fd();
-    job.dataset = query_dataset;
-    job.kind = KindOf(query);
-    job.done = [this, session, id = attrs.id, trace = attrs.trace,
-                dataset = query_dataset, kind = KindOf(query),
-                latency = Timer()](Result<QueryResponse> result) {
-      RecordOutcome(kind, dataset, latency.ElapsedSeconds(), result);
-      session->Send(result.ok() ? RenderResponse(result.value(), id, trace)
-                                : RenderError(result.status(), id));
-      session->Untrack(id);
-    };
-    if (!Submit(std::move(job))) {
-      metrics_.RecordOverloaded();
-      session->Untrack(attrs.id);
-      session->Send(RenderErrorBlock(
-          kOverloadedCode, "request queue is full — retry", attrs.id));
-    }
-    return;
+  } else {
+    answered = std::make_shared<std::promise<void>>();
   }
-
-  // ---- untagged (v2, possibly deadline-bounded): block for the
-  // reply so per-connection ordering holds.
-  Timer latency;
-  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
-  std::future<Result<QueryResponse>> reply = promise->get_future();
-  Job job;
-  job.request = query;
-  job.engine = query_engine;
-  job.ctx = ctx;
-  job.deadline = ctx != nullptr ? ctx->deadline : std::nullopt;
-  job.session_fd = session->fd();
-  job.dataset = query_dataset;
-  job.kind = KindOf(query);
-  job.done = [promise](Result<QueryResponse> result) {
-    promise->set_value(std::move(result));
+  std::future<void> reply =
+      answered != nullptr ? answered->get_future() : std::future<void>();
+  job.done = [this, session, id = attrs.id, trace = attrs.trace,
+              dataset = job.dataset, kind = KindOf(query), answered,
+              latency = Timer()](Result<QueryResponse> result) {
+    RecordOutcome(kind, dataset, latency.ElapsedSeconds(), result);
+    session->Send(result.ok() ? RenderResponse(result.value(), id, trace)
+                              : RenderError(result.status(), id));
+    if (answered != nullptr) {
+      answered->set_value();
+    } else {
+      session->Untrack(id);
+    }
   };
   if (!Submit(std::move(job))) {
     metrics_.RecordOverloaded();
+    if (attrs.id != 0) session->Untrack(attrs.id);
     session->Send(RenderErrorBlock(kOverloadedCode,
-                                   "request queue is full — retry"));
+                                   "request queue is full — retry", attrs.id));
     return;
   }
-  Result<QueryResponse> result = reply.get();
-  RecordOutcome(KindOf(query), query_dataset, latency.ElapsedSeconds(),
-                result);
-  session->Send(result.ok()
-                    ? RenderResponse(result.value(), 0, attrs.trace)
-                    : RenderError(result.status()));
+  if (reply.valid()) reply.wait();
 }
 
 void Server::Stop() {

@@ -21,23 +21,27 @@
 //                                         threads run Engine::Execute,
 //                                         the only CPU-heavy work
 //
-// UNTAGGED (v2) queries: the session thread blocks on its job's future
-// and writes the reply itself, so replies stay strictly ordered per
-// connection. TAGGED (v3, `id=<n>`) queries multiplex: the session
-// thread enters the job in the in-flight table (its cancel action
-// trips the job's CancelToken), submits it and returns to reading,
-// while the worker that finishes the job writes its reply (and any
-// PART progress frames) directly and then removes the entry. Workers
-// dispatch EARLIEST-DEADLINE-FIRST: the queued job with the nearest
-// DEADLINE_MS runs next, and deadline-less jobs rank by admission time
-// plus a fixed implicit budget — an aging rank, so they yield briefly
-// to urgent work but can never be starved. This cuts deadline-miss
-// rates under load — watch the `deadline_miss` STATS counter. The
-// worker pool caps CPU concurrency at `num_workers` no matter how many
-// sessions are connected, and the queue bound converts overload into
-// shedding: first, queued jobs whose DEADLINE_MS already passed are
-// completed with DEADLINE_EXCEEDED; then the oldest over-deadline
-// RUNNING query is cancelled to free its worker; only when neither
+// Each query is ONE Job from admission to reply: the queue holds it,
+// then the worker running it keeps it on its stack behind a RunningJob
+// slot that the shedder, the watchdog and INSPECT read. The worker that
+// finishes the job records its outcome and writes its reply (and any
+// PART progress frames) through the job's one completion. UNTAGGED
+// (v2) queries: the session thread waits for that completion before
+// reading on, so replies stay strictly ordered per connection. TAGGED
+// (v3, `id=<n>`) queries multiplex: the session thread enters the job
+// in the in-flight table (its cancel action trips the job's
+// CancelToken), submits it and returns to reading; the completion
+// removes the entry. Workers dispatch EARLIEST-DEADLINE-FIRST: the
+// queued job with the nearest DEADLINE_MS runs next, and deadline-less
+// jobs rank by admission time plus a fixed implicit budget — an aging
+// rank, so they yield briefly to urgent work but can never be starved.
+// This cuts deadline-miss rates under load — watch the `deadline_miss`
+// STATS counter. The worker pool caps CPU concurrency at `num_workers`
+// no matter how many sessions are connected, and the queue bound
+// converts overload into shedding: first, queued jobs whose
+// DEADLINE_MS already passed are completed with DEADLINE_EXCEEDED;
+// then the oldest over-deadline RUNNING query is cancelled to free its
+// worker (it stays busy until the worker notices); only when neither
 // applies does the new query get `ERR OVERLOADED`.
 //
 // Shutdown: Stop() runs the host's sequence with the node's drain —
@@ -53,7 +57,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,18 +72,6 @@
 
 namespace onex {
 namespace server {
-
-/// What a follower's sync loop reports into the serving layer: the
-/// HEALTH replica_lag gate and the onex_replica_* gauges read this
-/// through ServerOptions::replica_status (unset on leaders).
-struct ReplicaStatus {
-  /// Seconds since the last successful sync round against the leader;
-  /// negative = never synced yet (a follower that has not bootstrapped
-  /// is not ready).
-  double lag_seconds = -1.0;
-  /// Total series applied locally (the replica's replication position).
-  uint64_t last_applied_seq = 0;
-};
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -157,16 +148,18 @@ class Server {
   /// server.cc; hands every request to HandleRequest.
   struct Connection;
 
-  /// One queued query: the session's resolved engine travels with the
-  /// job, so a catalog eviction mid-flight cannot invalidate it.
+  /// One admitted query, from admission to reply: the queue holds it
+  /// while it waits, then the worker that runs it keeps it on its stack
+  /// and points its RunningJob slot at it. The session's resolved
+  /// engine travels with the job, so a catalog eviction mid-flight
+  /// cannot invalidate it.
   struct Job {
     QueryRequest request;
     std::shared_ptr<const Engine> engine;
-    /// Execution context (deadline / cancel token / progress sink);
-    /// nullptr = context-free v2 path, which pays no checking overhead.
-    std::shared_ptr<const ExecContext> ctx;
-    /// Mirror of ctx->deadline, read by the queue-shed sweep.
-    std::optional<std::chrono::steady_clock::time_point> deadline;
+    /// Deadline, cancel token (the session's cancel action trips it)
+    /// and, for `progress=1` queries, the PART-frame sink. The worker
+    /// sets its in-flight probe right before Execute.
+    ExecContext ctx;
     /// EDF dispatch rank, set at admission: the real deadline, or
     /// admission time + kDeadlineLessRankBudget for deadline-less jobs
     /// — an implicit urgency that AGES, so a deadline-less job is
@@ -180,38 +173,46 @@ class Server {
     /// query's queue_wait stage timing (and the queue-wait histogram).
     std::chrono::steady_clock::time_point admitted;
     /// Introspection identity (v6): the wire id (0 = untagged), the
-    /// owning session's fd, the bound dataset, and the query kind
-    /// travel with the job so INSPECT and the watchdog can name it.
+    /// owning session's fd and the dataset, so INSPECT and the watchdog
+    /// can name the job.
     uint64_t wire_id = 0;
     int session_fd = -1;
     std::string dataset;
-    QueryKind kind = QueryKind::kBestMatch;
-    /// Completion: fulfils the session thread's future (untagged) or
-    /// renders and writes the tagged reply. Runs on the worker that
-    /// executed the job, or inline in Submit for queue-swept sheds.
+    /// Completion: records the outcome, writes the reply and releases
+    /// the wire id (an untagged session thread waits for it to run).
+    /// Runs on the worker that executed the job, or inline in Submit
+    /// for queue-swept sheds.
     std::function<void(Result<QueryResponse>)> done;
   };
 
   /// What one worker is executing right now (guarded by queue_mutex_),
-  /// so an overloaded Submit can cancel the oldest over-deadline query
-  /// and the stall watchdog can flag jobs running past their budget.
+  /// so an overloaded Submit can cancel the oldest over-deadline query,
+  /// the stall watchdog can flag jobs running past their budget, and
+  /// INSPECT / HEALTH / METRICS can count busy workers.
   struct RunningJob {
-    bool active = false;
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-    CancelToken token;
-    uint64_t seq = 0;
+    /// The worker's job, or nullptr when idle. The job, and the
+    /// registry probe its context points at, live until the worker
+    /// clears the slot under queue_mutex_.
+    const Job* job = nullptr;
     /// When the worker picked the job up (stall clock starts here, not
     /// at admission — queue wait is the queue's fault, not the job's).
     std::chrono::steady_clock::time_point started;
-    std::chrono::steady_clock::time_point admitted;
-    uint64_t wire_id = 0;
-    QueryKind kind = QueryKind::kBestMatch;
     /// Watchdog latch: each stalled job is flagged (and counted) once.
     bool stalled = false;
-    /// The job's registry slot, for the watchdog to set the probe's
-    /// stalled flag. Nulled (under queue_mutex_) before release.
-    InflightProbe* probe = nullptr;
+    /// Shed latch: the overload shedder already cancelled this job to
+    /// admit one more, so it buys no second admission. The job still
+    /// runs (and counts as busy) until its worker notices the cancel.
+    bool shed = false;
   };
+
+  /// Queue depth and busy / stalled worker counts: the one scan behind
+  /// INSPECT, HEALTH and METRICS.
+  struct WorkerGauges {
+    size_t queue_depth = 0;
+    uint64_t busy = 0;
+    uint64_t stalled = 0;
+  };
+  WorkerGauges ScanWorkers() const REQUIRES(queue_mutex_);
 
   Server(ServerOptions options, std::shared_ptr<Catalog> catalog);
 

@@ -40,22 +40,6 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Adds the scope's elapsed seconds into `*sink` on destruction. The
-/// per-stage query timings (QueryStats) are accumulated with this: two
-/// clock reads per scope, used at call/group granularity only — never
-/// per candidate.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(double* sink) : sink_(sink) {}
-  ~ScopedTimer() { *sink_ += timer_.ElapsedSeconds(); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  double* sink_;
-  Timer timer_;
-};
-
 }  // namespace onex
 
 #endif  // ONEX_UTIL_TIMER_H_

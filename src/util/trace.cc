@@ -60,13 +60,12 @@ void PushRingList(Ring* ring) {
       head, ring, std::memory_order_release, std::memory_order_relaxed));
 }
 
-/// Registry of every ring and counter ever created. Rings are never
+/// Registry of every ring ever created. Rings are never
 /// destroyed (threads exit; their events must not), so raw pointers
 /// handed to thread-locals stay valid for the process lifetime.
 struct Registry {
   Mutex mutex{LockRank::kLeaf, "trace.registry"};
   std::vector<std::unique_ptr<Ring>> rings GUARDED_BY(mutex);
-  std::vector<Counter*> counters GUARDED_BY(mutex);
 };
 
 Registry& GetRegistry() {
@@ -99,7 +98,7 @@ void Push(Ring* ring, const SpanEvent& event) {
   ring->head.store(head + 1, std::memory_order_release);
 }
 
-/// JSON string escaping for span/counter names. Names are literals in
+/// JSON string escaping for span names. Names are literals in
 /// practice, but the exporter must emit valid JSON regardless.
 void AppendJsonString(std::string* out, const char* s) {
   out->push_back('"');
@@ -148,18 +147,11 @@ Span::~Span() {
   Push(state.ring, event);
 }
 
-Counter::Counter(const char* name) : name_(name) {
-  Registry& registry = GetRegistry();
-  MutexLock lock(registry.mutex);
-  registry.counters.push_back(this);
-}
-
 TraceStats GetStats() {
   TraceStats stats;
   Registry& registry = GetRegistry();
   MutexLock lock(registry.mutex);
   stats.threads = registry.rings.size();
-  stats.counters = registry.counters.size();
   for (const auto& ring : registry.rings) {
     const uint64_t pushed = ring->head.load(std::memory_order_acquire);
     stats.pushed += pushed;
@@ -171,7 +163,6 @@ TraceStats GetStats() {
 
 uint64_t WriteChromeTrace(std::ostream& out) {
   std::vector<SpanEvent> events;
-  std::vector<std::pair<const char*, uint64_t>> counters;
   {
     Registry& registry = GetRegistry();
     MutexLock lock(registry.mutex);
@@ -181,9 +172,6 @@ uint64_t WriteChromeTrace(std::ostream& out) {
       for (uint64_t i = head - count; i < head; ++i) {
         events.push_back(ring->slots[i % kRingCapacity]);
       }
-    }
-    for (const Counter* counter : registry.counters) {
-      counters.emplace_back(counter->name(), counter->value());
     }
   }
   std::sort(events.begin(), events.end(),
@@ -212,17 +200,6 @@ uint64_t WriteChromeTrace(std::ostream& out) {
                   event.depth);
     json += buf;
   }
-  for (const auto& [name, value] : counters) {
-    if (!first) json += ',';
-    first = false;
-    json += "{\"name\":";
-    AppendJsonString(&json, name);
-    std::snprintf(buf, sizeof(buf),
-                  ",\"ph\":\"C\",\"cat\":\"onex\",\"pid\":1,\"tid\":0,"
-                  "\"ts\":0,\"args\":{\"value\":%" PRIu64 "}}",
-                  value);
-    json += buf;
-  }
   json += "]}";
   out << json;
   return events.size();
@@ -242,7 +219,6 @@ void Reset() {
   for (auto& ring : registry.rings) {
     ring->head.store(0, std::memory_order_release);
   }
-  for (Counter* counter : registry.counters) counter->Clear();
 }
 
 void DumpRingTailsSigSafe(int fd, uint64_t max_per_ring) {

@@ -1,12 +1,12 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Zero-dependency tracing core: RAII spans over steady-clock time,
-// recorded into lock-free per-thread ring buffers, plus a registry of
-// named monotonic counters — exported together as Chrome trace_event
-// JSON (chrome://tracing, Perfetto) via WriteChromeTrace.
+// recorded into lock-free per-thread ring buffers and exported as
+// Chrome trace_event JSON (chrome://tracing, Perfetto) via
+// WriteChromeTrace.
 //
 // Cost model: when tracing is disabled (the default), a Span is one
-// relaxed atomic load and a branch; a Counter::Add is one relaxed
-// fetch_add. Enabled, a span adds two steady_clock reads and one store
+// relaxed atomic load and a branch. Enabled, a span adds two
+// steady_clock reads and one store
 // into a fixed-size ring. Nothing allocates on the hot path and no
 // lock is ever taken while recording — the registry mutex is touched
 // only on a thread's FIRST span (ring registration) and during export.
@@ -20,13 +20,11 @@
 //
 // Rings deliberately outlive their threads: a worker that exits before
 // export must not take its events with it. Reset() (tests) rewinds
-// every ring and zeroes counters without invalidating thread-local
-// pointers.
+// every ring without invalidating thread-local pointers.
 
 #ifndef ONEX_UTIL_TRACE_H_
 #define ONEX_UTIL_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -34,8 +32,8 @@
 namespace onex {
 namespace trace {
 
-/// Turns recording on/off globally. Off, spans and counter reads still
-/// work (counters always count; spans become a load+branch no-op).
+/// Turns recording on/off globally. Off, spans become a load+branch
+/// no-op.
 void SetEnabled(bool enabled);
 bool Enabled();
 
@@ -75,41 +73,17 @@ class Span {
 #define ONEX_TRACE_SPAN(name) \
   ::onex::trace::Span ONEX_TRACE_CONCAT(onex_trace_span_, __LINE__)(name)
 
-/// Named monotonic counter. Construct as a function-local static (the
-/// registry keeps a pointer forever); Add() is a relaxed fetch_add and
-/// is safe from any thread, signal-handler-free code only.
-class Counter {
- public:
-  explicit Counter(const char* name);
-  Counter(const Counter&) = delete;
-  Counter& operator=(const Counter&) = delete;
-
-  void Add(uint64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  const char* name() const { return name_; }
-
-  /// Tests only: rewinds to zero (Reset() calls this for every
-  /// registered counter).
-  void Clear() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  const char* name_;
-  std::atomic<uint64_t> value_{0};
-};
-
 /// Point-in-time totals across all rings (tests, --trace-out summary).
 struct TraceStats {
   uint64_t threads = 0;   ///< Rings registered (threads that ever span'd).
   uint64_t recorded = 0;  ///< Events currently resident in rings.
   uint64_t pushed = 0;    ///< Events ever pushed (>= recorded on wrap).
   uint64_t dropped = 0;   ///< pushed - recorded: overwritten by wraparound.
-  uint64_t counters = 0;  ///< Registered counters.
 };
 TraceStats GetStats();
 
 /// Chrome trace_event JSON ("X" complete events, ts/dur in
-/// microseconds) for every resident span plus one metadata-style
-/// counter event per registered counter. Stable output: events sorted
+/// microseconds) for every resident span. Stable output: events sorted
 /// by (start, tid). Returns the number of span events written.
 uint64_t WriteChromeTrace(std::ostream& out);
 
@@ -117,8 +91,8 @@ uint64_t WriteChromeTrace(std::ostream& out);
 /// false when the file cannot be opened or the write fails.
 bool WriteChromeTraceFile(const std::string& path);
 
-/// Tests: rewind every ring and zero every counter. Not thread-safe
-/// against concurrent recording; call at quiescence.
+/// Tests: rewind every ring. Not thread-safe against concurrent
+/// recording; call at quiescence.
 void Reset();
 
 /// Crash-time export: emits the newest `max_per_ring` resident spans of

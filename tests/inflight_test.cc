@@ -17,6 +17,7 @@
 
 #include "api/engine.h"
 #include "core/exec_context.h"
+#include "core/query_processor.h"
 #include "datagen/registry.h"
 #include "dataset/normalize.h"
 
@@ -131,15 +132,22 @@ TEST_F(InflightRegistryTest, StagePublishScopeRestoresOnExit) {
   InflightClaim claim(&owner, 1, 1, 0, "stage", 0, -1);
   ASSERT_NE(claim.probe(), nullptr);
   EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kQueued);
+  QueryStats stats;
   {
-    InflightStageScope outer(claim.probe(), QueryStage::kRepScan);
+    StageScope outer(&stats, claim.probe(), QueryStage::kRepScan);
     EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kRepScan);
     {
-      InflightStageScope inner(claim.probe(), QueryStage::kKnn);
+      StageScope inner(&stats, claim.probe(), QueryStage::kKnn);
       EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kKnn);
     }
     EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kRepScan);
   }
+  EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kQueued);
+  // Each scope timed its own stage's field, and nothing else.
+  EXPECT_GE(stats.rep_scan_seconds, stats.knn_seconds);
+  EXPECT_EQ(stats.member_scan_seconds, 0.0);
+  EXPECT_EQ(stats.refine_seconds, 0.0);
+  { StageScope unobserved(&stats, nullptr, QueryStage::kRefine); }
   EXPECT_EQ(claim.probe()->CurrentStage(), QueryStage::kQueued);
 }
 

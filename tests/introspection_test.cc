@@ -4,7 +4,9 @@
 // on a sticky WAL-write failure, a queue saturated past the degrade
 // threshold (BEFORE shedding starts), and a watchdog-stalled worker;
 // the stall watchdog flags a wedged job exactly once and feeds the
-// onex_watchdog_stalls_total counter; and a v5-vocabulary session sees
+// onex_watchdog_stalls_total counter; a running query the overload
+// shedder cancelled still counts as busy until its worker finishes;
+// and a v5-vocabulary session sees
 // no v6 token anywhere in its replies — the introspection tier is a
 // strict superset, invisible until asked for.
 
@@ -381,6 +383,66 @@ TEST_F(IntrospectionTest, WatchdogFlagsStalledWorkerOnce) {
   auto health = prober.Roundtrip("health");
   ASSERT_TRUE(health.ok());
   EXPECT_EQ(health.value().header.at("ready"), "1");
+}
+
+TEST_F(IntrospectionTest, ShedVictimStaysBusyUntilItsWorkerFinishes) {
+  // The overload shedder cancels the oldest over-deadline running query
+  // to admit one more job. The victim's worker keeps executing until it
+  // notices the cancel, so INSPECT must still count it as busy.
+  auto gate = std::make_shared<JobGate>();
+  ServerOptions options;
+  options.num_workers = 1;
+  options.max_queue = 1;
+  options.stall_ms = 0;
+  options.on_job_start = [gate] { gate->Block(); };
+  StartServer(std::move(options));
+
+  Client runner = Connect();
+  ASSERT_TRUE(runner.Roundtrip("use ecg").ok());
+  const QueryRequest query(
+      KSimilarRequest{{0.1, 0.4, 0.9, 0.3, 0.6, 0.2}, 3, 0});
+  Client::SubmitOptions with_deadline;
+  with_deadline.deadline_ms = 20;
+  auto a = runner.Submit(query, with_deadline);  // Held in the gate.
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  gate->WaitForBlocked(1);
+  auto b = runner.Submit(query, Client::SubmitOptions{});  // Fills the queue.
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+
+  Client prober = Connect();
+  auto wait_for_depth = [&](const std::string& depth) {
+    for (int i = 0; i < 500; ++i) {
+      auto inspect = prober.Roundtrip("inspect");
+      if (inspect.ok() && inspect.value().header.at("queue_depth") == depth) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ADD_FAILURE() << "queue never reached depth " << depth;
+  };
+  wait_for_depth("1");
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // Past A's.
+
+  // C is admitted one over the bound by cancelling A, which is still
+  // parked in its worker.
+  auto c = runner.Submit(query, Client::SubmitOptions{});
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  wait_for_depth("2");
+  auto inspect = prober.Roundtrip("inspect");
+  ASSERT_TRUE(inspect.ok());
+  EXPECT_EQ(inspect.value().header.at("queries"), "1");
+  EXPECT_EQ(inspect.value().header.at("workers_busy"), "1");
+
+  gate->Open();
+  auto a_reply = a.value().Wait();
+  ASSERT_TRUE(a_reply.ok()) << a_reply.status().ToString();
+  EXPECT_TRUE(!a_reply.value().ok || a_reply.value().partial())
+      << "the shed victim cannot complete whole";
+  for (Client::Handle* handle : {&b.value(), &c.value()}) {
+    auto reply = handle->Wait();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_TRUE(reply.value().ok) << reply.value().message;
+  }
 }
 
 TEST_F(IntrospectionTest, V5VocabularySessionSeesNoV6Tokens) {

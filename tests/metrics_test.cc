@@ -120,7 +120,7 @@ TEST(PrometheusRenderTest, OutputObeysExpositionGrammar) {
   gauges.queue_depth = 3;
   gauges.workers_busy = 2;
   gauges.workers_total = 4;
-  gauges.checkpoint_age_seconds = 12.5;
+  gauges.storage.checkpoint_age_seconds = 12.5;
   const std::string out = metrics.RenderPrometheus(gauges);
 
   // Grammar: every sample line's base name must be declared by a # TYPE

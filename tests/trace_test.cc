@@ -1,6 +1,6 @@
 // Tests for the tracing core (src/util/trace.h): span nesting depths,
 // ring wraparound accounting, Chrome trace_event JSON well-formedness,
-// and counter atomicity under concurrent writers. Each test starts from
+// and per-thread rings under concurrent writers. Each test starts from
 // trace::Reset() so ring contents are deterministic; recording threads
 // are always joined before export (the documented quiescence contract).
 
@@ -17,7 +17,7 @@ namespace onex {
 namespace trace {
 namespace {
 
-/// Fresh-state fixture: tracing off, rings rewound, counters zeroed.
+/// Fresh-state fixture: tracing off, rings rewound.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -107,8 +107,6 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
     ONEX_TRACE_SPAN("a \"quoted\\name\"");  // Escaping must survive.
     ONEX_TRACE_SPAN("plain");
   }
-  static Counter counter("trace_test.events");
-  counter.Add(3);
 
   std::ostringstream json;
   WriteChromeTrace(json);
@@ -136,9 +134,6 @@ TEST_F(TraceTest, ChromeTraceJsonIsWellFormed) {
 
   EXPECT_EQ(out.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
-  // The counter rides along as a "C" event.
-  EXPECT_NE(out.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(out.find("trace_test.events"), std::string::npos);
   // The quoted name must appear escaped, never raw.
   EXPECT_NE(out.find("a \\\"quoted\\\\name\\\""), std::string::npos);
 }
@@ -165,40 +160,12 @@ TEST_F(TraceTest, MultiThreadSpansLandInDistinctRings) {
                                  kSpansPerThread);
 }
 
-TEST_F(TraceTest, CountersAreAtomicAcrossThreads) {
-  static Counter counter("trace_test.atomic");
-  counter.Clear();
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 10000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kAddsPerThread; ++i) counter.Add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter.value(),
-            static_cast<uint64_t>(kThreads) * kAddsPerThread);
-}
-
-TEST_F(TraceTest, CountersCountEvenWhenTracingDisabled) {
-  static Counter counter("trace_test.always_on");
-  counter.Clear();
-  ASSERT_FALSE(Enabled());
-  counter.Add(7);
-  EXPECT_EQ(counter.value(), 7u);
-}
-
-TEST_F(TraceTest, ResetRewindsRingsAndCounters) {
+TEST_F(TraceTest, ResetRewindsRings) {
   SetEnabled(true);
   { ONEX_TRACE_SPAN("gone"); }
-  static Counter counter("trace_test.reset");
-  counter.Add(5);
   Reset();
   EXPECT_EQ(GetStats().recorded, 0u);
   EXPECT_EQ(GetStats().pushed, 0u);
-  EXPECT_EQ(counter.value(), 0u);
 }
 
 }  // namespace
