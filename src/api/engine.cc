@@ -304,17 +304,6 @@ Result<QueryResponse> Engine::Execute(const QueryRequest& request,
   return ExecuteLocked(request, ctx);
 }
 
-std::vector<Result<QueryResponse>> Engine::ExecuteBatch(
-    std::span<const QueryRequest> requests, const ExecContext& ctx) const {
-  ReaderMutexLock lock(*rw_mutex_);
-  std::vector<Result<QueryResponse>> responses;
-  responses.reserve(requests.size());
-  for (const QueryRequest& request : requests) {
-    responses.push_back(ExecuteLocked(request, ctx));
-  }
-  return responses;
-}
-
 Status Engine::AppendSeries(TimeSeries series, size_t* index) {
   // Validate before logging: a WAL record that cannot be applied would
   // poison every future replay.
@@ -325,7 +314,8 @@ Status Engine::AppendSeries(TimeSeries series, size_t* index) {
   if (!values.ok()) return values;
   WriterMutexLock lock(*rw_mutex_);
   if (append_sink_ != nullptr) {
-    const Status logged = append_sink_->LogAppend(series);
+    const Status logged = append_sink_->LogAppend(
+        std::span<const TimeSeries>(&series, 1));
     if (!logged.ok()) return logged;
   }
   const Status applied = base_->AppendSeries(std::move(series));
@@ -345,8 +335,7 @@ Status Engine::AppendBatch(std::vector<TimeSeries> batch) {
   }
   WriterMutexLock lock(*rw_mutex_);
   if (append_sink_ != nullptr) {
-    const Status logged = append_sink_->LogAppendBatch(
-        std::span<const TimeSeries>(batch.data(), batch.size()));
+    const Status logged = append_sink_->LogAppend(batch);
     if (!logged.ok()) return logged;
   }
   // One maintenance pass for the whole batch: derived structures are

@@ -7,9 +7,9 @@
 // end (the paper's web UI, our onex_cli) drives for a whole exploration
 // session, and the unit a server shards or batches over.
 //
-// Concurrency contract: Execute/ExecuteBatch are safe to call from any
-// number of threads concurrently (they take a reader lock and use
-// per-call QueryStats); AppendSeries takes the writer lock and may run
+// Concurrency contract: Execute is safe to call from any number of
+// threads concurrently (it takes a reader lock and uses per-call
+// QueryStats); AppendSeries takes the writer lock and may run
 // concurrently with queries — queries observe the base either before or
 // after the append, never mid-maintenance.
 
@@ -21,7 +21,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -245,16 +244,6 @@ class Engine {
   /// release is gone — pass a context explicitly.)
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const ExecContext& ctx) const;
-
-  /// Answers a batch under one reader-lock acquisition, so the whole
-  /// batch observes a single consistent snapshot of the base even while
-  /// an AppendSeries is waiting. One Result per request, in order. The
-  /// shared context is consulted across the whole batch: once it
-  /// interrupts, the in-flight request returns partial and the
-  /// remaining ones return immediately-partial (empty, but
-  /// right-shaped) responses.
-  std::vector<Result<QueryResponse>> ExecuteBatch(
-      std::span<const QueryRequest> requests, const ExecContext& ctx) const;
 
   /// Base maintenance (Algorithm 1 append). Takes the writer lock:
   /// blocks until in-flight queries drain, then updates the base. In

@@ -61,9 +61,8 @@ struct Router::Connection final : server::SessionHandler {
   // Session-thread-only from here on.
   /// `use` binding: an exact name or a shard-set spec.
   std::string bound;
-  // Write forwarding. The connection is blocking and NEVER
-  // auto-reconnects: a write whose connection died has unknowable fate
-  // and must not be retried.
+  // Write forwarding. The connection is blocking and a failed write is
+  // NEVER retried: a write whose connection died has unknowable fate.
   std::optional<server::Client> write_client;
   size_t write_upstream = static_cast<size_t>(-1);
   std::string write_dataset;
@@ -240,7 +239,9 @@ void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
                         const std::vector<std::string>& datasets) {
   // Failover state per leg; only this thread touches it.
   struct Leg {
-    std::vector<size_t> tried;  ///< Upstreams attempted, in order.
+    /// Upstreams attempted, in order (one repeats when re-dialed).
+    std::vector<size_t> tried;
+    std::vector<size_t> unreachable;  ///< Upstreams whose dial failed.
     std::shared_ptr<server::Client> link;
     server::Client::Handle handle;
     Status error = Status::OK();  ///< Last transport failure.
@@ -248,8 +249,13 @@ void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
   };
   std::vector<Leg> legs(datasets.size());
 
-  // Puts `leg` in flight on its next untried replica, with the deadline
-  // budget that remains. False when none is left (leg.error says why).
+  // Puts `leg` in flight with the deadline budget that remains: on its
+  // best untried replica or, once every ready one was tried, on a
+  // freshly dialed link to the best reachable one again (a failed
+  // attempt dropped its link, so this re-dials — the same upstream
+  // when it is the only one, e.g. a node restarted since its link was
+  // dialed). At most 1 + max_failovers attempts; false when they are
+  // spent or nothing can serve the leg (leg.error says why).
   auto submit = [&](size_t leg) {
     Leg& state = legs[leg];
     if (state.tried.empty()) {
@@ -265,12 +271,16 @@ void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
         }
       }
       if (!state.tried.empty()) metrics_.RecordFailover();
-      const auto pick = table_.PickRead(datasets[leg], state.tried);
+      auto pick = table_.PickRead(datasets[leg], state.tried);
+      if (!pick.has_value() && !state.tried.empty()) {
+        pick = table_.PickRead(datasets[leg], state.unreachable);
+      }
       if (!pick.has_value()) return false;
       const size_t idx = pick.value();
       state.tried.push_back(idx);
       auto link = pool_.QueryLink(idx);
       if (!link.ok()) {
+        state.unreachable.push_back(idx);
         state.error = link.status();
         continue;
       }
@@ -336,7 +346,7 @@ void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
       --in_flight;
       continue;
     }
-    // Transport death, the link's own reconnects spent: fail over.
+    // Transport death: drop the dead link and fail over.
     pool_.DropLink(state.tried.back(), state.link.get());
     state.error = final.status();
     if (!submit(leg)) --in_flight;
@@ -477,12 +487,7 @@ void Router::ForwardWrite(Connection* connection, const std::string& raw_line,
       connection->write_client->Close();
       connection->write_client.reset();
     }
-    const UpstreamConfig config = table_.Snapshot()[idx].config;
-    server::ClientOptions client_options;
-    client_options.connect_timeout_ms = options_.pool.connect_timeout_ms;
-    client_options.io_timeout_ms = options_.pool.io_timeout_ms;
-    auto dialed =
-        server::Client::Connect(config.host, config.port, client_options);
+    auto dialed = pool_.Dial(idx);
     if (!dialed.ok()) {
       session->Send(server::RenderError(dialed.status()));
       return;

@@ -13,11 +13,13 @@
 //     gathers the legs into one coherent progressive answer with one
 //     final block (match rows re-ranked by distance into a single
 //     top-k; GROUP/REC frames interleaved by origin).
-//   - mid-query failover: a leg whose upstream dies (transport error
-//     after the client's own reconnects are exhausted) is re-submitted
-//     to another replica with the deadline budget that remains.
-//     Re-submits are idempotent — tagged queries are read-only by
-//     grammar. Writes are NEVER auto-retried.
+//   - mid-query failover, the one retry layer between router and
+//     node: a leg whose link dies (transport error) drops that link
+//     and is re-submitted to its next untried replica with the
+//     deadline budget that remains — or, when none is left, on a
+//     freshly dialed link to the best reachable one, which may be the
+//     same (restarted) node. Re-submits are idempotent — tagged
+//     queries are read-only by grammar. Writes are NEVER retried.
 //
 // Concurrency model: the wire side — listener, accept thread, one
 // session thread per downstream client, the line loop, ping/help/quit,
@@ -64,7 +66,8 @@ struct RouterOptions {
   uint16_t port = 0;  ///< 0 = ephemeral (tests read port()).
   std::vector<UpstreamConfig> upstreams;
   UpstreamPoolOptions pool;
-  /// Re-submit attempts per leg after the first transport failure.
+  /// Re-submit attempts per leg after the first transport failure
+  /// (a dead cached link included).
   int max_failovers = 2;
 };
 
@@ -100,9 +103,10 @@ class Router {
 
   /// Runs one (possibly scattered) query to its merged final block:
   /// submits one leg per dataset, gathers them in completion order, and
-  /// fails a leg over to its next untried replica (with the remaining
-  /// budget) as soon as its transport dies. Blocks until done — tagged
-  /// queries run it on their coordinator thread.
+  /// fails a leg over (with the remaining budget) as soon as its
+  /// transport dies: to its next untried replica, else to a fresh link
+  /// to the best reachable one. Blocks until done — tagged queries run
+  /// it on their coordinator thread.
   void RunScatter(const std::shared_ptr<ScatterOp>& op,
                   const QueryRequest& request,
                   const server::RequestAttrs& attrs,

@@ -47,16 +47,18 @@ void UpstreamPool::Stop() {
   }
 }
 
-void UpstreamPool::ProbeNow(size_t i) {
+Result<server::Client> UpstreamPool::Dial(size_t i) const {
   const UpstreamConfig config = table_->Snapshot()[i].config;
   server::ClientOptions client_options;
   client_options.connect_timeout_ms = options_.connect_timeout_ms;
   client_options.io_timeout_ms = options_.io_timeout_ms;
+  return server::Client::Connect(config.host, config.port, client_options);
+}
 
+void UpstreamPool::ProbeNow(size_t i) {
   UpstreamHealth health;
   std::vector<std::string> datasets;
-  auto client =
-      server::Client::Connect(config.host, config.port, client_options);
+  auto client = Dial(i);
   if (!client.ok()) {
     health.error = client.status().message();
     table_->Update(i, health, std::move(datasets));
@@ -87,13 +89,7 @@ Result<std::shared_ptr<server::Client>> UpstreamPool::QueryLink(size_t i) {
     }
     if (links_[i]) return links_[i];
   }
-  const UpstreamConfig config = table_->Snapshot()[i].config;
-  server::ClientOptions client_options;
-  client_options.connect_timeout_ms = options_.connect_timeout_ms;
-  client_options.io_timeout_ms = options_.io_timeout_ms;
-  client_options.auto_reconnect = true;
-  auto dialed =
-      server::Client::Connect(config.host, config.port, client_options);
+  auto dialed = Dial(i);
   if (!dialed.ok()) return dialed.status();
   auto link = std::make_shared<server::Client>(std::move(dialed).value());
   {

@@ -8,9 +8,10 @@
 //     when its worker pool is wedged — exactly when routing away from
 //     it matters most.
 //   - QUERY LINKS: one long-lived async Client per upstream (demux
-//     thread, auto_reconnect) shared by every routed query leg. Lazily
-//     dialed, recreated after the client's own reconnect attempts are
-//     exhausted.
+//     thread) shared by every routed query leg. Lazily dialed; a link
+//     whose socket died is dropped by the leg that saw it fail, and
+//     the next QueryLink dials afresh. The pool never retries on its
+//     own — the router's leg failover is the one retry layer.
 
 #ifndef ONEX_ROUTER_UPSTREAM_H_
 #define ONEX_ROUTER_UPSTREAM_H_
@@ -52,10 +53,14 @@ class UpstreamPool {
   /// blocking connection, result written into the routing table.
   void ProbeNow(size_t i);
 
+  /// A fresh blocking session to upstream `i` with the pool's connect
+  /// and IO timeouts — the one dial behind probes, query links and the
+  /// router's write connections.
+  Result<server::Client> Dial(size_t i) const;
+
   /// The shared async query link for upstream `i`, dialing it first if
-  /// needed. The link has auto_reconnect on: transient drops re-submit
-  /// unanswered tagged queries on the same connection object, and only
-  /// an exhausted reconnect surfaces as IOError to the query legs.
+  /// needed. A cached link may have died since it was handed out
+  /// (Submit or Wait then returns IOError): drop it with DropLink.
   Result<std::shared_ptr<server::Client>> QueryLink(size_t i);
 
   /// Discards upstream `i`'s query link if it still is `dead` (a link

@@ -101,10 +101,9 @@ Result<Catalog::Entry*> Catalog::ResolveLocked(const std::string& name) {
   // Lazy (re)open from disk.
   const std::string path = PathFor(name);
   if (path.empty() || !fs::exists(path)) {
-    return Status::NotFound("dataset '" + name + "' is not in the catalog" +
-                            (options_.data_dir.empty()
-                                 ? ""
-                                 : " (looked for " + path + ")"));
+    // Names the dataset only: the reply goes to clients, and the path
+    // would tell them the node's filesystem layout.
+    return Status::NotFound("dataset '" + name + "' is not in the catalog");
   }
   std::shared_ptr<storage::DurableEngine> durable;
   std::shared_ptr<Engine> engine;

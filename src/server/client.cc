@@ -8,8 +8,8 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -29,11 +29,6 @@ namespace server {
 namespace {
 
 constexpr size_t kMaxReplyLine = size_t{64} << 20;
-
-/// auto_reconnect: dial attempts per outage, and the flat pause between
-/// them.
-constexpr int kReconnectAttempts = 3;
-constexpr auto kReconnectBackoff = std::chrono::milliseconds(100);
 
 Status SetSockTimeout(int fd, int which, uint64_t ms) {
   timeval tv{};
@@ -115,11 +110,8 @@ Result<int> DialFd(const std::string& host, uint16_t port,
 /// Shared between the issuing thread, the demux thread, and every copy
 /// of the Handle.
 struct Client::Handle::State {
-  // All three set once in Submit before the state is shared — immutable
-  // after. `request_line` is the exact rendered wire line, kept so a
-  // reconnecting demux can re-submit the query verbatim (same id).
+  // Both set once in Submit before the state is shared — immutable after.
   uint64_t id = 0;
-  std::string request_line;
   std::weak_ptr<Demux> demux;  // For Cancel(); weak: handle may outlive.
 
   Mutex mutex{LockRank::kClientHandle, "client.handle.mutex"};
@@ -166,17 +158,19 @@ struct Client::Handle::State {
 /// Self-contained async state: the demux thread reads blocks from the
 /// socket and routes them; senders serialize on `send_mutex`. Shared by
 /// the Client and every Handle so either side may outlive the other.
+/// One socket for life: the demux owns it from EnsureDemux on and
+/// closes it when the last reference goes, so a late Cancel() sends on
+/// a shut-down socket (and fails) rather than on a reissued fd number.
 struct Client::Demux {
-  // All set once in EnsureDemux before the demux is shared (fd and
-  // reader are then re-assigned only by TryReconnect, on the demux
-  // thread, under send_mutex + mutex).
-  std::atomic<int> fd{-1};
-  std::string host;
-  uint16_t port = 0;
-  ClientOptions options;
-  std::unique_ptr<SocketLineReader> reader;  // Owned by the demux thread.
+  Demux(int fd, std::unique_ptr<SocketLineReader> reader)
+      : fd(fd), reader(std::move(reader)) {}
+  ~Demux() { ::close(fd); }
+  Demux(const Demux&) = delete;
+  Demux& operator=(const Demux&) = delete;
+
+  const int fd;
+  const std::unique_ptr<SocketLineReader> reader;  // Read by the thread.
   std::thread thread;
-  std::atomic<uint64_t> reconnects{0};
 
   /// Whole-line writes from any thread.
   Mutex send_mutex{LockRank::kClientSend, "client.demux.send_mutex"};
@@ -199,27 +193,13 @@ struct Client::Demux {
       GUARDED_BY(mutex);
   bool dead GUARDED_BY(mutex) = false;
   Status dead_reason GUARDED_BY(mutex) = Status::OK();
-  /// Close() has begun: TryReconnect must stand down instead of racing
-  /// the teardown for the socket.
-  bool closing GUARDED_BY(mutex) = false;
 
   Status Send(const std::string& line) {
     MutexLock lock(send_mutex);
-    if (!SendAll(fd.load(std::memory_order_relaxed), line + "\n")) {
+    if (!SendAll(fd, line + "\n")) {
       return Status::IOError(std::string("send: ") + std::strerror(errno));
     }
     return Status::OK();
-  }
-
-  /// Begins teardown: flags `closing` and shoots down the current
-  /// socket so the demux thread's read returns. Holding `mutex` across
-  /// the shutdown() keeps it ordered against TryReconnect's fd swap —
-  /// the shot can never land on an fd number the swap already closed
-  /// and the kernel reissued.
-  void Shutdown() {
-    MutexLock lock(mutex);
-    closing = true;
-    ::shutdown(fd.load(std::memory_order_relaxed), SHUT_RDWR);
   }
 
   /// Fails every waiter with the transport error (the demux is dying).
@@ -244,33 +224,6 @@ struct Client::Demux {
       pending->cv.NotifyAll();
     }
   }
-
-  /// Reconnect-path subset of Fail(): blocking Roundtrip waiters are
-  /// failed (an untagged line may be a non-idempotent write whose fate
-  /// is unknowable) and cancel rendezvous are released empty-handed
-  /// (Cancel() reports the ack lost; the query itself survives via
-  /// re-submit). Tagged queries are left registered — they are what
-  /// the reconnect re-submits.
-  void FailUntagged(const Status& reason) {
-    std::map<uint64_t, std::shared_ptr<Handle::State>> released_cancels;
-    std::deque<std::shared_ptr<Pending>> failed_untagged;
-    {
-      MutexLock lock(mutex);
-      released_cancels.swap(cancel_waiters);
-      failed_untagged.swap(untagged);
-    }
-    for (auto& [id, state] : released_cancels) {
-      MutexLock lock(state->mutex);
-      state->cancel_pending = false;
-      state->cv.NotifyAll();
-    }
-    for (auto& pending : failed_untagged) {
-      MutexLock lock(pending->mutex);
-      pending->done = true;
-      pending->transport = reason;
-      pending->cv.NotifyAll();
-    }
-  }
 };
 
 void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
@@ -288,7 +241,6 @@ void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
       lines.push_back(line);
     }
     if (eof) {
-      if (TryReconnect(demux)) continue;
       demux->Fail(Status::IOError("connection closed or read failed"));
       return;
     }
@@ -401,71 +353,6 @@ void Client::DemuxLoop(std::shared_ptr<Demux> demux) {
   }
 }
 
-bool Client::TryReconnect(const std::shared_ptr<Demux>& demux) {
-  if (!demux->options.auto_reconnect) return false;
-  // Untagged waiters fail immediately — see FailUntagged. Tagged
-  // queries stay registered across the outage so their handles keep
-  // blocking in Wait() and are answered by the re-submitted run.
-  demux->FailUntagged(
-      Status::IOError("connection reset; non-idempotent request state unknown"));
-  for (int attempt = 0; attempt < kReconnectAttempts; ++attempt) {
-    {
-      MutexLock lock(demux->mutex);
-      if (demux->closing) return false;
-    }
-    if (attempt > 0) std::this_thread::sleep_for(kReconnectBackoff);
-    auto dialed = DialFd(demux->host, demux->port, demux->options);
-    if (!dialed.ok()) continue;
-    const int new_fd = dialed.value();
-    // Greeting read happens with SO_RCVTIMEO still armed (a listener
-    // that accepts but never greets must not wedge the reconnect);
-    // cleared afterwards because the demux read waits indefinitely by
-    // design (in-flight queries are bounded by deadline budgets).
-    auto new_reader = std::make_unique<SocketLineReader>(new_fd, kMaxReplyLine);
-    std::string greeting;
-    if (!new_reader->ReadLine(&greeting)) {
-      ::close(new_fd);
-      continue;
-    }
-    if (demux->options.io_timeout_ms > 0) {
-      SetSockTimeout(new_fd, SO_RCVTIMEO, 0);
-    }
-    std::vector<std::string> resend;
-    {
-      // send_mutex keeps concurrent Submits off the wire during the
-      // swap; mutex orders the swap against Shutdown() (see there).
-      MutexLock send_lock(demux->send_mutex);
-      MutexLock lock(demux->mutex);
-      if (demux->closing) {
-        ::close(new_fd);
-        return false;
-      }
-      const int old_fd =
-          demux->fd.exchange(new_fd, std::memory_order_relaxed);
-      ::close(old_fd);
-      demux->reader = std::move(new_reader);
-      demux->reconnects.fetch_add(1, std::memory_order_relaxed);
-      resend.reserve(demux->tagged.size());
-      for (auto& [id, state] : demux->tagged) {
-        resend.push_back(state->request_line);
-      }
-    }
-    // Idempotent re-submit: every unanswered tagged query, verbatim
-    // (same id — the new server session has never seen it). Tagged
-    // lines are read-only queries by grammar, so replay is safe.
-    bool resent = true;
-    for (const auto& line : resend) {
-      if (!demux->Send(line).ok()) {
-        resent = false;
-        break;
-      }
-    }
-    if (resent) return true;
-    // The fresh connection died mid-re-submit; dial again.
-  }
-  return false;
-}
-
 // -------------------------------------------------------------- handle
 
 Result<WireResponse> Client::Handle::Wait() {
@@ -542,11 +429,9 @@ Status Client::Handle::Cancel() {
     MutexLock lock(demux->mutex);
     demux->cancel_waiters.erase(state_->id);
   }
-  if (!ack.has_value()) {
-    return Status::IOError("cancel acknowledgement lost");
-  }
-  return ack->ok ? Status::OK()
-                 : Status::NotFound("query had already completed");
+  return ack.has_value() && ack->ok
+             ? Status::OK()
+             : Status::NotFound("query had already completed");
 }
 
 void Client::Handle::OnProgress(ProgressCallback callback) {
@@ -571,9 +456,6 @@ Result<Client> Client::Connect(const std::string& host, uint16_t port,
   if (!dialed.ok()) return dialed.status();
   Client client;
   client.fd_ = dialed.value();
-  client.host_ = host;
-  client.port_ = port;
-  client.options_ = options;
   const Status greeted = client.ReadLine(&client.greeting_);
   if (!greeted.ok()) return greeted;
   return client;
@@ -583,9 +465,6 @@ Client::Client(Client&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       reader_(std::move(other.reader_)),
       greeting_(std::move(other.greeting_)),
-      host_(std::move(other.host_)),
-      port_(std::exchange(other.port_, 0)),
-      options_(other.options_),
       demux_mutex_(std::move(other.demux_mutex_)),
       demux_(std::move(other.demux_)),
       next_id_(other.next_id_.load()) {}
@@ -596,9 +475,6 @@ Client& Client::operator=(Client&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     reader_ = std::move(other.reader_);
     greeting_ = std::move(other.greeting_);
-    host_ = std::move(other.host_);
-    port_ = std::exchange(other.port_, 0);
-    options_ = other.options_;
     demux_mutex_ = std::move(other.demux_mutex_);
     demux_ = std::move(other.demux_);
     next_id_.store(other.next_id_.load());
@@ -621,34 +497,18 @@ void Client::Close() {
     demux_ = nullptr;
   }
   if (demux != nullptr) {
-    // Flag closing + unblock the demux thread's read, then reap it.
-    // Fail runs on the demux thread on its way out. The demux owns the
-    // socket's lifetime once started (fd_ is stale after a reconnect),
-    // so close ITS fd, not fd_.
-    demux->Shutdown();
+    // Unblock the demux thread's read and reap it; Fail runs on the
+    // demux thread on its way out. The demux owns the socket once
+    // started and closes it with its last reference.
+    ::shutdown(demux->fd, SHUT_RDWR);
     if (demux->thread.joinable()) demux->thread.join();
-    {
-      // A handle's Cancel() may still be sending: close under the send
-      // lock, and leave -1 so a later send fails instead of writing to
-      // whatever socket reuses the number.
-      MutexLock lock(demux->send_mutex);
-      ::close(demux->fd.exchange(-1, std::memory_order_relaxed));
-    }
     fd_ = -1;
-    reader_.reset();
   }
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
     reader_.reset();
   }
-}
-
-uint64_t Client::reconnects() const {
-  if (demux_mutex_ == nullptr) return 0;  // Moved-from shell.
-  std::shared_ptr<Demux> active = demux();
-  return active != nullptr ? active->reconnects.load(std::memory_order_relaxed)
-                           : 0;
 }
 
 Status Client::ReadLine(std::string* line) {
@@ -676,21 +536,15 @@ Result<std::shared_ptr<Client::Demux>> Client::EnsureDemux() {
     return demux_;
   }
   if (fd_ < 0) return Status::IOError("client is closed");
-  demux_ = std::make_shared<Demux>();
-  demux_->fd.store(fd_, std::memory_order_relaxed);
-  demux_->host = host_;
-  demux_->port = port_;
-  demux_->options = options_;
-  if (options_.io_timeout_ms > 0) {
-    // The async read waits indefinitely by design — an idle session is
-    // legitimately quiet between replies (see ClientOptions). Sends
-    // keep their timeout.
-    SetSockTimeout(fd_, SO_RCVTIMEO, 0);
-  }
+  // The async read waits indefinitely by design — an idle session is
+  // legitimately quiet between replies (see ClientOptions). Sends keep
+  // their timeout.
+  SetSockTimeout(fd_, SO_RCVTIMEO, 0);
   if (reader_ == nullptr) {
     reader_ = std::make_unique<SocketLineReader>(fd_, kMaxReplyLine);
   }
-  demux_->reader = std::move(reader_);  // The demux thread owns reads now.
+  // The demux owns the socket and its reader from here on.
+  demux_ = std::make_shared<Demux>(fd_, std::move(reader_));
   demux_->thread = std::thread([demux = demux_] { DemuxLoop(demux); });
   return demux_;
 }
@@ -718,13 +572,13 @@ Result<Client::Handle> Client::Submit(const QueryRequest& request,
   attrs.progress = static_cast<bool>(options.on_progress);
   attrs.trace = options.trace;
   attrs.dataset = options.dataset;
-  handle.state_->request_line = RenderRequestLine(request, attrs);
+  const std::string line = RenderRequestLine(request, attrs);
   {
     MutexLock lock(demux->mutex);
     if (demux->dead) return demux->dead_reason;
     demux->tagged[handle.state_->id] = handle.state_;
   }
-  const Status sent = demux->Send(handle.state_->request_line);
+  const Status sent = demux->Send(line);
   if (!sent.ok()) {
     // Still registered: withdraw it, and the hook never fires. Gone:
     // the dying demux already completed it (hook fired or firing), so
@@ -846,8 +700,11 @@ Result<std::string> Client::FetchArtifact(const std::string& dataset,
     return Status::Corruption("malformed FETCH header: " + header);
   }
 
+  // The declared size comes from the peer: reserve no more than one
+  // reply line may hold, so a hostile header cannot force a huge
+  // allocation (the size check below still rejects a short body).
   std::string body;
-  body.reserve(total_bytes);
+  body.reserve(std::min<uint64_t>(total_bytes, kMaxReplyLine));
   std::string frame;
   auto read_u32 = [](const std::string& buf, size_t at) {
     return static_cast<uint32_t>(static_cast<unsigned char>(buf[at])) |

@@ -2,8 +2,8 @@
 // Client for the ONEX wire protocol. Two modes, one socket:
 //
 //   BLOCKING (v2): Roundtrip()/Execute() — send one line, read one
-//   reply block. Zero threads; what the loopback tests and the
-//   throughput bench use.
+//   reply block. Zero threads; what the router's probes and write
+//   forwarding, the replica's FETCH session and most tests use.
 //
 //   ASYNC (v3): Submit() tags the request with an id and returns a
 //   Handle immediately; a demultiplexer thread (started lazily on the
@@ -14,9 +14,12 @@
 //   waiting for the query, which is the whole point. Several queries
 //   can be in flight at once (pipelined, answered out of order).
 //
-// One Client is one session (one socket). Blocking mode is not
-// thread-safe; once the demux is running, Submit/Roundtrip/Cancel may
-// be called from any thread.
+// One Client is one session (one socket) and never re-dials: when the
+// socket dies, every waiter gets the IOError and the session stays
+// dead. Whether to dial again and re-submit is the owner's call (the
+// router's leg failover does it for reads; nothing retries a write).
+// Blocking mode is not thread-safe; once the demux is running,
+// Submit/Roundtrip/Cancel may be called from any thread.
 
 #ifndef ONEX_SERVER_CLIENT_H_
 #define ONEX_SERVER_CLIENT_H_
@@ -39,8 +42,8 @@ namespace server {
 
 class SocketLineReader;
 
-/// Connection behavior knobs. The defaults reproduce the historical
-/// behavior exactly (blocking connect, no IO timeout, no reconnect).
+/// Connection knobs. The defaults block without bound on connect and on
+/// IO.
 struct ClientOptions {
   /// Bound on ::connect(); 0 = OS default (minutes on a black-holed
   /// route — the router always sets this).
@@ -50,18 +53,6 @@ struct ClientOptions {
   /// multiplexed session legitimately sits quiet between replies, so
   /// in-flight queries are bounded by their deadline budgets instead.
   uint64_t io_timeout_ms = 0;
-  /// Async mode only: when the demux socket dies, dial the same
-  /// host:port again and re-submit every UNANSWERED tagged query with
-  /// its original id and attribute line, verbatim. Tagged queries are
-  /// read-only (the attribute grammar rejects attrs on append/flush),
-  /// so the re-submit is idempotent; blocking Roundtrip waiters are
-  /// failed instead — an untagged line may be a write whose fate on
-  /// the dead connection is unknowable. Progress streams restart from
-  /// seq 0 on the new connection (at-least-once for PART frames; the
-  /// final block is delivered exactly once).
-  /// Three dial attempts per outage, 100 ms apart, before the session
-  /// is declared dead.
-  bool auto_reconnect = false;
 };
 
 class Client {
@@ -173,10 +164,6 @@ class Client {
   /// The greeting line received at connect time (without newline).
   const std::string& greeting() const { return greeting_; }
 
-  /// How many times the demux re-dialed the upstream (0 in blocking
-  /// mode or when auto_reconnect is off). Thread-safe.
-  uint64_t reconnects() const;
-
   void Close();
 
  private:
@@ -188,14 +175,9 @@ class Client {
   /// the server's SocketLineReader so framing rules cannot diverge.
   Status ReadLine(std::string* line);
 
-  /// Reads blocks and routes them until the socket dies (demux thread
-  /// body).
+  /// Reads blocks and routes them until the socket dies, then fails
+  /// every waiter (demux thread body).
   static void DemuxLoop(std::shared_ptr<Demux> demux);
-
-  /// Demux-thread reconnect: dial again, swap the socket in, and
-  /// re-submit every unanswered tagged query. False when reconnecting
-  /// is off, the client is closing, or every attempt failed.
-  static bool TryReconnect(const std::shared_ptr<Demux>& demux);
 
   /// Starts the demux thread if not yet running (guarded by
   /// demux_mutex_ — two first-Submits racing must not spawn two
@@ -208,9 +190,6 @@ class Client {
   int fd_ = -1;
   std::unique_ptr<SocketLineReader> reader_;
   std::string greeting_;
-  std::string host_;
-  uint16_t port_ = 0;
-  ClientOptions options_;
   /// Guards the demux_ transition and pointer reads (heap-allocated so
   /// the client stays movable; nullptr only in a moved-from shell).
   /// Client-side ranks sit above every server rank — in-process only in

@@ -26,14 +26,11 @@ class AppendSink {
  public:
   virtual ~AppendSink() = default;
 
-  /// Makes one append durable. A non-OK return aborts the append: the
-  /// in-memory base is NOT mutated, the caller sees the error.
-  virtual Status LogAppend(const TimeSeries& series) = 0;
-
-  /// Group commit: makes the whole batch durable with (at most) one
-  /// sync. Same abort contract — on error, none of the batch is applied
-  /// in memory.
-  virtual Status LogAppendBatch(std::span<const TimeSeries> batch) = 0;
+  /// Makes a batch of appends durable with (at most) one sync; a single
+  /// append is a batch of one. All-or-nothing: a non-OK return aborts
+  /// the append, none of the batch is applied in memory and the caller
+  /// sees the error.
+  virtual Status LogAppend(std::span<const TimeSeries> batch) = 0;
 };
 
 }  // namespace storage

@@ -422,58 +422,12 @@ Status DurableEngine::Append(TimeSeries series) {
   return engine_.AppendSeries(std::move(series));
 }
 
-Status DurableEngine::AppendBatch(std::vector<TimeSeries> batch) {
-  return engine_.AppendBatch(std::move(batch));
-}
-
 // ---- AppendSink (under the engine writer lock).
 
-Status DurableEngine::LogAppend(const TimeSeries& series) {
+Status DurableEngine::LogAppend(std::span<const TimeSeries> batch) {
   // AppendSink contract: the engine calls this under its writer lock.
   engine_.mu().AssertHeld();
   ONEX_TRACE_SPAN("wal.append");
-  if (options_.wal_fault_injection) {
-    const Status injected = options_.wal_fault_injection();
-    if (!injected.ok()) {
-      wal_write_failed_.store(true, std::memory_order_relaxed);
-      return injected;
-    }
-  }
-  const uint64_t rollback_to = wal_.bytes();
-  const Status appended = wal_.Append(series);
-  if (!appended.ok()) {
-    // A partial record may be on disk (the fd offset advanced even
-    // though bytes_ did not); truncate it away or it would shadow
-    // every later acknowledged append at replay.
-    wal_.Rollback(rollback_to, 0);
-    wal_write_failed_.store(true, std::memory_order_relaxed);
-    return appended;
-  }
-  if (options_.sync_appends) {
-    const Status synced = wal_.Sync();
-    if (!synced.ok()) {
-      // The caller will report this append as failed; its record must
-      // not linger and be made durable by a later append's fsync.
-      wal_.Rollback(rollback_to, 1);
-      wal_write_failed_.store(true, std::memory_order_relaxed);
-      return synced;
-    }
-  }
-  wal_write_failed_.store(false, std::memory_order_relaxed);
-  appends_.fetch_add(1);
-  wal_records_.fetch_add(1);
-  wal_bytes_.store(wal_.bytes());
-  {
-    MutexLock lock(cp_mutex_);
-  }
-  cp_cv_.NotifyOne();
-  return Status::OK();
-}
-
-Status DurableEngine::LogAppendBatch(std::span<const TimeSeries> batch) {
-  // AppendSink contract: the engine calls this under its writer lock.
-  engine_.mu().AssertHeld();
-  ONEX_TRACE_SPAN("wal.append_batch");
   if (options_.wal_fault_injection) {
     const Status injected = options_.wal_fault_injection();
     if (!injected.ok()) {
@@ -490,10 +444,12 @@ Status DurableEngine::LogAppendBatch(std::span<const TimeSeries> batch) {
     ++written;
   }
   // Group commit: one fsync covers the whole batch.
-  if (failed.ok()) failed = wal_.Sync();
+  if (failed.ok() && options_.sync_appends) failed = wal_.Sync();
   if (!failed.ok()) {
     // All-or-nothing: the caller applies none of the batch in memory,
-    // so none of its records may survive in the log.
+    // so none of its records may survive in the log — a partial record
+    // included (the fd offset advanced even though bytes_ did not), or
+    // it would shadow every later acknowledged append at replay.
     wal_.Rollback(rollback_to, written);
     wal_write_failed_.store(true, std::memory_order_relaxed);
     return failed;

@@ -76,15 +76,15 @@ struct StorageOptions {
   /// only via explicit Checkpoint() calls (tests use this to pin down
   /// "crash before checkpoint" states).
   bool background_checkpointer = true;
-  /// fsync the WAL on every single append. Group-commit batches
-  /// (AppendBatch) always sync exactly once per batch regardless.
-  /// Turning this off trades the durability of the last few appends
-  /// for throughput (the bench quantifies it).
+  /// fsync the WAL once per logged append (a group-commit batch,
+  /// Engine::AppendBatch, is one append: one fsync covers it). Turning
+  /// this off trades the durability of the last few appends for
+  /// throughput (the bench quantifies it).
   bool sync_appends = true;
-  /// Test-only fault injection: when set, every LogAppend/LogAppendBatch
-  /// consults it before touching the WAL and fails with the returned
-  /// non-OK status — the deterministic way to flip wal_write_failed
-  /// (HEALTH readiness) without breaking a real file descriptor.
+  /// Test-only fault injection: when set, every LogAppend consults it
+  /// before touching the WAL and fails with the returned non-OK status
+  /// — the deterministic way to flip wal_write_failed (HEALTH
+  /// readiness) without breaking a real file descriptor.
   std::function<Status()> wal_fault_injection;
   /// Compact the chain (fold every delta into a fresh full snapshot,
   /// written from the shadow outside the engine lock) once it would
@@ -216,11 +216,10 @@ class DurableEngine : public AppendSink,
   std::shared_ptr<Engine> engine();
   std::shared_ptr<const Engine> const_engine();
 
-  /// Durable appends (sugar over engine()->AppendSeries/AppendBatch;
-  /// the write-ahead ordering lives in the engine's durable mode).
+  /// Durable append (sugar over engine()->AppendSeries; the
+  /// write-ahead ordering lives in the engine's durable mode). Group
+  /// commits go through engine()->AppendBatch.
   Status Append(TimeSeries series);
-  /// Group commit: one fsync for the whole batch.
-  Status AppendBatch(std::vector<TimeSeries> batch);
 
   /// Checkpoints the engine, atomically with respect to appends. The
   /// engine writer lock is held only for the in-memory serialization
@@ -245,8 +244,7 @@ class DurableEngine : public AppendSink,
 
   // AppendSink — called by the engine under its writer lock. Not for
   // direct use.
-  Status LogAppend(const TimeSeries& series) override;
-  Status LogAppendBatch(std::span<const TimeSeries> batch) override;
+  Status LogAppend(std::span<const TimeSeries> batch) override;
 
   /// Construction token: the factories need make_shared on an
   /// effectively-private constructor.

@@ -91,6 +91,12 @@ TEST_F(CatalogTest, UnknownNameIsNotFound) {
   auto missing = catalog.Acquire("no-such-dataset");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), Status::Code::kNotFound);
+  // The message reaches wire clients: it names the dataset, never the
+  // node's data directory.
+  EXPECT_NE(missing.status().message().find("no-such-dataset"),
+            std::string::npos);
+  EXPECT_EQ(missing.status().message().find(dir_.string()),
+            std::string::npos);
 
   // No data_dir at all: same error, no filesystem poking.
   Catalog empty{CatalogOptions{}};

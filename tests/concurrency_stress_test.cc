@@ -92,7 +92,7 @@ TEST_F(ScratchDirTest, CheckpointerRacesConcurrentAppends) {
   options.checkpoint_wal_records = 4;
   options.checkpoint_wal_bytes = 0;
   options.background_checkpointer = true;
-  options.sync_appends = false;  // Throughput; the batch sync still runs.
+  options.sync_appends = false;  // Throughput.
 
   auto created = storage::DurableEngine::Create(
       dir_.string(), "race", BuildSmallEngine(42), options);

