@@ -1,6 +1,8 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <utility>
 
 #include "core/serialization.h"
@@ -100,11 +102,32 @@ inline std::span<const double> AsSpan(const std::vector<double>& values) {
   return std::span<const double>(values.data(), values.size());
 }
 
+// The wire parser's rule for query values, applied to every caller: a
+// NaN or an infinity poisons every distance it touches, so the answer
+// would be wrong rather than empty.
+Status CheckQueryValues(const QueryRequest& request) {
+  return std::visit(
+      [](const auto& req) {
+        if constexpr (requires { req.query; }) {
+          for (size_t i = 0; i < req.query.size(); ++i) {
+            if (!std::isfinite(req.query[i])) {
+              return Status::InvalidArgument("query value " +
+                                             std::to_string(i) +
+                                             " is not finite");
+            }
+          }
+        }
+        return Status::OK();
+      },
+      request);
+}
+
 }  // namespace
 
 Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
                                             const ExecContext& ctx) const {
   ONEX_TRACE_SPAN("engine.execute");
+  if (Status values = CheckQueryValues(request); !values.ok()) return values;
   QueryResponse response;
   response.kind = KindOf(request);
   response.payload = EmptyPayloadOf(response.kind);

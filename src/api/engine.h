@@ -239,9 +239,11 @@ class Engine {
   /// the right shape, flagged `partial` with `interrupt` naming the
   /// code — so an interactive front end can always render SOMETHING.
   /// Genuine failures (bad request, absent length) return an error
-  /// Result as before. Thread-safe: concurrent callers share the reader
-  /// lock. (The context-free Execute(request) shim of the previous
-  /// release is gone — pass a context explicitly.)
+  /// Result as before; a query value that is NaN or infinite is a bad
+  /// request (InvalidArgument), as it is on the wire. Thread-safe:
+  /// concurrent callers share the reader lock. (The context-free
+  /// Execute(request) shim of the previous release is gone — pass a
+  /// context explicitly.)
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const ExecContext& ctx) const;
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "distance/dtw.h"
+#include "distance/euclidean.h"
 #include "distance/lb_keogh.h"
 #include "distance/lb_kim.h"
 #include "util/trace.h"
@@ -15,6 +16,7 @@ namespace onex {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // Normalization denominator of Def. 6 for a query of length m against
 // candidates of length len.
@@ -22,43 +24,72 @@ inline double Norm(size_t m, size_t len) {
   return 2.0 * static_cast<double>(std::max(m, len));
 }
 
-/// Normalized DTW of `query` against candidates [first, first + count)
-/// of one length (count <= kDtwBatchLanes), candidate i being view(i),
-/// in one DtwEarlyAbandonBatch call. Entry c is bit-identical to
-/// DtwEarlyAbandon(query, view(first + c), threshold * norm, options) /
-/// norm (threshold in normalized units; +inf scores exactly). Batching
-/// is for scans whose threshold does not depend on earlier candidates.
-template <class View>
-std::array<double, kDtwBatchLanes> ScoreBatch(std::span<const double> query,
-                                              size_t first, size_t count,
-                                              const View& view,
-                                              double threshold, double norm,
-                                              const DtwOptions& options) {
-  std::array<std::span<const double>, kDtwBatchLanes> candidates;
-  for (size_t c = 0; c < count; ++c) candidates[c] = view(first + c);
-  std::array<double, kDtwBatchLanes> distances;
-  DtwEarlyAbandonBatch(query, std::span(candidates.data(), count),
-                       threshold * norm, distances, options);
-  for (size_t c = 0; c < count; ++c) distances[c] /= norm;
-  return distances;
-}
+/// Up to kDtwBatchLanes candidates of one length waiting for one
+/// DtwEarlyAbandonBatch call, each tagged with the caller's id for its
+/// result. Batching is for scans whose threshold does not depend on
+/// earlier candidates; a scan that fills the queue from several groups
+/// keeps the kernel's lanes full where per-group batches would leave
+/// them part empty.
+class LaneQueue {
+ public:
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ == kDtwBatchLanes; }
+  size_t size() const { return size_; }
+  /// Id of the oldest queued candidate; the queue must not be empty.
+  size_t front_id() const { return ids_[0]; }
 
-/// Scores candidates [0, size) batch by batch (see ScoreBatch) and hands
-/// each result to on_score(i, distance) in candidate order. `check` is
-/// consulted before every batch; once it fires, no further batch runs.
+  void Push(std::span<const double> values, size_t id) {
+    values_[size_] = values;
+    ids_[size_] = id;
+    ++size_;
+  }
+
+  /// Scores the queued candidates in one kernel call, empties the queue,
+  /// and hands each result to on_score(id, distance) in queue order. The
+  /// distance is, bit for bit, DtwEarlyAbandon(query, candidate,
+  /// threshold * norm, options) / norm (threshold in normalized units;
+  /// +inf scores exactly).
+  template <class OnScore>
+  void Score(std::span<const double> query, double threshold, double norm,
+             const DtwOptions& options, const OnScore& on_score) {
+    if (size_ == 0) return;
+    std::array<double, kDtwBatchLanes> distances;
+    DtwEarlyAbandonBatch(query, std::span(values_.data(), size_),
+                         threshold * norm, distances, options);
+    const size_t count = size_;
+    size_ = 0;
+    for (size_t c = 0; c < count; ++c) on_score(ids_[c], distances[c] / norm);
+  }
+
+ private:
+  std::array<std::span<const double>, kDtwBatchLanes> values_;
+  std::array<size_t, kDtwBatchLanes> ids_;
+  size_t size_ = 0;
+};
+
+/// Scores candidates [0, size), candidate i being view(i), a LaneQueue
+/// at a time, and hands each result to on_score(i, distance) in
+/// candidate order. `check` is consulted before every batch; once it
+/// fires, no further batch runs.
 template <class View, class OnScore>
 void ScoreInBatches(std::span<const double> query, size_t size,
                     const View& view, double threshold, double norm,
                     const DtwOptions& options, ExecChecker& check,
                     const OnScore& on_score) {
-  for (size_t first = 0; first < size; first += kDtwBatchLanes) {
-    const size_t count = std::min(kDtwBatchLanes, size - first);
-    if (check.ShouldStop(count)) return;
-    const auto distances =
-        ScoreBatch(query, first, count, view, threshold, norm, options);
-    for (size_t c = 0; c < count; ++c) on_score(first + c, distances[c]);
+  LaneQueue batch;
+  for (size_t i = 0; i < size; ++i) {
+    batch.Push(view(i), i);
+    if (!batch.full() && i + 1 < size) continue;
+    if (check.ShouldStop(batch.size())) return;
+    batch.Score(query, threshold, norm, options, on_score);
   }
 }
+
+// Margin of the range scan's representative threshold over st/2. A DTW
+// that abandons past (st/2) * kRepAbandonSlack exceeds st/2 even after
+// the rounding of its square root and normalization, so every abandoned
+// representative gets the verdict its full DTW would give.
+constexpr double kRepAbandonSlack = 1.0 + 1e-9;
 
 }  // namespace
 
@@ -72,8 +103,9 @@ std::string QueryStats::ToString() const {
 }
 
 std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
-    std::span<const double> query, const GtiEntry& entry, double bsf,
-    QueryStats& stats, ExecChecker& check) const {
+    std::span<const double> query, const SeriesExtrema& query_extrema,
+    const GtiEntry& entry, double bsf, QueryStats& stats,
+    ExecChecker& check) const {
   StageScope stage(&stats, check.probe(), QueryStage::kRepScan);
   const size_t g = entry.NumGroups();
   const size_t m = query.size();
@@ -96,7 +128,7 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
     const double prune_at = std::min(bsf, best_d);
     ++stats.cascade.candidates;
     if (options_.use_cascade && prune_at < kInf) {
-      if (LbKim(query, rep) / norm > prune_at) {
+      if (LbKim(query, query_extrema, rep) / norm > prune_at) {
         ++stats.reps_pruned;
         ++stats.cascade.pruned_kim;
         return;
@@ -233,6 +265,7 @@ std::vector<std::pair<uint32_t, double>> QueryProcessor::TopRepresentatives(
 }
 
 QueryMatch QueryProcessor::SearchEntry(std::span<const double> query,
+                                       const SeriesExtrema& query_extrema,
                                        const GtiEntry& entry, double bsf,
                                        double* best_rep_distance,
                                        QueryStats& stats,
@@ -240,8 +273,8 @@ QueryMatch QueryProcessor::SearchEntry(std::span<const double> query,
   QueryMatch best;
   best.distance = std::numeric_limits<double>::infinity();
   if (options_.groups_to_search <= 1) {
-    const auto [group_id, rep_d] =
-        BestRepresentative(query, entry, bsf, stats, check);
+    const auto [group_id, rep_d] = BestRepresentative(
+        query, query_extrema, entry, bsf, stats, check);
     *best_rep_distance = rep_d;
     if (!std::isfinite(rep_d)) return best;
     return SearchGroup(query, entry, group_id, rep_d,
@@ -295,7 +328,8 @@ Result<QueryMatch> QueryProcessor::FindBestMatchOfLength(
   check.ObserveCascade(&call.cascade);
   ++call.lengths_scanned;
   double rep_d = kInf;
-  QueryMatch match = SearchEntry(query, *entry, kInf, &rep_d, call, check);
+  QueryMatch match = SearchEntry(query, ExtremaOf(query), *entry, kInf,
+                                 &rep_d, call, check);
   CommitStats(call, stats);
   if (!check.status().ok()) {
     // Flush the best candidate found before the interruption, so the
@@ -323,6 +357,7 @@ Result<QueryMatch> QueryProcessor::FindBestMatch(std::span<const double> query,
   check.ObserveCascade(&call.cascade);
   QueryMatch best;
   best.distance = kInf;
+  const SeriesExtrema query_extrema = ExtremaOf(query);
   const std::vector<size_t> ordered = OrderedLengths(query.size());
   size_t lengths_done = 0;
   for (size_t length : ordered) {
@@ -330,8 +365,8 @@ Result<QueryMatch> QueryProcessor::FindBestMatch(std::span<const double> query,
     if (entry == nullptr || entry->NumGroups() == 0) continue;
     ++call.lengths_scanned;
     double rep_d = kInf;
-    QueryMatch match =
-        SearchEntry(query, *entry, best.distance, &rep_d, call, check);
+    QueryMatch match = SearchEntry(query, query_extrema, *entry,
+                                   best.distance, &rep_d, call, check);
     ++lengths_done;
     if (match.distance < best.distance) {
       best = match;
@@ -376,6 +411,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
   const GtiEntry* entry = nullptr;
   uint32_t group_id = 0;
   double rep_d = kInf;
+  const SeriesExtrema query_extrema = ExtremaOf(query);
   if (length != 0) {
     entry = base_->EntryFor(length);
     if (entry == nullptr || entry->NumGroups() == 0) {
@@ -383,7 +419,7 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
                               " is not in the ONEX base");
     }
     std::tie(group_id, rep_d) =
-        BestRepresentative(query, *entry, kInf, call, check);
+        BestRepresentative(query, query_extrema, *entry, kInf, call, check);
   } else {
     // Any length: locate the best group via the Q1 path, then rank its
     // members.
@@ -393,8 +429,9 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindKSimilar(
       const GtiEntry* candidate = base_->EntryFor(len);
       if (candidate == nullptr || candidate->NumGroups() == 0) continue;
       ++call.lengths_scanned;
-      const auto [gid, d] =
-          BestRepresentative(query, *candidate, best_rep, call, check);
+      const auto [gid, d] = BestRepresentative(query, query_extrema,
+                                               *candidate, best_rep, call,
+                                               check);
       if (d < best_rep) {
         best_rep = d;
         entry = candidate;
@@ -510,6 +547,28 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
   check.ObserveCascade(&call.cascade);
   std::vector<QueryMatch> matches;
   const size_t m = query.size();
+  const double half_st = st / 2.0;
+
+  // Members of groups Lemma 2 does not admit wait in `queued` for the
+  // range kernel, which scores them kDtwBatchLanes at a time across group
+  // boundaries. Each holds a placeholder (NaN distance) in `matches` at
+  // the position its match takes, so matches keep group and member
+  // order whatever the batching: the unstable sort below only gives the
+  // same answer for the same input order. Everything before the oldest
+  // queued member is final.
+  LaneQueue queued;
+  // Drops the placeholders at or past `first`: members a scored batch
+  // rejected, or the unscored ones of an interrupted scan.
+  const auto drop_placeholders = [&](size_t first) {
+    matches.erase(std::remove_if(matches.begin() + first, matches.end(),
+                                 [](const QueryMatch& match) {
+                                   return std::isnan(match.distance);
+                                 }),
+                  matches.end());
+  };
+  const auto final_count = [&] {
+    return queued.empty() ? matches.size() : queued.front_id();
+  };
 
   // Work-fraction denominator for progress: total groups to visit.
   size_t total_groups = 0;
@@ -518,25 +577,28 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
     if (entry != nullptr) total_groups += entry->NumGroups();
   }
   size_t groups_done = 0;
-  // Everything past this index is unreported; batches flush per group
-  // for a LIVE watcher, while the capture-only wrapper is served by the
-  // single interrupt-time flush (the watermark makes it deliver
+  // Everything past this index is unreported; final matches flush per
+  // group for a LIVE watcher, while the capture-only wrapper is served
+  // by the single interrupt-time flush (the watermark makes it deliver
   // everything confirmed) — an uninterrupted plain query streams and
   // copies nothing.
   size_t reported = 0;
   auto flush_new = [&] {
-    if (matches.size() > reported) {
+    const size_t confirmed = final_count();
+    if (confirmed > reported) {
       check.Report(std::span<const QueryMatch>(matches.data() + reported,
-                                               matches.size() - reported),
+                                               confirmed - reported),
                    total_groups == 0
                        ? 1.0
                        : static_cast<double>(groups_done) /
                              static_cast<double>(total_groups),
                    /*snapshot=*/false);
-      reported = matches.size();
+      reported = confirmed;
     }
   };
 
+  // Lemma 2's representative verdicts, rep_d <= st/2, one per group.
+  std::vector<uint8_t> rep_within;
   for (size_t len : lengths) {
     const GtiEntry* entry = base_->EntryFor(len);
     if (entry == nullptr) continue;
@@ -547,40 +609,71 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
     // proven for it, and a Sakoe-Chiba band could push a guaranteed
     // member's reported distance past st.
     const DtwOptions dtw_options{-1};
-    const auto rep_view = [&](size_t k) {
-      return std::span<const double>(entry->groups[k].representative.data(),
-                                     len);
-    };
-    // Representatives are scored a batch of kDtwBatchLanes groups ahead
-    // of the group walk, which keeps its per-group order and progress.
-    std::array<double, kDtwBatchLanes> rep_distances{};
-    for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
-      if (check.ShouldStop()) break;
-      const LsiEntry& group = entry->groups[k];
-      // DTW has no reverse triangle inequality, so no group can be
-      // skipped outright; the representative's DTW only chooses between
-      // wholesale admission (Lemma 2) and a per-member scan.
-      if (k % kDtwBatchLanes == 0) {
-        const size_t count = std::min(kDtwBatchLanes, entry->NumGroups() - k);
-        call.reps_compared += count;
-        call.cascade.candidates += count;
-        call.cascade.dtw_completed += count;
-        StageScope stage(&call, check.probe(), QueryStage::kRepScan);
-        rep_distances =
-            ScoreBatch(query, k, count, rep_view, kInf, norm, dtw_options);
+    const size_t num_groups = entry->NumGroups();
+    rep_within.assign(num_groups, 0);
+
+    // Settles the verdicts of groups [screened, ...) ahead of the group
+    // walk, until kDtwBatchLanes representatives need the DTW itself.
+    // On equal lengths the diagonal is a warping path, and
+    // SquaredEuclidean is, bit for bit, an upper bound of the DP's own
+    // sum: when its distance is within st/2, so is the DTW's. Only the
+    // verdict is read, so the DTW may abandon past st/2.
+    size_t screened = 0;
+    const auto screen_reps = [&] {
+      StageScope stage(&call, check.probe(), QueryStage::kRepScan);
+      LaneQueue reps;
+      while (screened < num_groups && !reps.full()) {
+        const size_t k = screened++;
+        const std::span<const double> rep(
+            entry->groups[k].representative.data(), len);
+        ++call.reps_compared;
+        if (m == len &&
+            std::sqrt(SquaredEuclidean(query, rep)) / norm <= half_st) {
+          rep_within[k] = 1;
+          continue;
+        }
+        ++call.cascade.candidates;
+        reps.Push(rep, k);
       }
-      const double rep_d = rep_distances[k % kDtwBatchLanes];
-      const auto member_view = [&](size_t i) {
-        return group.members[i].ref.View(base_->dataset());
-      };
+      reps.Score(query, half_st * kRepAbandonSlack, norm, dtw_options,
+                 [&](size_t k, double d) {
+                   ++(std::isinf(d) ? call.cascade.dtw_abandoned
+                                    : call.cascade.dtw_completed);
+                   rep_within[k] = d <= half_st;
+                 });
+    };
+
+    // Scores the queued members; false once the checker fires.
+    const auto score_queued = [&] {
+      if (queued.empty()) return true;
+      if (check.ShouldStop(queued.size())) return false;
+      const size_t first = queued.front_id();
+      queued.Score(query, st, norm, dtw_options, [&](size_t at, double d) {
+        ++call.members_compared;
+        ++call.cascade.candidates;
+        ++(std::isinf(d) ? call.cascade.dtw_abandoned
+                         : call.cascade.dtw_completed);
+        matches[at].distance = d <= st ? d : kNaN;
+      });
+      drop_placeholders(first);
+      return true;
+    };
+
+    for (uint32_t k = 0; k < num_groups; ++k) {
+      if (check.ShouldStop()) break;
+      if (k == screened) screen_reps();
+      const LsiEntry& group = entry->groups[k];
+      StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
       // Lemma 2 premises, checked against the *stored* member EDs (the
       // members array is sorted, so back() is the group's ED radius):
       // both DTW(query, rep) and every ED(member, rep) must be <= st/2.
+      // DTW has no reverse triangle inequality, so no group can be
+      // skipped outright; the verdict only chooses between wholesale
+      // admission and a per-member scan.
       const double group_radius =
           group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
-      if (rep_d <= st / 2.0 && group_radius <= st / 2.0) {
+      if (rep_within[k] && group_radius <= half_st) {
         // Lemma 2: every member of this group is within st of the query.
-        StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
         call.members_admitted_by_lemma2 += group.members.size();
         const auto admit = [&](size_t i, double d, bool upper_bound) {
           QueryMatch match;
@@ -591,14 +684,17 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
           matches.push_back(match);
         };
         if (exact_distances) {
-          ScoreInBatches(query, group.members.size(), member_view, kInf, norm,
-                         dtw_options, check, [&](size_t i, double d) {
-                           // Exact recompute enters the cascade as a
-                           // straight DTW.
-                           ++call.cascade.candidates;
-                           ++call.cascade.dtw_completed;
-                           admit(i, d, false);
-                         });
+          const auto member_view = [&](size_t i) {
+            return group.members[i].ref.View(base_->dataset());
+          };
+          ScoreInBatches(
+              query, group.members.size(), member_view, kInf, norm,
+              dtw_options, check, [&](size_t i, double d) {
+                // Exact recompute enters the cascade as a straight DTW.
+                ++call.cascade.candidates;
+                ++call.cascade.dtw_completed;
+                admit(i, d, false);
+              });
         } else {
           for (size_t i = 0; i < group.members.size(); ++i) {
             admit(i, st, true);
@@ -606,34 +702,33 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
         }
       } else {
         // Individual scan with early abandoning at the range threshold.
-        StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
-        ScoreInBatches(query, group.members.size(), member_view, st, norm,
-                       dtw_options, check, [&](size_t i, double d) {
-                         ++call.members_compared;
-                         ++call.cascade.candidates;
-                         if (std::isinf(d)) {
-                           ++call.cascade.dtw_abandoned;
-                         } else {
-                           ++call.cascade.dtw_completed;
-                         }
-                         if (d <= st) {
-                           QueryMatch match;
-                           match.ref = group.members[i].ref;
-                           match.group_id = k;
-                           match.distance = d;
-                           matches.push_back(match);
-                         }
-                       });
+        for (const LsiMember& member : group.members) {
+          QueryMatch match;
+          match.ref = member.ref;
+          match.group_id = k;
+          match.distance = kNaN;
+          queued.Push(member.ref.View(base_->dataset()), matches.size());
+          matches.push_back(match);
+          if (queued.full() && !score_queued()) break;
+        }
       }
       ++groups_done;
       if (check.wants_live_progress()) flush_new();
     }
+    // The length's last, partly filled batch.
+    StageScope stage(&call, check.probe(), QueryStage::kMemberScan);
+    if (!score_queued()) break;
   }
   CommitStats(call, stats);
   if (!check.status().ok()) {
-    // Flush everything confirmed and still unreported before the stop;
-    // the API layer re-assembles the partial response from these
+    // Members still queued were never scored: drop their placeholders,
+    // then flush everything confirmed and still unreported before the
+    // stop; the API layer re-assembles the partial response from these
     // events.
+    if (!queued.empty()) {
+      drop_placeholders(queued.front_id());
+      queued = LaneQueue();
+    }
     flush_new();
     return check.status();
   }

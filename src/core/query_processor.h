@@ -20,6 +20,7 @@
 #include "core/onex_base.h"
 #include "core/query_match.h"
 #include "distance/cascade.h"
+#include "distance/lb_kim.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -66,7 +67,9 @@ struct QueryStats {
   /// last two summed, so the paper's pruning ratio
   /// (1 - dtw_evaluated/candidates) is available per query, live.
   /// Lemma-2-admitted members never enter the cascade and are counted
-  /// only in members_admitted_by_lemma2.
+  /// only in members_admitted_by_lemma2. Likewise a range scan's
+  /// representative whose Lemma-2 test the ED upper bound settles (no
+  /// DTW run) counts in reps_compared but not as a cascade candidate.
   CascadeStats cascade;
 
   /// Stage timings, seconds. Accumulated at call/group granularity
@@ -197,7 +200,10 @@ class QueryProcessor {
   /// Lemma 2 fast path: when DTW(query, representative) <= st/2, the
   /// whole group qualifies with NO per-member DTW — the paper's
   /// guarantee made operational; other groups are scanned with
-  /// early-abandoning DTW at threshold st. Results sorted by distance.
+  /// early-abandoning DTW at threshold st. On equal lengths the ED to
+  /// the representative, an exact DTW upper bound, settles the st/2 test
+  /// without a DTW where it can. Member scans fill the batch kernel's
+  /// lanes across group boundaries. Results sorted by distance.
   /// Fast-path members report their upper bound (st) as distance — and
   /// carry distance_is_upper_bound — unless `exact_distances` is set,
   /// which recomputes them. Progress events append each group's newly
@@ -225,13 +231,13 @@ class QueryProcessor {
 
  private:
   /// Best representative of `entry` for `query`: (group id, normalized
-  /// DTW). `bsf` seeds pruning (normalized units). Stops early (partial
-  /// best-so-far) when `check` fires.
-  std::pair<uint32_t, double> BestRepresentative(std::span<const double> query,
-                                                 const GtiEntry& entry,
-                                                 double bsf,
-                                                 QueryStats& stats,
-                                                 ExecChecker& check) const;
+  /// DTW). `query_extrema` is ExtremaOf(query), computed once per query
+  /// for LB_Kim. `bsf` seeds pruning (normalized units). Stops early
+  /// (partial best-so-far) when `check` fires.
+  std::pair<uint32_t, double> BestRepresentative(
+      std::span<const double> query, const SeriesExtrema& query_extrema,
+      const GtiEntry& entry, double bsf, QueryStats& stats,
+      ExecChecker& check) const;
 
   /// Top options_.groups_to_search representatives, ascending by
   /// normalized DTW (no pruning: all representatives are evaluated).
@@ -242,9 +248,11 @@ class QueryProcessor {
   /// Searches the chosen groups of one entry (1 group on the paper's
   /// path, several with groups_to_search > 1) and returns the best
   /// member found, seeded with `bsf`.
-  QueryMatch SearchEntry(std::span<const double> query, const GtiEntry& entry,
-                         double bsf, double* best_rep_distance,
-                         QueryStats& stats, ExecChecker& check) const;
+  QueryMatch SearchEntry(std::span<const double> query,
+                         const SeriesExtrema& query_extrema,
+                         const GtiEntry& entry, double bsf,
+                         double* best_rep_distance, QueryStats& stats,
+                         ExecChecker& check) const;
 
   /// Scans the chosen group; returns the best member (and distance),
   /// seeded with `bsf`. `rep_distance` is DTW(query, representative),

@@ -34,6 +34,9 @@ struct CascadeStats {
 
   /// Every candidate is accounted to exactly one terminal stage.
   /// (dtw_abandoned + dtw_completed is the wire's `dtw_evaluated`.)
+  /// Work settled without a DTW decision — a range scan's
+  /// Lemma-2-admitted members, and its representatives whose st/2 test
+  /// the ED upper bound settles — is never a candidate.
   bool Consistent() const {
     return candidates ==
            pruned_kim + pruned_keogh + dtw_abandoned + dtw_completed;

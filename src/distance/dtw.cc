@@ -36,20 +36,20 @@ template <class T>
 }
 
 // One cell of the recurrence: D(i, j) = cost(i, j) + min(D(i-1, j-1),
-// D(i-1, j), D(i, j-1)), with an unreachable (+inf) predecessor set
-// leaving the cell unreachable. The scalar kernel and every lane of the
-// batch kernels run exactly this sequence of compares, selects, one
-// subtraction, one multiplication and one addition (never fused), so a
-// lane's result is bit-identical to the scalar one whatever the lane
-// order.
+// D(i-1, j), D(i, j-1)). An unreachable (+inf) predecessor set leaves
+// the cell unreachable with no select of its own: for finite inputs the
+// cost is finite or +inf, and either plus +inf is +inf. The scalar
+// kernel and every lane of the batch kernels run exactly this sequence
+// of compares, selects, one subtraction, one multiplication and one
+// addition (never fused), so a lane's result is bit-identical to the
+// scalar one whatever the lane order.
 template <class T>
 [[gnu::always_inline]] inline T DtwCell(const T& ai, const T& bj,
                                         const T& diag, const T& up,
-                                        const T& left, const T& inf) {
+                                        const T& left) {
   const T d = ai - bj;
   const T cost = d * d;
-  const T best = LessSelect(left, LessSelect(up, diag));
-  return best == inf ? inf : cost + best;
+  return cost + LessSelect(left, LessSelect(up, diag));
 }
 
 // Shared DP core. Returns the squared DTW, or +inf when early abandoning
@@ -84,8 +84,7 @@ double SquaredDtwCore(std::span<const double> a, std::span<const double> b,
     double row_min = kInf;
     const double ai = a[i];
     for (size_t j = j_lo; j <= j_hi; ++j) {
-      const double value = DtwCell(ai, b[j], prev[j], prev[j + 1], cur[j],
-                                   kInf);
+      const double value = DtwCell(ai, b[j], prev[j], prev[j + 1], cur[j]);
       cur[j + 1] = value;
       row_min = LessSelect(value, row_min);
     }
@@ -199,7 +198,7 @@ template <class P, size_t K>
 #pragma GCC unroll 4
       for (size_t k = 0; k < K; ++k) {
         left[k] = DtwCell(ai, Load<P>(b_col + k * W), Load<P>(diag + k * W),
-                          Load<P>(up + k * W), left[k], inf);
+                          Load<P>(up + k * W), left[k]);
         Store<P>(value + k * W, left[k]);
         row_min[k] = LessSelect(left[k], row_min[k]);
       }

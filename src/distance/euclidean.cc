@@ -9,8 +9,11 @@ double SquaredEuclidean(std::span<const double> a, std::span<const double> b) {
   assert(a.size() == b.size());
   double sum = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
+    // Two statements, as in DTW's cell step, so that no contraction
+    // within one expression (clang's default) fuses them into an FMA.
     const double d = a[i] - b[i];
-    sum += d * d;
+    const double cost = d * d;
+    sum += cost;
   }
   return sum;
 }

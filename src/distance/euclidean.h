@@ -11,7 +11,11 @@
 
 namespace onex {
 
-/// Squared Euclidean distance. Requires a.size() == b.size().
+/// Squared Euclidean distance. Requires a.size() == b.size(). The sum
+/// runs in index order over the same unfused (a[i] - b[i])^2 that DTW's
+/// recurrence adds, and the diagonal is a warping path, so on equal
+/// lengths the result is, bit for bit, >= SquaredDtw(a, b) under any
+/// band (rounding is monotone): a DTW upper bound with no slack.
 double SquaredEuclidean(std::span<const double> a, std::span<const double> b);
 
 /// Euclidean distance ED(X, Y) (Def. 2). Requires equal lengths.

@@ -5,7 +5,18 @@
 
 namespace onex {
 
+SeriesExtrema ExtremaOf(std::span<const double> a) {
+  if (a.empty()) return {};
+  const auto [min_it, max_it] = std::minmax_element(a.begin(), a.end());
+  return {*min_it, *max_it};
+}
+
 double LbKim(std::span<const double> a, std::span<const double> b) {
+  return LbKim(a, ExtremaOf(a), b);
+}
+
+double LbKim(std::span<const double> a, const SeriesExtrema& a_extrema,
+             std::span<const double> b) {
   if (a.empty() || b.empty()) return 0.0;
   // First and last points are on every warping path, and they are
   // distinct path elements when max(n, m) >= 2, so their squared costs
@@ -17,10 +28,9 @@ double LbKim(std::span<const double> a, std::span<const double> b) {
 
   // Min/max features: the global extremum of one series aligns with some
   // point of the other, bounding one path cost from below.
-  const auto [a_min_it, a_max_it] = std::minmax_element(a.begin(), a.end());
-  const auto [b_min_it, b_max_it] = std::minmax_element(b.begin(), b.end());
-  const double d_min = *a_min_it - *b_min_it;
-  const double d_max = *a_max_it - *b_max_it;
+  const SeriesExtrema b_extrema = ExtremaOf(b);
+  const double d_min = a_extrema.min - b_extrema.min;
+  const double d_max = a_extrema.max - b_extrema.max;
   const double feature_sq =
       std::max(d_min * d_min, d_max * d_max);
   return std::sqrt(std::max(bound_sq, feature_sq));

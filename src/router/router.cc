@@ -285,8 +285,7 @@ void Router::RunScatter(const std::shared_ptr<ScatterOp>& op,
         continue;
       }
       state.link = link.value();
-      metrics_.RecordUpstreamRequest(
-          idx, table_.Snapshot()[idx].health.follower);
+      metrics_.RecordUpstreamRequest(idx, table_.IsFollower(idx));
 
       server::Client::SubmitOptions options;
       options.deadline_ms =

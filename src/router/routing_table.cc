@@ -106,5 +106,15 @@ std::vector<UpstreamSnapshot> RoutingTable::Snapshot() const {
   return upstreams_;
 }
 
+UpstreamConfig RoutingTable::Config(size_t i) const {
+  MutexLock lock(mutex_);
+  return upstreams_[i].config;
+}
+
+bool RoutingTable::IsFollower(size_t i) const {
+  MutexLock lock(mutex_);
+  return upstreams_[i].health.follower;
+}
+
 }  // namespace router
 }  // namespace onex

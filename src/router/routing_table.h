@@ -87,6 +87,13 @@ class RoutingTable {
   /// Full copy for INSPECT/HEALTH rendering.
   std::vector<UpstreamSnapshot> Snapshot() const;
 
+  /// Upstream `i`'s configured address (what Dial needs).
+  UpstreamConfig Config(size_t i) const;
+
+  /// Whether the last probe found upstream `i` to be a follower (what a
+  /// routed leg's metrics label needs).
+  bool IsFollower(size_t i) const;
+
  private:
   const size_t size_;
   mutable Mutex mutex_{LockRank::kRouterTable, "router.table_mutex"};

@@ -48,7 +48,7 @@ void UpstreamPool::Stop() {
 }
 
 Result<server::Client> UpstreamPool::Dial(size_t i) const {
-  const UpstreamConfig config = table_->Snapshot()[i].config;
+  const UpstreamConfig config = table_->Config(i);
   server::ClientOptions client_options;
   client_options.connect_timeout_ms = options_.connect_timeout_ms;
   client_options.io_timeout_ms = options_.io_timeout_ms;

@@ -91,6 +91,56 @@ TEST(DtwTest, DtwNeverExceedsEdOnEqualLengths) {
   }
 }
 
+TEST(DtwTest, SquaredEdBoundsSquaredDtwExactly) {
+  // The range scan settles Lemma 2's representative test on ED alone,
+  // which needs SquaredDtw <= SquaredEuclidean with no tolerance: the ED
+  // sum adds the DP's own unfused squared costs along the diagonal (a
+  // warping path under any band), and rounding is monotone.
+  Rng rng(31);
+  const auto steps = [&](size_t n) {
+    // Plateaus on a few levels, jumping at random points.
+    std::vector<double> v(n);
+    double level = 0.0;
+    for (auto& x : v) {
+      if (rng.Uniform(5) == 0) level = static_cast<double>(rng.Uniform(4));
+      x = level;
+    }
+    return v;
+  };
+  const auto huge = [&](size_t n) {
+    // Mixed signs and scales up to 1e100, the largest value a base takes.
+    std::vector<double> v(n);
+    for (auto& x : v) {
+      x = rng.UniformDouble(-1.0, 1.0) *
+          std::pow(10.0, rng.UniformDouble(-100.0, 100.0));
+    }
+    return v;
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = 1 + rng.Uniform(96);
+    const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+        cases = {{RandomVector(n, &rng), RandomVector(n, &rng)},
+                 {steps(n), steps(n)},
+                 {huge(n), huge(n)}};
+    for (const auto& [a, b] : cases) {
+      const double ed_sq = SquaredEuclidean(S(a), S(b));
+      for (const int window : {-1, 0, 1, 4, 16}) {
+        const DtwOptions options{window};
+        EXPECT_LE(SquaredDtw(S(a), S(b), options), ed_sq)
+            << "n=" << n << " window=" << window;
+        // The lane kernels too (two candidates, so not the scalar path).
+        const std::vector<std::span<const double>> candidates = {S(b), S(a)};
+        std::vector<double> out(2);
+        DtwEarlyAbandonBatch(S(a), candidates,
+                             std::numeric_limits<double>::infinity(), out,
+                             options);
+        EXPECT_LE(out[0], std::sqrt(ed_sq))
+            << "n=" << n << " window=" << window;
+      }
+    }
+  }
+}
+
 TEST(DtwTest, SymmetricForEqualLengths) {
   Rng rng(8);
   const auto a = RandomVector(40, &rng);

@@ -248,6 +248,58 @@ TEST(EngineTest, ErrorsPropagateAsStatuses) {
   EXPECT_FALSE(bad_st.ok());
 }
 
+// Every query kind that carries query values rejects a non-finite one,
+// the rule the wire parser applies, instead of answering wrongly (a NaN
+// made BestMatch NotFound, KSimilar rows of distance nan, and RangeWithin
+// an empty answer).
+std::vector<std::vector<double>> NonFiniteQueries() {
+  std::vector<std::vector<double>> out;
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::vector<double> query(8, 0.5);
+    query[3] = bad;
+    out.push_back(query);
+  }
+  return out;
+}
+
+void ExpectNonFiniteRejected(const Result<QueryResponse>& response) {
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(response.status().message().find("query value 3"),
+            std::string::npos)
+      << response.status().ToString();
+}
+
+TEST(EngineTest, BestMatchRejectsNonFiniteQueryValues) {
+  Engine engine = Engine::FromBase(BuildRawBase());
+  for (const auto& query : NonFiniteQueries()) {
+    ExpectNonFiniteRejected(
+        engine.Execute(BestMatchRequest{query, 8}, ExecContext{}));
+    ExpectNonFiniteRejected(
+        engine.Execute(BestMatchRequest{query, 0}, ExecContext{}));
+  }
+}
+
+TEST(EngineTest, KSimilarRejectsNonFiniteQueryValues) {
+  Engine engine = Engine::FromBase(BuildRawBase());
+  for (const auto& query : NonFiniteQueries()) {
+    ExpectNonFiniteRejected(
+        engine.Execute(KSimilarRequest{query, 3, 8}, ExecContext{}));
+    ExpectNonFiniteRejected(
+        engine.Execute(KSimilarRequest{query, 3, 0}, ExecContext{}));
+  }
+}
+
+TEST(EngineTest, RangeWithinRejectsNonFiniteQueryValues) {
+  Engine engine = Engine::FromBase(BuildRawBase());
+  for (const auto& query : NonFiniteQueries()) {
+    ExpectNonFiniteRejected(engine.Execute(
+        RangeWithinRequest{query, 0.2, 8, false}, ExecContext{}));
+    ExpectNonFiniteRejected(engine.Execute(
+        RangeWithinRequest{query, 0.2, 0, true}, ExecContext{}));
+  }
+}
+
 TEST(EngineTest, KindNamesAreStable) {
   EXPECT_STREQ(ToString(KindOf(BestMatchRequest{})), "BestMatch");
   EXPECT_STREQ(ToString(KindOf(KSimilarRequest{})), "KSimilar");

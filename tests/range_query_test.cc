@@ -6,13 +6,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <set>
 
+#include "core/exec_context.h"
 #include "core/onex_base.h"
 #include "core/query_processor.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "distance/dtw.h"
+#include "distance/euclidean.h"
 #include "util/rng.h"
 
 namespace onex {
@@ -239,11 +242,24 @@ ReferenceRange PerCandidateRange(const OnexBase& base,
     const double norm = 2.0 * static_cast<double>(std::max(query.size(), len));
     for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
       const LsiEntry& group = entry->groups[k];
-      ++s.reps_compared;
-      ++s.cascade.candidates;
-      ++s.cascade.dtw_completed;
       const double rep_d =
           DtwDistance(query, S(group.representative), options) / norm;
+      // Counting rule: every representative is compared; one that the
+      // ED upper bound settles (equal lengths only) skips the cascade,
+      // the others run a DTW that may abandon just past st/2.
+      ++s.reps_compared;
+      const bool settled =
+          query.size() == len &&
+          EuclideanDistance(query, S(group.representative)) / norm <=
+              st / 2.0;
+      if (!settled) {
+        ++s.cascade.candidates;
+        const double bounded = DtwEarlyAbandon(
+            query, S(group.representative), st / 2.0 * (1.0 + 1e-9) * norm,
+            options);
+        ++(std::isinf(bounded) ? s.cascade.dtw_abandoned
+                               : s.cascade.dtw_completed);
+      }
       const double radius =
           group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
       const bool admitted = rep_d <= st / 2.0 && radius <= st / 2.0;
@@ -344,6 +360,150 @@ TEST(RangeQueryTest, BatchedScanEqualsPerCandidateScan) {
   EXPECT_GT(coverage.members_admitted_by_lemma2, 0u);
   EXPECT_GT(coverage.members_compared, 0u);
   EXPECT_GT(coverage.cascade.dtw_abandoned, 0u);
+}
+
+// Sizes of the groups of `len` that Lemma 2 does not admit for `query`,
+// in scan order: the groups whose members go to the range kernel.
+std::vector<size_t> ScannedGroupSizes(const OnexBase& base,
+                                      std::span<const double> query,
+                                      double st, size_t len) {
+  std::vector<size_t> sizes;
+  const double norm = 2.0 * static_cast<double>(std::max(query.size(), len));
+  for (const LsiEntry& group : base.EntryFor(len)->groups) {
+    const double rep_d =
+        DtwDistance(query, S(group.representative), DtwOptions{-1}) / norm;
+    const double radius =
+        group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
+    if (!(rep_d <= st / 2.0 && radius <= st / 2.0)) {
+      sizes.push_back(group.members.size());
+    }
+  }
+  return sizes;
+}
+
+// A coarse base (st 0.4): at length 32 it holds groups of one to over a
+// hundred members, many of 3 to 17. Range thresholds of 0.1 to 0.25
+// scan the groups whose radius exceeds st/2 member by member, so the
+// kernel's batches of 16 span several groups, with the groups Lemma 2
+// admits between them in scan order.
+OnexBase CoarseBase() {
+  GenOptions gen;
+  gen.num_series = 40;
+  gen.length = 64;
+  gen.seed = 11;
+  Dataset data = MakeTwoPatterns(gen);
+  MinMaxNormalize(&data);
+  OnexOptions options;
+  options.st = 0.4;
+  options.lengths = {32, 32, 16};
+  auto built = OnexBase::Build(std::move(data), options);
+  EXPECT_TRUE(built.ok());
+  return std::move(built).value();
+}
+
+TEST(RangeQueryTest, BatchesThatCrossGroupBoundariesKeepScanOrder) {
+  const OnexBase base = CoarseBase();
+  QueryProcessor processor(&base);
+
+  Rng rng(23);
+  size_t crossing_queries = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto view = base.dataset()[rng.Uniform(40)].Subsequence(
+        static_cast<uint32_t>(rng.Uniform(32)), 32);
+    std::vector<double> query(view.begin(), view.end());
+    for (auto& x : query) x += rng.UniformDouble(-0.02, 0.02);
+    const double st = 0.1 + 0.05 * (trial % 4);
+    const auto sizes = ScannedGroupSizes(base, S(query), st, 32);
+    // A batch crosses a boundary wherever a scanned group other than the
+    // first starts off a multiple of 16; count the small groups (3 to 17
+    // members) such batches mix.
+    size_t offset = 0, small = 0;
+    bool crosses = false;
+    for (const size_t size : sizes) {
+      if (offset % kDtwBatchLanes != 0) crosses = true;
+      if (size >= 3 && size <= 17) ++small;
+      offset += size;
+    }
+    if (crosses && small >= 2) ++crossing_queries;
+
+    QueryStats stats;
+    auto got = processor.FindAllWithin(S(query), st, 32,
+                                       /*exact_distances=*/false, &stats);
+    ASSERT_TRUE(got.ok());
+    const ReferenceRange want =
+        PerCandidateRange(base, S(query), st, 32, /*exact_distances=*/false);
+    ASSERT_EQ(got.value().size(), want.matches.size());
+    std::set<uint32_t> groups;
+    for (size_t i = 0; i < want.matches.size(); ++i) {
+      const QueryMatch& a = got.value()[i];
+      const QueryMatch& b = want.matches[i];
+      EXPECT_EQ(KeyOf(a.ref), KeyOf(b.ref)) << "row " << i;
+      EXPECT_EQ(a.group_id, b.group_id) << "row " << i;
+      EXPECT_TRUE(SameBits(a.distance, b.distance)) << "row " << i;
+      EXPECT_EQ(a.distance_is_upper_bound, b.distance_is_upper_bound);
+      groups.insert(a.group_id);
+    }
+    EXPECT_GT(groups.size(), 1u);
+    ExpectSameStats(stats, want.stats);
+  }
+  EXPECT_GT(crossing_queries, 0u);
+}
+
+TEST(RangeQueryTest, InterruptedScanReturnsASubsetOfTheAnswer) {
+  const OnexBase base = CoarseBase();
+  QueryProcessor processor(&base);
+  const auto view = base.dataset()[3].Subsequence(5, 32);
+  const std::vector<double> query(view.begin(), view.end());
+  const double st = 0.2;
+  auto full = processor.FindAllWithin(S(query), st, 32);
+  ASSERT_TRUE(full.ok());
+  std::map<uint64_t, QueryMatch> answer;
+  for (const QueryMatch& match : full.value()) {
+    answer[KeyOf(match.ref)] = match;
+  }
+
+  // A token cancelled up front stops the scan at the first check that
+  // consults it, after about check_every candidates: sweeping that
+  // period lands the stop between groups and before member batches,
+  // with members of a batch already queued.
+  size_t partial_groups = 0;
+  for (size_t every = 1; every <= 400; every += 3) {
+    ExecContext ctx;
+    ctx.cancel.Cancel();
+    ctx.check_every = every;
+    std::vector<QueryMatch> streamed;
+    ctx.progress = [&](const ProgressEvent& event) {
+      streamed.insert(streamed.end(), event.matches().begin(),
+                      event.matches().end());
+    };
+    QueryStats stats;
+    auto got = processor.FindAllWithin(S(query), st, 32, false, &stats, &ctx);
+    ASSERT_EQ(got.status().code(), Status::Code::kCancelled);
+    EXPECT_TRUE(stats.cascade.Consistent());
+    ASSERT_LT(streamed.size(), answer.size()) << "every=" << every;
+    std::set<uint64_t> seen;
+    std::map<uint32_t, size_t> per_group;
+    for (const QueryMatch& match : streamed) {
+      const auto it = answer.find(KeyOf(match.ref));
+      ASSERT_NE(it, answer.end()) << "every=" << every;
+      EXPECT_TRUE(SameBits(match.distance, it->second.distance));
+      EXPECT_EQ(match.group_id, it->second.group_id);
+      EXPECT_EQ(match.distance_is_upper_bound,
+                it->second.distance_is_upper_bound);
+      EXPECT_TRUE(seen.insert(KeyOf(match.ref)).second) << "duplicate";
+      ++per_group[match.group_id];
+    }
+    // A group cut by the stop: some of its matches confirmed, the rest
+    // queued or never reached, and not reported.
+    for (const auto& [group_id, count] : per_group) {
+      size_t total = 0;
+      for (const auto& [key, match] : answer) {
+        total += match.group_id == group_id;
+      }
+      if (count < total) ++partial_groups;
+    }
+  }
+  EXPECT_GT(partial_groups, 0u);
 }
 
 TEST(RangeQueryTest, Validation) {

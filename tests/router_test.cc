@@ -912,9 +912,9 @@ TEST_F(RouterReplicatedTest, UpstreamDeathMidQueryFailsOverIdempotently) {
     cv.wait(lock, [&] { return job_started; });
   }
   // The query is in flight on the follower. Kill it: the leg's link
-  // dies, its reconnects exhaust against the closed port, and the
-  // router re-submits the tagged query to the leader — idempotently,
-  // with the original id (reads only; the write path never retries).
+  // dies, the router drops it at once (the wire client never re-dials),
+  // and re-submits the tagged query to the leader — idempotently, with
+  // the original id (reads only; the write path never retries).
   follower_->Stop();
 
   auto final = handle.value().Wait();
