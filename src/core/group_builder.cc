@@ -55,74 +55,6 @@ std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
   return groups;
 }
 
-std::vector<SimilarityGroup> RefineGroupsOnce(
-    const Dataset& dataset, const std::vector<SimilarityGroup>& groups,
-    size_t length, double st) {
-  // Freeze the current representatives as assignment targets.
-  std::vector<std::vector<double>> centers;
-  centers.reserve(groups.size());
-  for (const auto& group : groups) centers.push_back(group.representative());
-
-  const double radius = std::sqrt(static_cast<double>(length)) * st / 2.0;
-  const double radius_sq = radius * radius;
-
-  std::vector<SimilarityGroup> refined;
-  std::vector<std::vector<SubsequenceRef>> assignments(centers.size());
-  std::vector<SubsequenceRef> founders;
-  for (const auto& group : groups) {
-    for (const SubsequenceRef& ref : group.members()) {
-      const auto values = ref.View(dataset);
-      double min_sq = std::numeric_limits<double>::infinity();
-      size_t min_k = 0;
-      for (size_t k = 0; k < centers.size(); ++k) {
-        const double d_sq = SquaredEuclideanEarlyAbandon(
-            values, std::span<const double>(centers[k].data(), length),
-            std::min(min_sq, radius_sq));
-        if (d_sq < min_sq) {
-          min_sq = d_sq;
-          min_k = k;
-        }
-      }
-      if (min_sq <= radius_sq) {
-        assignments[min_k].push_back(ref);
-      } else {
-        founders.push_back(ref);  // Out of radius of every center.
-      }
-    }
-  }
-  for (const auto& bucket : assignments) {
-    if (bucket.empty()) continue;  // Center lost all members: drop it.
-    SimilarityGroup group(length, bucket[0], bucket[0].View(dataset));
-    for (size_t i = 1; i < bucket.size(); ++i) {
-      group.Add(bucket[i], bucket[i].View(dataset));
-    }
-    refined.push_back(std::move(group));
-  }
-  // Orphans re-run the online rule against the refined set.
-  for (const SubsequenceRef& ref : founders) {
-    const auto values = ref.View(dataset);
-    double min_sq = std::numeric_limits<double>::infinity();
-    size_t min_k = 0;
-    for (size_t k = 0; k < refined.size(); ++k) {
-      const double d_sq = SquaredEuclideanEarlyAbandon(
-          values,
-          std::span<const double>(refined[k].representative().data(),
-                                  length),
-          std::min(min_sq, radius_sq));
-      if (d_sq < min_sq) {
-        min_sq = d_sq;
-        min_k = k;
-      }
-    }
-    if (min_sq <= radius_sq) {
-      refined[min_k].Add(ref, values);
-    } else {
-      refined.emplace_back(length, ref, values);
-    }
-  }
-  return refined;
-}
-
 std::map<size_t, std::vector<SimilarityGroup>> BuildAllGroups(
     const Dataset& dataset, const OnexOptions& options) {
   std::map<size_t, std::vector<SimilarityGroup>> result;
@@ -135,11 +67,7 @@ std::map<size_t, std::vector<SimilarityGroup>> BuildAllGroups(
     }
   }
   for (size_t len : lengths) {
-    auto groups = BuildGroupsForLength(dataset, len, options.st, &rng);
-    for (size_t pass = 0; pass < options.refinement_passes; ++pass) {
-      groups = RefineGroupsOnce(dataset, groups, len, options.st);
-    }
-    result[len] = std::move(groups);
+    result[len] = BuildGroupsForLength(dataset, len, options.st, &rng);
   }
   return result;
 }

@@ -25,20 +25,9 @@ std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
                                                   size_t length, double st,
                                                   Rng* rng);
 
-/// One Lloyd-style refinement pass (the "alternative clustering
-/// methods" the paper's tech report discusses): every member is
-/// reassigned to its nearest current representative within the ST/2
-/// radius — or founds a new group — and representatives are rebuilt as
-/// running averages. Iterating reduces assignment drift left by the
-/// one-pass online algorithm while preserving every Def. 8 invariant.
-std::vector<SimilarityGroup> RefineGroupsOnce(
-    const Dataset& dataset, const std::vector<SimilarityGroup>& groups,
-    size_t length, double st);
-
-/// Runs BuildGroupsForLength for every length in options.lengths
-/// (plus options.refinement_passes Lloyd passes each), returning
-/// length -> groups. This is the expensive offline phase the paper
-/// measures in Fig. 5.
+/// Runs BuildGroupsForLength for every length in options.lengths,
+/// returning length -> groups. This is the expensive offline phase the
+/// paper measures in Fig. 5.
 std::map<size_t, std::vector<SimilarityGroup>> BuildAllGroups(
     const Dataset& dataset, const OnexOptions& options);
 

@@ -34,12 +34,6 @@ struct OnexOptions {
   /// g(g-1)/2 buffer of Dc values; disable for very large bases.
   bool compute_sp_space = true;
 
-  /// Lloyd-style refinement passes after the one-shot online clustering
-  /// of Algorithm 1 (0 = the paper's behaviour). Each pass reassigns
-  /// every subsequence to its nearest in-radius representative and
-  /// rebuilds the averages, tightening groups at extra build cost.
-  size_t refinement_passes = 0;
-
   /// Validates parameter sanity.
   Status Validate() const {
     if (st <= 0.0) return Status::InvalidArgument("st must be positive");

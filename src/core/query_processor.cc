@@ -26,10 +26,9 @@ inline double Norm(size_t m, size_t len) {
 
 /// Up to kDtwBatchLanes candidates of one length waiting for one
 /// DtwEarlyAbandonBatch call, each tagged with the caller's id for its
-/// result. Batching is for scans whose threshold does not depend on
-/// earlier candidates; a scan that fills the queue from several groups
-/// keeps the kernel's lanes full where per-group batches would leave
-/// them part empty.
+/// result. Every DTW of the query processor goes through one: a scan
+/// that fills the queue from several groups keeps the kernel's lanes
+/// full where per-group batches would leave them part empty.
 class LaneQueue {
  public:
   bool empty() const { return size_ == 0; }
@@ -85,6 +84,84 @@ void ScoreInBatches(std::span<const double> query, size_t size,
   }
 }
 
+/// The best-so-far scan of Q1/Q1k (Sec. 5.3): candidates offered in
+/// visit order wait in a LaneQueue, and each full queue, and the tail
+/// at Flush(), is scored in one kernel call at threshold(), the
+/// best-so-far as of the last scored batch. Results apply in offer
+/// order with a strict <, so the first candidate at the lowest distance
+/// wins, as in a scan that scores one candidate at a time: a threshold
+/// that is stale within a batch only prunes less, and a candidate that
+/// a current threshold would have pruned or abandoned is no better than
+/// the best before it. `check` is consulted before every batch; once it
+/// fires, nothing more is scored.
+class BestSoFarScan {
+ public:
+  /// `bsf` seeds the threshold (normalized units); `compared` counts
+  /// each scored candidate.
+  BestSoFarScan(std::span<const double> query, double bsf, double norm,
+                const DtwOptions& dtw_options, bool early_abandon,
+                ExecChecker& check, QueryStats& stats, uint64_t& compared)
+      : query_(query),
+        bsf_(bsf),
+        norm_(norm),
+        dtw_options_(dtw_options),
+        early_abandon_(early_abandon),
+        check_(check),
+        cascade_(stats.cascade),
+        compared_(compared) {}
+
+  /// min(bsf, best) as of the last scored batch: the cascade's pruning
+  /// threshold.
+  double threshold() const { return std::min(bsf_, best_); }
+
+  /// False once the checker has fired; offers are then dropped.
+  bool live() const { return check_.status().ok(); }
+
+  /// Queues a candidate; `id` names it in best_id().
+  void Offer(std::span<const double> values, size_t id) {
+    if (!live()) return;
+    queue_.Push(values, id);
+    if (queue_.full()) Flush();
+  }
+
+  /// Scores the queued candidates unless the checker fires first.
+  void Flush() {
+    if (queue_.empty()) return;
+    if (check_.ShouldStop(queue_.size())) {
+      queue_ = LaneQueue();
+      return;
+    }
+    queue_.Score(query_, early_abandon_ ? threshold() : kInf, norm_,
+                 dtw_options_, [&](size_t id, double d) {
+                   ++compared_;
+                   ++cascade_.candidates;
+                   ++(std::isinf(d) ? cascade_.dtw_abandoned
+                                    : cascade_.dtw_completed);
+                   if (d < best_) {
+                     best_ = d;
+                     best_id_ = id;
+                   }
+                 });
+  }
+
+  /// Lowest distance scored (+inf if none) and its candidate's id.
+  double best() const { return best_; }
+  size_t best_id() const { return best_id_; }
+
+ private:
+  std::span<const double> query_;
+  double bsf_;
+  double norm_;
+  DtwOptions dtw_options_;
+  bool early_abandon_;
+  ExecChecker& check_;
+  CascadeStats& cascade_;
+  uint64_t& compared_;
+  LaneQueue queue_;
+  double best_ = kInf;
+  size_t best_id_ = 0;
+};
+
 // Margin of the range scan's representative threshold over st/2. A DTW
 // that abandons past (st/2) * kRepAbandonSlack exceeds st/2 even after
 // the rounding of its square root and normalization, so every abandoned
@@ -110,54 +187,42 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
   const size_t g = entry.NumGroups();
   const size_t m = query.size();
   const double norm = Norm(m, entry.length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, m, entry.length);
+  BestSoFarScan scan(query, bsf, norm,
+                     DtwOptions::FromRatio(base_->options().window_ratio, m,
+                                           entry.length),
+                     options_.use_early_abandon, check, stats,
+                     stats.reps_compared);
 
   // Visit order: median-out over the sum-sorted S array (Sec. 5.3) —
   // start at the representative with the median Dc-sum and alternate
   // left/right — or plain stored order when the optimization is off.
-  // A fired checker makes every remaining `consider` a cheap no-op, so
-  // the loop drains instead of pointer-chasing through break logic.
-  uint32_t best_k = 0;
-  double best_d = kInf;
+  // Once the checker fires every remaining `consider` is a cheap no-op,
+  // so the loop drains instead of pointer-chasing through break logic.
+  const auto prune = [&](uint64_t& stage_count) {
+    ++stats.cascade.candidates;
+    ++stats.reps_pruned;
+    ++stage_count;
+  };
   auto consider = [&](uint32_t k) {
-    if (check.ShouldStop()) return;
+    if (!scan.live()) return;
     const LsiEntry& group = entry.groups[k];
     const std::span<const double> rep(group.representative.data(),
                                       entry.length);
-    const double prune_at = std::min(bsf, best_d);
-    ++stats.cascade.candidates;
+    const double prune_at = scan.threshold();
     if (options_.use_cascade && prune_at < kInf) {
-      if (LbKim(query, query_extrema, rep) / norm > prune_at) {
-        ++stats.reps_pruned;
-        ++stats.cascade.pruned_kim;
+      if (LbKim(query, query_extrema, rep, group.envelope.extrema) / norm >
+          prune_at) {
+        prune(stats.cascade.pruned_kim);
         return;
       }
       if (m == entry.length &&
           LbKeoghEarlyAbandon(query, group.envelope, prune_at * norm) / norm >
               prune_at) {
-        ++stats.reps_pruned;
-        ++stats.cascade.pruned_keogh;
+        prune(stats.cascade.pruned_keogh);
         return;
       }
     }
-    ++stats.reps_compared;
-    double d;
-    if (options_.use_early_abandon && prune_at < kInf) {
-      d = DtwEarlyAbandon(query, rep, prune_at * norm, dtw_options) / norm;
-      if (std::isinf(d)) {
-        ++stats.cascade.dtw_abandoned;
-      } else {
-        ++stats.cascade.dtw_completed;
-      }
-    } else {
-      d = DtwDistance(query, rep, dtw_options) / norm;
-      ++stats.cascade.dtw_completed;
-    }
-    if (d < best_d) {
-      best_d = d;
-      best_k = k;
-    }
+    scan.Offer(rep, k);
   };
 
   if (options_.use_median_order && !entry.sum_sorted.empty()) {
@@ -170,7 +235,8 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
   } else {
     for (uint32_t k = 0; k < g; ++k) consider(k);
   }
-  return {best_k, best_d};
+  scan.Flush();
+  return {static_cast<uint32_t>(scan.best_id()), scan.best()};
 }
 
 QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
@@ -181,54 +247,36 @@ QueryMatch QueryProcessor::SearchGroup(std::span<const double> query,
   StageScope stage(&stats, check.probe(), QueryStage::kMemberScan);
   const LsiEntry& group = entry.groups[group_id];
   const size_t m = query.size();
-  const double norm = Norm(m, entry.length);
-  const DtwOptions dtw_options = DtwOptions::FromRatio(
-      base_->options().window_ratio, m, entry.length);
-
-  QueryMatch best;
-  best.distance = kInf;
-  best.group_id = group_id;
-
-  auto consider = [&](const LsiMember& member) {
-    if (check.ShouldStop()) return;
-    ++stats.members_compared;
-    ++stats.cascade.candidates;
-    const auto values = member.ref.View(base_->dataset());
-    const double prune_at = std::min(bsf, best.distance);
-    double d;
-    if (options_.use_early_abandon && prune_at < kInf) {
-      d = DtwEarlyAbandon(query, values, prune_at * norm, dtw_options) / norm;
-      if (std::isinf(d)) {
-        ++stats.cascade.dtw_abandoned;
-      } else {
-        ++stats.cascade.dtw_completed;
-      }
-    } else {
-      d = DtwDistance(query, values, dtw_options) / norm;
-      ++stats.cascade.dtw_completed;
-    }
-    if (d < best.distance) {
-      best.distance = d;
-      best.ref = member.ref;
-    }
+  BestSoFarScan scan(query, bsf, Norm(m, entry.length),
+                     DtwOptions::FromRatio(base_->options().window_ratio, m,
+                                           entry.length),
+                     options_.use_early_abandon, check, stats,
+                     stats.members_compared);
+  auto consider = [&](size_t i) {
+    scan.Offer(group.members[i].ref.View(base_->dataset()), i);
   };
 
-  if (options_.use_value_targeted_scan && !group.members.empty()) {
+  const size_t size = group.members.size();
+  if (options_.use_value_targeted_scan && size != 0) {
     // Start at the member whose stored ED-to-rep is closest in value to
     // DTW(query, rep) and fan outwards (Sec. 5.3): nearby stored EDs
     // mean similar geometry relative to the representative, so the best
     // match tends to be reached — and the best-so-far tightened — early.
     const size_t start = group.ClosestMemberTo(rep_distance);
-    consider(group.members[start]);
-    for (size_t offset = 1; offset <= group.members.size(); ++offset) {
-      if (start >= offset) consider(group.members[start - offset]);
-      if (start + offset < group.members.size()) {
-        consider(group.members[start + offset]);
-      }
+    consider(start);
+    for (size_t offset = 1; offset <= size; ++offset) {
+      if (start >= offset) consider(start - offset);
+      if (start + offset < size) consider(start + offset);
     }
   } else {
-    for (const LsiMember& member : group.members) consider(member);
+    for (size_t i = 0; i < size; ++i) consider(i);
   }
+  scan.Flush();
+
+  QueryMatch best;
+  best.distance = scan.best();
+  best.group_id = group_id;
+  if (std::isfinite(best.distance)) best.ref = group.members[scan.best_id()].ref;
   return best;
 }
 

@@ -70,6 +70,11 @@ struct QueryStats {
   /// only in members_admitted_by_lemma2. Likewise a range scan's
   /// representative whose Lemma-2 test the ED upper bound settles (no
   /// DTW run) counts in reps_compared but not as a cascade candidate.
+  /// The best-so-far scans test each candidate against the best-so-far
+  /// as of the last scored batch of kDtwBatchLanes, not the one a
+  /// candidate-at-a-time scan would hold, so pruned_kim, pruned_keogh
+  /// and dtw_abandoned (and reps_pruned / reps_compared) can differ from
+  /// such a scan's; `candidates` and the answer do not.
   CascadeStats cascade;
 
   /// Stage timings, seconds. Accumulated at call/group granularity
@@ -232,8 +237,11 @@ class QueryProcessor {
  private:
   /// Best representative of `entry` for `query`: (group id, normalized
   /// DTW). `query_extrema` is ExtremaOf(query), computed once per query
-  /// for LB_Kim. `bsf` seeds pruning (normalized units). Stops early
-  /// (partial best-so-far) when `check` fires.
+  /// for LB_Kim. `bsf` seeds pruning (normalized units). Candidates that
+  /// pass LB_Kim and LB_Keogh are scored kDtwBatchLanes at a time; the
+  /// bounds and the DTW's abandon threshold use the best-so-far as of
+  /// the last scored batch. Stops early (partial best-so-far) when
+  /// `check` fires, which it is asked before every batch.
   std::pair<uint32_t, double> BestRepresentative(
       std::span<const double> query, const SeriesExtrema& query_extrema,
       const GtiEntry& entry, double bsf, QueryStats& stats,
@@ -256,7 +264,8 @@ class QueryProcessor {
 
   /// Scans the chosen group; returns the best member (and distance),
   /// seeded with `bsf`. `rep_distance` is DTW(query, representative),
-  /// the target of the value-directed scan.
+  /// the target of the value-directed scan. Members are scored in
+  /// batches like BestRepresentative's candidates.
   QueryMatch SearchGroup(std::span<const double> query, const GtiEntry& entry,
                          uint32_t group_id, double rep_distance, double bsf,
                          QueryStats& stats, ExecChecker& check) const;

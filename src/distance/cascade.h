@@ -36,7 +36,11 @@ struct CascadeStats {
   /// (dtw_abandoned + dtw_completed is the wire's `dtw_evaluated`.)
   /// Work settled without a DTW decision — a range scan's
   /// Lemma-2-admitted members, and its representatives whose st/2 test
-  /// the ED upper bound settles — is never a candidate.
+  /// the ED upper bound settles — is never a candidate. A best-so-far
+  /// scan tests each candidate against the best-so-far as of its last
+  /// scored batch of DTWs, so how candidates split between the pruned
+  /// and abandoned stages can differ from a candidate-at-a-time scan's;
+  /// the number of candidates cannot.
   bool Consistent() const {
     return candidates ==
            pruned_kim + pruned_keogh + dtw_abandoned + dtw_completed;

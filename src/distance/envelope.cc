@@ -6,11 +6,18 @@
 
 namespace onex {
 
+SeriesExtrema ExtremaOf(std::span<const double> a) {
+  if (a.empty()) return {};
+  const auto [min_it, max_it] = std::minmax_element(a.begin(), a.end());
+  return {*min_it, *max_it};
+}
+
 Envelope ComputeEnvelope(std::span<const double> series, size_t window) {
   const size_t n = series.size();
   Envelope env;
   env.lower.resize(n);
   env.upper.resize(n);
+  env.extrema = ExtremaOf(series);
   if (n == 0) return env;
   window = std::min(window, n);
 

@@ -5,18 +5,12 @@
 
 namespace onex {
 
-SeriesExtrema ExtremaOf(std::span<const double> a) {
-  if (a.empty()) return {};
-  const auto [min_it, max_it] = std::minmax_element(a.begin(), a.end());
-  return {*min_it, *max_it};
-}
-
 double LbKim(std::span<const double> a, std::span<const double> b) {
-  return LbKim(a, ExtremaOf(a), b);
+  return LbKim(a, ExtremaOf(a), b, ExtremaOf(b));
 }
 
 double LbKim(std::span<const double> a, const SeriesExtrema& a_extrema,
-             std::span<const double> b) {
+             std::span<const double> b, const SeriesExtrema& b_extrema) {
   if (a.empty() || b.empty()) return 0.0;
   // First and last points are on every warping path, and they are
   // distinct path elements when max(n, m) >= 2, so their squared costs
@@ -28,7 +22,6 @@ double LbKim(std::span<const double> a, const SeriesExtrema& a_extrema,
 
   // Min/max features: the global extremum of one series aligns with some
   // point of the other, bounding one path cost from below.
-  const SeriesExtrema b_extrema = ExtremaOf(b);
   const double d_min = a_extrema.min - b_extrema.min;
   const double d_max = a_extrema.max - b_extrema.max;
   const double feature_sq =

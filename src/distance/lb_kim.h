@@ -8,29 +8,23 @@
 
 #include <span>
 
+#include "distance/envelope.h"
+
 namespace onex {
-
-/// Global minimum and maximum of a series, LB_Kim's extremum features.
-struct SeriesExtrema {
-  double min = 0.0;
-  double max = 0.0;
-};
-
-/// The extrema of `a` (both 0 when `a` is empty).
-SeriesExtrema ExtremaOf(std::span<const double> a);
 
 /// Classic 4-feature LB_Kim: any warping path matches first with first
 /// and last with last, and the global min/max of one series must align
 /// with *some* point of the other. Valid for unequal lengths and any
-/// window. O(n) (dominated by the min/max scan).
+/// window. O(n) (dominated by the min/max scans).
 double LbKim(std::span<const double> a, std::span<const double> b);
 
-/// LbKim(a, b) with a's extrema computed once by the caller
-/// (`a_extrema` must be ExtremaOf(a)): a query scanned against many
-/// representatives pays its own min/max scan once. Bit-identical to
-/// the two-argument form.
+/// LbKim(a, b) with both series' extrema supplied by the caller
+/// (`a_extrema` must be ExtremaOf(a), `b_extrema` ExtremaOf(b)): a query
+/// pays its own min/max scan once, and a stored representative's come
+/// with its envelope, so each call is O(1). Bit-identical to the
+/// two-argument form.
 double LbKim(std::span<const double> a, const SeriesExtrema& a_extrema,
-             std::span<const double> b);
+             std::span<const double> b, const SeriesExtrema& b_extrema);
 
 }  // namespace onex
 

@@ -1,14 +1,12 @@
-// Tests for the two post-paper knobs: multi-group search
-// (QueryOptions::groups_to_search) and Lloyd refinement passes
-// (OnexOptions::refinement_passes). Both must preserve every invariant
+// Tests for the post-paper multi-group search knob
+// (QueryOptions::groups_to_search): it must preserve every invariant
 // and move accuracy monotonically toward the oracle.
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <cmath>
 
 #include "baselines/standard_dtw.h"
-#include "core/group_builder.h"
 #include "core/onex_base.h"
 #include "core/query_processor.h"
 #include "datagen/generators.h"
@@ -30,11 +28,6 @@ Dataset TestDataset(uint64_t seed = 42) {
   Dataset d = MakeItalyPower(gen);
   MinMaxNormalize(&d);
   return d;
-}
-
-uint64_t KeyOf(const SubsequenceRef& ref) {
-  return (static_cast<uint64_t>(ref.series) << 40) |
-         (static_cast<uint64_t>(ref.start) << 16) | ref.length;
 }
 
 // -------------------------------------------------- Multi-group search.
@@ -111,85 +104,6 @@ TEST(MultiGroupSearchTest, MoreGroupsThanExistIsSafe) {
   // All groups searched -> this equals the exhaustive scan over the
   // whole length: best possible answer for the length.
   EXPECT_TRUE(std::isfinite(result.value().distance));
-}
-
-// -------------------------------------------------- Lloyd refinement.
-
-TEST(RefinementTest, PreservesCoverageAndRadius) {
-  Dataset d = TestDataset(3);
-  Rng rng(1);
-  const size_t length = 8;
-  const double st = 0.2;
-  auto groups = BuildGroupsForLength(d, length, st, &rng);
-  std::multiset<uint64_t> before;
-  for (const auto& g : groups) {
-    for (const auto& ref : g.members()) before.insert(KeyOf(ref));
-  }
-  const auto refined = RefineGroupsOnce(d, groups, length, st);
-  std::multiset<uint64_t> after;
-  for (const auto& g : refined) {
-    for (const auto& ref : g.members()) after.insert(KeyOf(ref));
-  }
-  EXPECT_EQ(before, after);
-}
-
-TEST(RefinementTest, ReducesMeanDistanceToRepresentative) {
-  Dataset d = TestDataset(13);
-  OnexOptions plain;
-  plain.lengths = {8, 16, 8};
-  OnexOptions refined = plain;
-  refined.refinement_passes = 2;
-  auto base_plain = OnexBase::Build(d, plain);
-  auto base_refined = OnexBase::Build(d, refined);
-  ASSERT_TRUE(base_plain.ok());
-  ASSERT_TRUE(base_refined.ok());
-
-  auto mean_ed = [](const OnexBase& base) {
-    double sum = 0.0;
-    size_t count = 0;
-    for (size_t length : base.gti().Lengths()) {
-      for (const auto& group : base.EntryFor(length)->groups) {
-        for (const auto& member : group.members) {
-          sum += member.ed_to_rep;
-          ++count;
-        }
-      }
-    }
-    return sum / static_cast<double>(count);
-  };
-  // Lloyd passes must not loosen the clustering; tightening is the
-  // typical outcome.
-  EXPECT_LE(mean_ed(base_refined.value()),
-            mean_ed(base_plain.value()) * 1.05);
-}
-
-TEST(RefinementTest, BaseWithRefinementStillAnswersExactly) {
-  Dataset d = TestDataset(17);
-  OnexOptions options;
-  options.lengths = {8, 24, 8};
-  options.refinement_passes = 3;
-  auto built = OnexBase::Build(d, options);
-  ASSERT_TRUE(built.ok());
-  QueryProcessor processor(&built.value());
-  const auto view = d[2].Subsequence(4, 8);
-  std::vector<double> query(view.begin(), view.end());
-  auto result = processor.FindBestMatchOfLength(S(query), 8);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result.value().distance, 0.02);
-}
-
-TEST(RefinementTest, ZeroPassesIsPaperBehaviour) {
-  Dataset d = TestDataset(19);
-  OnexOptions a;
-  a.lengths = {8, 16, 8};
-  OnexOptions b = a;
-  b.refinement_passes = 0;
-  auto base_a = OnexBase::Build(d, a);
-  auto base_b = OnexBase::Build(d, b);
-  ASSERT_TRUE(base_a.ok());
-  ASSERT_TRUE(base_b.ok());
-  EXPECT_EQ(base_a.value().stats().num_representatives,
-            base_b.value().stats().num_representatives);
 }
 
 }  // namespace

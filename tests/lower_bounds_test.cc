@@ -1,15 +1,21 @@
-// Admissibility and tightness tests for the envelope and the LB_Kim /
-// LB_Keogh lower bounds — the machinery behind the paper's Sec. 5.3
-// pruning cascade. The central property: no bound may ever exceed the
-// true (banded) DTW, or pruning would drop true best matches.
+// Admissibility and tightness tests for the envelope (and the extrema it
+// carries) and the LB_Kim / LB_Keogh lower bounds — the machinery behind
+// the paper's Sec. 5.3 pruning cascade. The central property: no bound
+// may ever exceed the true (banded) DTW, or pruning would drop true best
+// matches.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <tuple>
 #include <vector>
 
+#include "core/onex_base.h"
+#include "core/serialization.h"
+#include "datagen/generators.h"
+#include "dataset/normalize.h"
 #include "distance/dtw.h"
 #include "distance/envelope.h"
 #include "distance/lb_keogh.h"
@@ -48,7 +54,55 @@ TEST(EnvelopeTest, MatchesBruteForceMinMax) {
       EXPECT_DOUBLE_EQ(env.lower[i], mn) << "window " << window << " i " << i;
       EXPECT_DOUBLE_EQ(env.upper[i], mx) << "window " << window << " i " << i;
     }
+    // The series' extrema, whatever the window: the minimum of the lower
+    // envelope is the series' minimum, the maximum of the upper its max.
+    EXPECT_EQ(env.extrema.min, *std::min_element(v.begin(), v.end()));
+    EXPECT_EQ(env.extrema.max, *std::max_element(v.begin(), v.end()));
+    EXPECT_EQ(env.extrema.min, *std::min_element(env.lower.begin(),
+                                                 env.lower.end()));
+    EXPECT_EQ(env.extrema.max, *std::max_element(env.upper.begin(),
+                                                 env.upper.end()));
   }
+
+  // A base's envelopes carry their representative's extrema after the
+  // build, after a snapshot round trip (LoadBase recomputes envelopes;
+  // no extrema are stored) and after an append re-freezes groups.
+  GenOptions gen;
+  gen.num_series = 8;
+  gen.length = 32;
+  gen.seed = 7;
+  Dataset data = MakeTwoPatterns(gen);
+  MinMaxNormalize(&data);
+  OnexOptions options;
+  options.st = 0.2;
+  options.lengths = {8, 32, 8};
+  auto built = OnexBase::Build(std::move(data), options);
+  ASSERT_TRUE(built.ok());
+  const auto expect_extrema = [](const OnexBase& base, const char* when) {
+    size_t groups = 0;
+    for (size_t length : base.gti().Lengths()) {
+      for (const LsiEntry& group : base.EntryFor(length)->groups) {
+        const SeriesExtrema want = ExtremaOf(S(group.representative));
+        EXPECT_EQ(group.envelope.extrema.min, want.min) << when;
+        EXPECT_EQ(group.envelope.extrema.max, want.max) << when;
+        EXPECT_LE(want.min, want.max) << when;
+        ++groups;
+      }
+    }
+    EXPECT_GT(groups, 0u) << when;
+  };
+  expect_extrema(built.value(), "build");
+  auto bytes = SaveBaseToString(built.value());
+  ASSERT_TRUE(bytes.ok());
+  auto loaded = LoadBaseFromBuffer(bytes.value());
+  ASSERT_TRUE(loaded.ok());
+  expect_extrema(loaded.value(), "load");
+  std::vector<double> appended(32);
+  for (size_t i = 0; i < appended.size(); ++i) {
+    appended[i] = 0.5 + 0.4 * std::sin(0.3 * static_cast<double>(i));
+  }
+  ASSERT_TRUE(loaded.value().AppendSeries(TimeSeries(appended)).ok());
+  expect_extrema(loaded.value(), "append");
 }
 
 TEST(EnvelopeTest, ContainsTheSeries) {
@@ -101,7 +155,14 @@ TEST_P(LowerBoundSweep, LbKimNeverExceedsDtw) {
     const auto a = RandomVector(n, &rng);
     const auto b = RandomVector(m, &rng);
     const double dtw = DtwDistance(S(a), S(b));
-    EXPECT_LE(LbKim(S(a), S(b)), dtw + 1e-9);
+    const double lb = LbKim(S(a), S(b));
+    EXPECT_LE(lb, dtw + 1e-9);
+    // The form that takes stored extrema (a representative's come with
+    // its envelope) is the same bound, bit for bit.
+    const double stored = LbKim(S(a), ExtremaOf(S(a)), S(b),
+                                ComputeEnvelope(S(b), 3).extrema);
+    EXPECT_EQ(std::memcmp(&stored, &lb, sizeof(double)), 0)
+        << stored << " vs " << lb;
   }
 }
 

@@ -8,13 +8,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "baselines/standard_dtw.h"
+#include "core/exec_context.h"
 #include "core/onex_base.h"
 #include "core/query_processor.h"
 #include "datagen/generators.h"
 #include "distance/dtw.h"
+#include "distance/lb_keogh.h"
+#include "distance/lb_kim.h"
 #include "dataset/normalize.h"
 #include "util/rng.h"
 
@@ -387,6 +392,388 @@ TEST(QueryProcessorTest, DataDrivenSeasonalReturnsMultiMemberGroups) {
     for (const auto& ref : group) EXPECT_EQ(ref.length, 8u);
   }
   EXPECT_FALSE(processor.SimilarGroupsOfLength(7).ok());
+}
+
+// ------------------------------------ Batched best-so-far equivalence.
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The Q1/Q1k paths candidate by candidate with the scalar kernels: each
+// representative, in visit order, is tested by LB_Kim and LB_Keogh
+// against the best-so-far as it stands and scored by an early-abandoning
+// DTW at it; the chosen group's members likewise, without the bounds.
+// `candidates` counts every representative and member visited.
+class PerCandidateQ1 {
+ public:
+  PerCandidateQ1(const OnexBase& base, const QueryOptions& options)
+      : base_(base), options_(options) {}
+
+  uint64_t candidates = 0;
+
+  QueryMatch BestOfLength(std::span<const double> query, size_t length) {
+    double rep_d = kInf;
+    return SearchEntry(query, *base_.EntryFor(length), kInf, &rep_d);
+  }
+
+  QueryMatch BestAnyLength(std::span<const double> query) {
+    QueryMatch best;
+    best.distance = kInf;
+    for (size_t length : OrderedLengths(query.size())) {
+      double rep_d = kInf;
+      const QueryMatch match =
+          SearchEntry(query, *base_.EntryFor(length), best.distance, &rep_d);
+      if (match.distance < best.distance) best = match;
+      if (options_.stop_within_st_half && rep_d <= base_.options().st / 2) {
+        break;
+      }
+    }
+    return best;
+  }
+
+  std::vector<QueryMatch> KSimilar(std::span<const double> query, size_t k,
+                                   size_t length) {
+    const GtiEntry* entry = nullptr;
+    uint32_t group_id = 0;
+    if (length != 0) {
+      entry = base_.EntryFor(length);
+      group_id = BestRepresentative(query, *entry, kInf).first;
+    } else {
+      double best_rep = kInf;
+      for (size_t len : OrderedLengths(query.size())) {
+        const GtiEntry* candidate = base_.EntryFor(len);
+        const auto [gid, d] = BestRepresentative(query, *candidate, best_rep);
+        if (d < best_rep) {
+          best_rep = d;
+          entry = candidate;
+          group_id = gid;
+        }
+        if (options_.stop_within_st_half && d <= base_.options().st / 2) {
+          break;
+        }
+      }
+    }
+    const LsiEntry& group = entry->groups[group_id];
+    std::vector<QueryMatch> matches;
+    for (const LsiMember& member : group.members) {
+      ++candidates;
+      QueryMatch match;
+      match.ref = member.ref;
+      match.group_id = group_id;
+      match.distance = DtwDistance(query, member.ref.View(base_.dataset()),
+                                   Dtw(query.size(), entry->length)) /
+                       Norm(query.size(), entry->length);
+      matches.push_back(match);
+    }
+    std::sort(matches.begin(), matches.end(), MatchDistanceLess);
+    if (matches.size() > k) matches.resize(k);
+    return matches;
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  static double Norm(size_t m, size_t len) {
+    return 2.0 * static_cast<double>(std::max(m, len));
+  }
+  DtwOptions Dtw(size_t m, size_t len) const {
+    return DtwOptions::FromRatio(base_.options().window_ratio, m, len);
+  }
+
+  // Exact length first, then decreasing below it, then increasing.
+  std::vector<size_t> OrderedLengths(size_t m) const {
+    std::vector<size_t> below, ordered;
+    for (size_t len : base_.gti().Lengths()) {
+      if (len == m) ordered.push_back(len);
+      if (len < m) below.push_back(len);
+    }
+    ordered.insert(ordered.end(), below.rbegin(), below.rend());
+    for (size_t len : base_.gti().Lengths()) {
+      if (len > m) ordered.push_back(len);
+    }
+    return ordered;
+  }
+
+  // DTW at the threshold, or in full when abandoning is off or there is
+  // no threshold yet.
+  double Score(std::span<const double> query, std::span<const double> values,
+               double prune_at, size_t len) const {
+    const double norm = Norm(query.size(), len);
+    const DtwOptions dtw = Dtw(query.size(), len);
+    if (options_.use_early_abandon && prune_at < kInf) {
+      return DtwEarlyAbandon(query, values, prune_at * norm, dtw) / norm;
+    }
+    return DtwDistance(query, values, dtw) / norm;
+  }
+
+  std::pair<uint32_t, double> BestRepresentative(
+      std::span<const double> query, const GtiEntry& entry, double bsf) {
+    const size_t m = query.size();
+    const double norm = Norm(m, entry.length);
+    uint32_t best_k = 0;
+    double best_d = kInf;
+    const auto consider = [&](uint32_t k) {
+      ++candidates;
+      const LsiEntry& group = entry.groups[k];
+      const std::span<const double> rep = S(group.representative);
+      const double prune_at = std::min(bsf, best_d);
+      if (options_.use_cascade && prune_at < kInf) {
+        if (LbKim(query, rep) / norm > prune_at) return;
+        if (m == entry.length &&
+            LbKeoghEarlyAbandon(query, group.envelope, prune_at * norm) /
+                    norm >
+                prune_at) {
+          return;
+        }
+      }
+      const double d = Score(query, rep, prune_at, entry.length);
+      if (d < best_d) {
+        best_d = d;
+        best_k = k;
+      }
+    };
+    const size_t g = entry.NumGroups();
+    if (options_.use_median_order && !entry.sum_sorted.empty()) {
+      const size_t mid = g / 2;
+      consider(entry.sum_sorted[mid].first);
+      for (size_t offset = 1; offset <= g; ++offset) {
+        if (mid >= offset) consider(entry.sum_sorted[mid - offset].first);
+        if (mid + offset < g) consider(entry.sum_sorted[mid + offset].first);
+      }
+    } else {
+      for (uint32_t k = 0; k < g; ++k) consider(k);
+    }
+    return {best_k, best_d};
+  }
+
+  QueryMatch SearchGroup(std::span<const double> query, const GtiEntry& entry,
+                         uint32_t group_id, double rep_distance, double bsf) {
+    const LsiEntry& group = entry.groups[group_id];
+    QueryMatch best;
+    best.distance = kInf;
+    best.group_id = group_id;
+    const auto consider = [&](size_t i) {
+      ++candidates;
+      const SubsequenceRef& ref = group.members[i].ref;
+      const double d =
+          Score(query, ref.View(base_.dataset()),
+                std::min(bsf, best.distance), entry.length);
+      if (d < best.distance) {
+        best.distance = d;
+        best.ref = ref;
+      }
+    };
+    const size_t size = group.members.size();
+    if (options_.use_value_targeted_scan && size != 0) {
+      const size_t start = group.ClosestMemberTo(rep_distance);
+      consider(start);
+      for (size_t offset = 1; offset <= size; ++offset) {
+        if (start >= offset) consider(start - offset);
+        if (start + offset < size) consider(start + offset);
+      }
+    } else {
+      for (size_t i = 0; i < size; ++i) consider(i);
+    }
+    return best;
+  }
+
+  QueryMatch SearchEntry(std::span<const double> query, const GtiEntry& entry,
+                         double bsf, double* rep_d) {
+    QueryMatch best;
+    best.distance = kInf;
+    if (options_.groups_to_search <= 1) {
+      const auto [group_id, d] = BestRepresentative(query, entry, bsf);
+      *rep_d = d;
+      if (!std::isfinite(d)) return best;
+      return SearchGroup(query, entry, group_id, d, bsf);
+    }
+    // Every representative in full, the best groups_to_search of them
+    // chosen exactly as TopRepresentatives chooses them.
+    std::vector<std::pair<uint32_t, double>> reps;
+    for (uint32_t k = 0; k < entry.NumGroups(); ++k) {
+      ++candidates;
+      reps.push_back(
+          {k, Score(query, S(entry.groups[k].representative), kInf,
+                    entry.length)});
+    }
+    const size_t top = std::min(options_.groups_to_search, reps.size());
+    std::partial_sort(reps.begin(), reps.begin() + static_cast<ptrdiff_t>(top),
+                      reps.end(), [](const auto& a, const auto& b) {
+                        return a.second < b.second;
+                      });
+    reps.resize(top);
+    *rep_d = reps.empty() ? kInf : reps.front().second;
+    for (const auto& [group_id, d] : reps) {
+      const QueryMatch match = SearchGroup(query, entry, group_id, d,
+                                           std::min(bsf, best.distance));
+      if (match.distance < best.distance) best = match;
+    }
+    return best;
+  }
+
+  const OnexBase& base_;
+  QueryOptions options_;
+};
+
+void ExpectSameMatch(const QueryMatch& got, const QueryMatch& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.group_id, want.group_id) << where;
+  EXPECT_EQ(got.ref, want.ref) << where;
+  EXPECT_TRUE(SameBits(got.distance, want.distance))
+      << where << ": " << got.distance << " vs " << want.distance;
+}
+
+TEST(QueryProcessorTest, BestMatchEqualsPerCandidateScan) {
+  QueryStats coverage;
+  size_t multi_batch_scans = 0;
+  for (const double window_ratio : {-1.0, 0.1}) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{8}}) {
+      GenOptions gen;
+      gen.num_series = 24;
+      gen.length = 48;
+      gen.seed = seed;
+      Dataset data = MakeTwoPatterns(gen);
+      MinMaxNormalize(&data);
+      OnexOptions build;
+      build.st = 0.2;
+      build.lengths = {16, 48, 16};
+      build.window_ratio = window_ratio;
+      auto built = OnexBase::Build(std::move(data), build);
+      ASSERT_TRUE(built.ok());
+      const OnexBase& base = built.value();
+      Rng rng(seed + 100);
+      for (int trial = 0; trial < 3; ++trial) {
+        // An indexed length, one between indexed lengths, one above.
+        const uint32_t n = trial == 0 ? 32 : (trial == 1 ? 24 : 40);
+        const auto query = Materialize(
+            base.dataset(), static_cast<uint32_t>(rng.Uniform(24)),
+            static_cast<uint32_t>(rng.Uniform(48 - n)), n);
+        std::vector<double> noisy = query;
+        for (auto& x : noisy) x += rng.UniformDouble(-0.05, 0.05);
+        for (unsigned bits = 0; bits < 16; ++bits) {
+          QueryOptions options;
+          options.use_cascade = (bits & 1) != 0;
+          options.use_early_abandon = (bits & 2) != 0;
+          options.use_median_order = (bits & 4) != 0;
+          options.use_value_targeted_scan = (bits & 4) != 0;
+          options.groups_to_search = (bits & 8) != 0 ? 3 : 1;
+          const QueryProcessor processor(&base, options);
+          const std::string where = "window " + std::to_string(window_ratio) +
+                                    " seed " + std::to_string(seed) + " n " +
+                                    std::to_string(n) + " options " +
+                                    std::to_string(bits);
+          const size_t length = n == 24 ? 16 : 32;
+
+          PerCandidateQ1 want(base, options);
+          QueryStats stats;
+          auto got = processor.FindBestMatchOfLength(S(noisy), length, &stats);
+          ASSERT_TRUE(got.ok()) << where;
+          ExpectSameMatch(got.value(), want.BestOfLength(S(noisy), length),
+                          where + " exact");
+          EXPECT_EQ(stats.cascade.candidates, want.candidates) << where;
+          EXPECT_TRUE(stats.cascade.Consistent()) << where;
+          if (stats.reps_compared > kDtwBatchLanes) ++multi_batch_scans;
+          coverage.Add(stats);
+
+          want.candidates = 0;
+          stats.Reset();
+          got = processor.FindBestMatch(S(noisy), &stats);
+          ASSERT_TRUE(got.ok()) << where;
+          ExpectSameMatch(got.value(), want.BestAnyLength(S(noisy)),
+                          where + " any");
+          EXPECT_EQ(stats.cascade.candidates, want.candidates) << where;
+          EXPECT_TRUE(stats.cascade.Consistent()) << where;
+          coverage.Add(stats);
+
+          for (const size_t k_length : {length, size_t{0}}) {
+            want.candidates = 0;
+            stats.Reset();
+            auto k_got =
+                processor.FindKSimilar(S(noisy), 4, k_length, &stats);
+            ASSERT_TRUE(k_got.ok()) << where;
+            const auto k_want = want.KSimilar(S(noisy), 4, k_length);
+            ASSERT_EQ(k_got.value().size(), k_want.size()) << where;
+            for (size_t i = 0; i < k_want.size(); ++i) {
+              ExpectSameMatch(k_got.value()[i], k_want[i],
+                              where + " k row " + std::to_string(i));
+            }
+            EXPECT_EQ(stats.cascade.candidates, want.candidates) << where;
+            EXPECT_TRUE(stats.cascade.Consistent()) << where;
+          }
+        }
+      }
+    }
+  }
+  // The sweep pruned at both bounds, abandoned DTWs, and scored
+  // representative scans of more than one batch.
+  EXPECT_GT(coverage.cascade.pruned_kim, 0u);
+  EXPECT_GT(coverage.cascade.pruned_keogh, 0u);
+  EXPECT_GT(coverage.cascade.dtw_abandoned, 0u);
+  EXPECT_GT(multi_batch_scans, 0u);
+}
+
+TEST(QueryProcessorTest, InterruptedBestMatchReturnsAScoredCandidate) {
+  GenOptions gen;
+  gen.num_series = 24;
+  gen.length = 48;
+  gen.seed = 3;
+  Dataset data = MakeTwoPatterns(gen);
+  MinMaxNormalize(&data);
+  const OnexBase base = BuildBase(std::move(data), 0.4, {16, 48, 16});
+  const QueryProcessor processor(&base);
+  // A query whose chosen group takes more than one member batch.
+  std::vector<double> query;
+  uint64_t scored = 0;
+  for (uint32_t p = 0; p < 24 * 16 && query.empty(); ++p) {
+    auto candidate = Materialize(base.dataset(), p % 24, p / 24, 32);
+    QueryStats stats;
+    auto full = processor.FindBestMatchOfLength(S(candidate), 32, &stats);
+    ASSERT_TRUE(full.ok());
+    if (stats.members_compared > kDtwBatchLanes) {
+      query = std::move(candidate);
+      scored = stats.reps_compared + stats.members_compared;
+    }
+  }
+  ASSERT_FALSE(query.empty());
+  const double norm = 2.0 * 32;
+  const DtwOptions dtw =
+      DtwOptions::FromRatio(base.options().window_ratio, 32, 32);
+
+  // A token cancelled up front stops the scan at the first batch that
+  // consults it, once about check_every candidates are scored: sweeping
+  // that period up to the uninterrupted scan's count lands the stop in
+  // the representative scan and between member batches.
+  size_t stopped_empty = 0, stopped_with_match = 0;
+  for (size_t every = 1; every <= scored; ++every) {
+    ExecContext ctx;
+    ctx.cancel.Cancel();
+    ctx.check_every = every;
+    std::vector<QueryMatch> streamed;
+    ctx.progress = [&](const ProgressEvent& event) {
+      streamed.assign(event.matches().begin(), event.matches().end());
+    };
+    QueryStats stats;
+    auto got = processor.FindBestMatchOfLength(S(query), 32, &stats, &ctx);
+    ASSERT_EQ(got.status().code(), Status::Code::kCancelled);
+    EXPECT_TRUE(stats.cascade.Consistent()) << "every=" << every;
+    if (streamed.empty()) {
+      ++stopped_empty;
+      continue;
+    }
+    ++stopped_with_match;
+    ASSERT_EQ(streamed.size(), 1u);
+    const QueryMatch& match = streamed.front();
+    const LsiEntry& group = base.EntryFor(32)->groups[match.group_id];
+    EXPECT_TRUE(std::any_of(
+        group.members.begin(), group.members.end(),
+        [&](const LsiMember& member) { return member.ref == match.ref; }));
+    const double full =
+        DtwDistance(S(query), match.ref.View(base.dataset()), dtw) / norm;
+    EXPECT_TRUE(SameBits(match.distance, full)) << "every=" << every;
+  }
+  EXPECT_GT(stopped_empty, 0u);
+  EXPECT_GT(stopped_with_match, 0u);
 }
 
 // ----------------------------------------------------------------- Stats.
