@@ -4,6 +4,9 @@
 // the numbers behind the Sec. 5.3 design choices. The share of a scan's
 // candidates each cascade stage prunes is perfbench's
 // core.pruned_*_share rows, measured on the production cascade.
+// BM_ComputeEnvelope times the envelope kernel that the build, every
+// append's re-freeze and every snapshot load run once per representative
+// (`ns_per_point` is seconds per point, printed with an SI prefix).
 
 #include <benchmark/benchmark.h>
 
@@ -69,6 +72,24 @@ void BM_TightnessLbKeogh(benchmark::State& state) {
   state.counters["tightness"] = count ? ratio_sum / count : 0.0;
 }
 BENCHMARK(BM_TightnessLbKeogh)->Arg(64)->Arg(256);
+
+void BM_ComputeEnvelope(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t w = static_cast<size_t>(state.range(1));
+  Rng rng(3);
+  const auto series = RandomVector(n, &rng);
+  for (auto _ : state) {
+    Envelope env = ComputeEnvelope(std::span<const double>(series), w);
+    benchmark::DoNotOptimize(env.lower.data());
+    benchmark::DoNotOptimize(env.upper.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ns_per_point"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * n),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+// Explore's longest length and its band (window ratio 0.1 of 128).
+BENCHMARK(BM_ComputeEnvelope)->Args({128, 13});
 
 }  // namespace
 }  // namespace onex

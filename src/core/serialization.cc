@@ -5,10 +5,12 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "core/group.h"
 #include "core/gti.h"
 #include "distance/envelope.h"
+#include "util/file_bytes.h"
 
 namespace onex {
 namespace {
@@ -47,32 +49,28 @@ class Writer {
 
 // ------------------------------------------------------------- Reading.
 
-// Every count is validated against the bytes actually left in the file
-// BEFORE the corresponding resize/reserve: a corrupt length prefix must
-// come back as Corruption, never as a multi-gigabyte allocation (or a
-// std::bad_alloc crash) from attacker- or bitrot-controlled data.
+// A bounds-checked cursor over the snapshot bytes. Every count is
+// validated against the bytes actually left BEFORE the corresponding
+// resize/reserve: a corrupt length prefix must come back as Corruption,
+// never as a multi-gigabyte allocation (or a std::bad_alloc crash) from
+// attacker- or bitrot-controlled data.
 class Reader {
  public:
-  explicit Reader(std::istream* in) : in_(in) {
-    const std::streampos at = in_->tellg();
-    in_->seekg(0, std::ios::end);
-    const std::streampos end = in_->tellg();
-    in_->seekg(at);
-    remaining_ = end >= at ? static_cast<uint64_t>(end - at) : 0;
-  }
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
   bool Str(std::string* s, uint64_t max = 1 << 20) {
     uint64_t n = 0;
-    if (!U64(&n) || n > max || n > remaining_) return false;
-    s->resize(n);
-    return Raw(s->data(), n);
+    if (!U64(&n) || n > max || n > remaining()) return false;
+    s->assign(bytes_.data() + at_, n);
+    at_ += n;
+    return true;
   }
   bool Doubles(std::vector<double>* v) {
     uint64_t n = 0;
-    if (!U64(&n) || n > remaining_ / sizeof(double)) return false;
+    if (!U64(&n) || n > remaining() / sizeof(double)) return false;
     v->resize(n);
     return Raw(v->data(), n * sizeof(double));
   }
@@ -80,34 +78,30 @@ class Reader {
   /// Skips a length-prefixed block of doubles without materializing it;
   /// `*n` receives its length prefix.
   bool SkipDoubles(uint64_t* n) {
-    if (!U64(n) || *n > remaining_ / sizeof(double)) return false;
-    in_->seekg(static_cast<std::streamoff>(*n * sizeof(double)),
-               std::ios::cur);
-    if (!*in_) return false;
-    remaining_ -= *n * sizeof(double);
+    if (!U64(n) || *n > remaining() / sizeof(double)) return false;
+    at_ += *n * sizeof(double);
     return true;
   }
 
   /// True when `count` records of at least `min_bytes_each` could still
-  /// fit in the file — the pre-reserve sanity check for every
+  /// fit in the buffer — the pre-reserve sanity check for every
   /// variable-length section.
   bool Fits(uint64_t count, uint64_t min_bytes_each) const {
-    return count <= remaining_ / min_bytes_each;
+    return count <= remaining() / min_bytes_each;
+  }
+
+  bool Raw(void* data, size_t bytes) {
+    if (bytes > remaining()) return false;
+    if (bytes > 0) std::memcpy(data, bytes_.data() + at_, bytes);
+    at_ += bytes;
+    return true;
   }
 
  private:
-  bool Raw(void* data, size_t bytes) {
-    if (bytes > remaining_) {
-      in_->setstate(std::ios::failbit);
-      return false;
-    }
-    in_->read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    const bool ok = in_->good() || (bytes == 0);
-    if (ok) remaining_ -= bytes;
-    return ok;
-  }
-  std::istream* in_;
-  uint64_t remaining_ = 0;
+  uint64_t remaining() const { return bytes_.size() - at_; }
+
+  std::string_view bytes_;
+  size_t at_ = 0;
 };
 
 /// Stream-generic save body shared by the file and in-memory entry
@@ -165,15 +159,14 @@ Status SaveBaseToStream(const OnexBase& base, std::ostream& out,
   return Status::OK();
 }
 
-/// Stream-generic load body shared by the file and in-memory entry
-/// points; `where` names the source in error messages.
-Result<OnexBase> LoadBaseFromStream(std::istream& in,
-                                    const std::string& where) {
-  Reader r(&in);
+/// The one decoder behind the file and in-memory entry points; `where`
+/// names the source in error messages.
+Result<OnexBase> DecodeBase(std::string_view bytes, const std::string& where) {
+  Reader r(bytes);
 
   char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (!r.Raw(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return Status::Corruption("'" + where + "' is not an ONEX base file");
   }
   uint32_t version = 0;
@@ -329,9 +322,9 @@ Status SaveBase(const OnexBase& base, const std::string& path) {
 }
 
 Result<OnexBase> LoadBase(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open '" + path + "'");
-  return LoadBaseFromStream(in, path);
+  auto bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return Status::IOError(bytes.status().message());
+  return DecodeBase(bytes.value(), path);
 }
 
 Result<std::string> SaveBaseToString(const OnexBase& base) {
@@ -342,8 +335,7 @@ Result<std::string> SaveBaseToString(const OnexBase& base) {
 }
 
 Result<OnexBase> LoadBaseFromBuffer(const std::string& buffer) {
-  std::istringstream in(buffer, std::ios::binary);
-  return LoadBaseFromStream(in, "<memory>");
+  return DecodeBase(buffer, "<memory>");
 }
 
 }  // namespace onex

@@ -12,7 +12,7 @@
 // All integers little-endian fixed width; doubles as IEEE-754 bits.
 // Loading validates the magic, version, and structural invariants and
 // returns Corruption on any mismatch. Envelopes are recomputed on load
-// (cheaper to rebuild with Lemire than to store).
+// (cheaper to rebuild in O(n) than to store).
 //
 // Version 1 also stored each length's g x g Dc matrix between the
 // groups and the sums. Version 2 drops it (no query reads Dc; it was

@@ -1,9 +1,10 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // Warping envelopes for LB_Keogh (paper Sec. 4.3: the LSI stores one
-// envelope per group representative). Computed with Lemire's streaming
-// min/max algorithm in O(n) regardless of window size. An envelope also
-// carries its series' global extrema, LB_Kim's features, so a stored
-// representative's LB_Kim costs O(1).
+// envelope per group representative). Computed with van Herk/Gil-Werman
+// block prefix and suffix extremes in O(n) regardless of window size
+// (three comparisons per point for each of the two bounds). An envelope
+// also carries its series' global extrema, LB_Kim's features, so a
+// stored representative's LB_Kim costs O(1).
 
 #ifndef ONEX_DISTANCE_ENVELOPE_H_
 #define ONEX_DISTANCE_ENVELOPE_H_

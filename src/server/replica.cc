@@ -9,6 +9,7 @@
 
 #include "storage/storage.h"
 #include "util/crc32.h"
+#include "util/file_bytes.h"
 #include "util/logging.h"
 
 namespace onex {
@@ -33,12 +34,9 @@ bool LocalFileMatches(const std::string& path, uint64_t bytes,
   const auto size = fs::file_size(path, ec);
   if (ec || size != bytes) return false;
   if (!check_crc) return true;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::string data(static_cast<size_t>(size), '\0');
-  in.read(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!in) return false;
-  return Crc32(data.data(), data.size()) == crc;
+  auto data = ReadFileBytes(path);
+  return data.ok() && data.value().size() == bytes &&
+         Crc32(data.value().data(), data.value().size()) == crc;
 }
 
 bool SameDeltas(const std::vector<storage::ManifestEntry::DeltaRef>& a,

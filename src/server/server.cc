@@ -3,16 +3,15 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <future>
 #include <iterator>
-#include <sstream>
 #include <thread>
 #include <utility>
 
 #include "core/inflight.h"
 #include "server/protocol.h"
 #include "util/crc32.h"
+#include "util/file_bytes.h"
 #include "util/logging.h"
 #include "util/process_stats.h"
 #include "util/timer.h"
@@ -591,24 +590,18 @@ std::string Server::RenderFetch(const std::string& dataset,
   // Whole-file read before any header byte goes out: the size and CRC
   // promised in the header must describe exactly the bytes that follow,
   // and a checkpoint may rename a new artifact into place mid-request.
-  std::string bytes;
-  {
-    std::ifstream in((std::filesystem::path(dir) / artifact).string(),
-                     std::ios::binary);
-    if (!in) {
+  auto read = ReadFileBytes((std::filesystem::path(dir) / artifact).string());
+  if (!read.ok()) {
+    if (read.status().code() == Status::Code::kNotFound) {
       return RenderErrorBlock(
           "NOT_FOUND", "artifact '" + artifact +
                            "' does not exist — re-fetch the manifest "
                            "(the chain may have been compacted)");
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
-      return RenderErrorBlock("IO_ERROR",
-                              "reading artifact '" + artifact + "' failed");
-    }
-    bytes = std::move(buffer).str();
+    return RenderErrorBlock("IO_ERROR",
+                            "reading artifact '" + artifact + "' failed");
   }
+  const std::string bytes = std::move(read).value();
 
   constexpr size_t kChunkBytes = 256 * 1024;
   const size_t chunks = (bytes.size() + kChunkBytes - 1) / kChunkBytes;

@@ -10,13 +10,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
 #include "core/serialization.h"
 #include "storage/delta.h"
 #include "util/crc32.h"
+#include "util/file_bytes.h"
 #include "util/logging.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -55,19 +55,6 @@ Status WriteFileDurable(const std::string& path, std::string_view bytes) {
   Status renamed = RenameFile(tmp, path);
   if (!renamed.ok()) return renamed;
   return SyncDir(DirOf(path));
-}
-
-Result<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return fs::exists(path)
-               ? Status::IOError("cannot open '" + path + "'")
-               : Status::NotFound("'" + path + "' does not exist");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IOError("read failed for '" + path + "'");
-  return std::move(buffer).str();
 }
 
 /// The on-disk snapshot state reconstructed at recovery: base file +

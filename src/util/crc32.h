@@ -1,8 +1,9 @@
 // Copyright 2026 The ONEX Reproduction Authors.
 // CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-// guarding every write-ahead-log record (src/storage/wal.h). Table-driven,
-// one byte per step; fast enough for WAL payloads (appends are rare next
-// to queries) without pulling in hardware intrinsics.
+// guarding every write-ahead-log record (src/storage/wal.h), delta,
+// manifest, FETCH frame and snapshot, so it runs over the whole base on
+// every reopen and follower bootstrap. Portable slice-by-8 table code
+// (eight bytes per step, no hardware intrinsics or CPU dispatch).
 
 #ifndef ONEX_UTIL_CRC32_H_
 #define ONEX_UTIL_CRC32_H_

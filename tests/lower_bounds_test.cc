@@ -37,23 +37,32 @@ std::vector<double> RandomVector(size_t n, Rng* rng) {
 
 // ---------------------------------------------------------------- Envelope.
 
+/// lower[i] / upper[i] = min / max of v over [i - window, i + window],
+/// clipped to the series, by direct scan.
+Envelope BruteForceEnvelope(const std::vector<double>& v, size_t window) {
+  Envelope env;
+  for (size_t i = 0; i < v.size(); ++i) {
+    const size_t lo = i >= window ? i - window : 0;
+    const size_t hi = std::min(v.size() - 1, i + window);
+    double mn = v[lo], mx = v[lo];
+    for (size_t k = lo; k <= hi; ++k) {
+      mn = std::min(mn, v[k]);
+      mx = std::max(mx, v[k]);
+    }
+    env.lower.push_back(mn);
+    env.upper.push_back(mx);
+  }
+  return env;
+}
+
 TEST(EnvelopeTest, MatchesBruteForceMinMax) {
   Rng rng(1);
   const auto v = RandomVector(100, &rng);
   for (size_t window : {0u, 1u, 5u, 20u, 100u}) {
     const Envelope env = ComputeEnvelope(S(v), window);
-    ASSERT_EQ(env.size(), v.size());
-    for (size_t i = 0; i < v.size(); ++i) {
-      const size_t lo = i >= window ? i - window : 0;
-      const size_t hi = std::min(v.size() - 1, i + window);
-      double mn = v[lo], mx = v[lo];
-      for (size_t k = lo; k <= hi; ++k) {
-        mn = std::min(mn, v[k]);
-        mx = std::max(mx, v[k]);
-      }
-      EXPECT_DOUBLE_EQ(env.lower[i], mn) << "window " << window << " i " << i;
-      EXPECT_DOUBLE_EQ(env.upper[i], mx) << "window " << window << " i " << i;
-    }
+    const Envelope want = BruteForceEnvelope(v, window);
+    EXPECT_EQ(env.lower, want.lower) << "window " << window;
+    EXPECT_EQ(env.upper, want.upper) << "window " << window;
     // The series' extrema, whatever the window: the minimum of the lower
     // envelope is the series' minimum, the maximum of the upper its max.
     EXPECT_EQ(env.extrema.min, *std::min_element(v.begin(), v.end()));
@@ -103,6 +112,25 @@ TEST(EnvelopeTest, MatchesBruteForceMinMax) {
   }
   ASSERT_TRUE(loaded.value().AppendSeries(TimeSeries(appended)).ok());
   expect_extrema(loaded.value(), "append");
+}
+
+// Every length 1-160 and every window 0..n+1: windows wider than the
+// series, series shorter than one block of 2w+1 points, and series that
+// end on a block boundary or inside a block, where a block-based kernel
+// goes wrong. Four value levels make ties common. Values, not the sign
+// of zero, are compared: LB_Keogh cannot tell two equal zeros apart.
+TEST(EnvelopeTest, EqualsBruteForceAtEveryLengthAndWindow) {
+  Rng rng(11);
+  for (size_t n = 1; n <= 160; ++n) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = 0.5 * static_cast<double>(rng.Uniform(4)) - 0.5;
+    for (size_t window = 0; window <= n + 1; ++window) {
+      const Envelope env = ComputeEnvelope(S(v), window);
+      const Envelope want = BruteForceEnvelope(v, window);
+      ASSERT_EQ(env.lower, want.lower) << "n " << n << " window " << window;
+      ASSERT_EQ(env.upper, want.upper) << "n " << n << " window " << window;
+    }
+  }
 }
 
 TEST(EnvelopeTest, ContainsTheSeries) {

@@ -276,6 +276,35 @@ std::string ReadFile(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
+/// The file and in-memory entry points share one decoder: the same bytes
+/// load into the same base, whichever way they arrive.
+TEST(SerializationTest, FileAndBufferLoadsAreIdentical) {
+  OnexBase original = BuildTestBase();
+  const std::string path = TempPath("onex_base_file_vs_buffer.bin");
+  ASSERT_TRUE(SaveBase(original, path).ok());
+  const std::string bytes = ReadFile(path);
+  auto saved = SaveBaseToString(original);
+  ASSERT_TRUE(saved.ok());
+  ASSERT_EQ(bytes, saved.value());
+
+  auto from_file = LoadBase(path);
+  auto from_buffer = LoadBaseFromBuffer(bytes);
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  ASSERT_TRUE(from_buffer.ok()) << from_buffer.status().ToString();
+  EXPECT_EQ(SaveBaseToString(from_file.value()).value(), bytes);
+  EXPECT_EQ(SaveBaseToString(from_buffer.value()).value(), bytes);
+  ExpectSameGti(from_file.value(), from_buffer.value());
+  std::remove(path.c_str());
+
+  // A version-1 file too, whose Dc blocks the decoder skips.
+  auto v1_file = LoadBase(kVersion1Fixture);
+  auto v1_buffer = LoadBaseFromBuffer(ReadFile(kVersion1Fixture));
+  ASSERT_TRUE(v1_file.ok()) << v1_file.status().ToString();
+  ASSERT_TRUE(v1_buffer.ok()) << v1_buffer.status().ToString();
+  EXPECT_EQ(SaveBaseToString(v1_file.value()).value(),
+            SaveBaseToString(v1_buffer.value()).value());
+}
+
 uint32_t FormatVersionOf(const std::string& bytes) {
   uint32_t version = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));

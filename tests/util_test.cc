@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: Status/Result, Rng, RandomizeInPlace,
-// stats accumulators, UnionFind, MonotonicDeque, Flags, TableWriter.
+// stats accumulators, UnionFind, Crc32, Flags, TableWriter.
 
 #include <gtest/gtest.h>
 
@@ -9,8 +9,8 @@
 #include <set>
 #include <vector>
 
+#include "util/crc32.h"
 #include "util/flags.h"
-#include "util/monotonic_deque.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -245,33 +245,60 @@ TEST(UnionFindTest, ChainMergesToOne) {
   EXPECT_TRUE(uf.Connected(0, 99));
 }
 
-// -------------------------------------------------------- MonotonicDeque.
+// ----------------------------------------------------------------- Crc32.
 
-TEST(MonotonicDequeTest, PushPopBothEnds) {
-  MonotonicDeque dq(8);
-  EXPECT_TRUE(dq.Empty());
-  dq.PushBack(1);
-  dq.PushBack(2);
-  dq.PushBack(3);
-  EXPECT_EQ(dq.Size(), 3u);
-  EXPECT_EQ(dq.Front(), 1u);
-  EXPECT_EQ(dq.Back(), 3u);
-  dq.PopFront();
-  EXPECT_EQ(dq.Front(), 2u);
-  dq.PopBack();
-  EXPECT_EQ(dq.Back(), 2u);
-  EXPECT_EQ(dq.Size(), 1u);
+/// The bytewise CRC-32 the slice-by-8 kernel must reproduce: reflected
+/// polynomial 0xEDB88320, one bit at a time.
+uint32_t ReferenceCrc32(const unsigned char* p, size_t n) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
 }
 
-TEST(MonotonicDequeTest, WrapsAroundRingBuffer) {
-  MonotonicDeque dq(4);
-  for (int round = 0; round < 10; ++round) {
-    dq.PushBack(static_cast<size_t>(round));
-    dq.PushBack(static_cast<size_t>(round + 100));
-    EXPECT_EQ(dq.Front(), static_cast<size_t>(round));
-    dq.PopFront();
-    dq.PopFront();
-    EXPECT_TRUE(dq.Empty());
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.Uniform(256));
+  return bytes;
+}
+
+TEST(Crc32Test, StandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, EqualsBytewiseReferenceAtEveryLengthAndOffset) {
+  // Offsets 0..7 put the eight-byte steps on every alignment.
+  const auto bytes = RandomBytes(300 + 8, 17);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 300; ++n) {
+      const unsigned char* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(p, n), ReferenceCrc32(p, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedOverRandomSplitsEqualsOneShot) {
+  const auto bytes = RandomBytes(4096, 29);
+  const uint32_t whole = Crc32(bytes.data(), bytes.size());
+  ASSERT_EQ(whole, ReferenceCrc32(bytes.data(), bytes.size()));
+  Rng rng(31);
+  for (int trial = 0; trial < 64; ++trial) {
+    uint32_t crc = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t piece =
+          std::min<size_t>(rng.Uniform(40), bytes.size() - at);
+      crc = Crc32Update(crc, bytes.data() + at, piece);
+      at += piece;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
   }
 }
 
