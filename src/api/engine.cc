@@ -51,10 +51,11 @@ QueryPayload EmptyPayloadOf(QueryKind kind) {
 }
 
 Engine::Engine(OnexBase base)
-    : rw_mutex_(std::make_unique<SharedMutex>(LockRank::kEngine,
-                                              "engine.rw_mutex")),
-      base_(std::make_unique<OnexBase>(std::move(base))),
-      lazy_(std::make_unique<LazyComponents>()) {}
+    : version_mutex_(
+          std::make_unique<Mutex>(LockRank::kLeaf, "engine.version_mutex")),
+      current_(std::make_shared<const OnexBase>(std::move(base))),
+      append_mutex_(std::make_unique<Mutex>(LockRank::kEngineAppend,
+                                            "engine.append_mutex")) {}
 
 Result<Engine> Engine::Build(Dataset dataset, const OnexOptions& options) {
   auto built = OnexBase::Build(std::move(dataset), options);
@@ -70,30 +71,18 @@ Result<Engine> Engine::Open(const std::string& path) {
   return Engine(std::move(loaded).value());
 }
 
+std::shared_ptr<const OnexBase> Engine::Pin() const {
+  MutexLock lock(*version_mutex_);
+  return current_;
+}
+
+std::shared_ptr<const OnexBase> Engine::PinSettled() const {
+  MutexLock writer(*append_mutex_);
+  return Pin();
+}
+
 Status Engine::Save(const std::string& path) const {
-  ReaderMutexLock lock(*rw_mutex_);
-  return SaveBase(*base_, path);
-}
-
-const QueryProcessor& Engine::processor() const {
-  std::call_once(lazy_->processor_once, [this] {
-    lazy_->processor = std::make_unique<QueryProcessor>(base_.get());
-  });
-  return *lazy_->processor;
-}
-
-const Recommender& Engine::recommender() const {
-  std::call_once(lazy_->recommender_once, [this] {
-    lazy_->recommender = std::make_unique<Recommender>(base_.get());
-  });
-  return *lazy_->recommender;
-}
-
-const ThresholdRefiner& Engine::refiner() const {
-  std::call_once(lazy_->refiner_once, [this] {
-    lazy_->refiner = std::make_unique<ThresholdRefiner>(base_.get());
-  });
-  return *lazy_->refiner;
+  return SaveBase(*Pin(), path);
 }
 
 namespace {
@@ -124,10 +113,16 @@ Status CheckQueryValues(const QueryRequest& request) {
 
 }  // namespace
 
-Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
-                                            const ExecContext& ctx) const {
+Result<QueryResponse> Engine::Execute(const QueryRequest& request,
+                                      const ExecContext& ctx) const {
   ONEX_TRACE_SPAN("engine.execute");
   if (Status values = CheckQueryValues(request); !values.ok()) return values;
+  // The whole query runs on this version; an append publishing a newer
+  // one meanwhile neither waits for it nor changes what it sees.
+  const std::shared_ptr<const OnexBase> base = Pin();
+  const QueryProcessor processor(base.get());
+  const Recommender recommender(base.get());
+  const ThresholdRefiner refiner(base.get());
   QueryResponse response;
   response.kind = KindOf(request);
   response.payload = EmptyPayloadOf(response.kind);
@@ -190,9 +185,9 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
         if constexpr (std::is_same_v<T, BestMatchRequest>) {
           auto result =
               req.length == 0
-                  ? processor().FindBestMatch(AsSpan(req.query),
-                                              &response.stats, effective)
-                  : processor().FindBestMatchOfLength(
+                  ? processor.FindBestMatch(AsSpan(req.query),
+                                            &response.stats, effective)
+                  : processor.FindBestMatchOfLength(
                         AsSpan(req.query), req.length, &response.stats,
                         effective);
           if (result.ok()) {
@@ -202,15 +197,15 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
           }
         } else if constexpr (std::is_same_v<T, KSimilarRequest>) {
           auto result =
-              processor().FindKSimilar(AsSpan(req.query), req.k, req.length,
-                                       &response.stats, effective);
+              processor.FindKSimilar(AsSpan(req.query), req.k, req.length,
+                                     &response.stats, effective);
           if (result.ok()) {
             response.payload = MatchResult{std::move(result).value()};
           } else {
             error = result.status();
           }
         } else if constexpr (std::is_same_v<T, RangeWithinRequest>) {
-          auto result = processor().FindAllWithin(
+          auto result = processor.FindAllWithin(
               AsSpan(req.query), req.st, req.length, req.exact_distances,
               &response.stats, effective);
           if (result.ok()) {
@@ -220,10 +215,10 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
           }
         } else if constexpr (std::is_same_v<T, SeasonalRequest>) {
           auto result = req.series_id.has_value()
-                            ? processor().SeasonalSimilarity(
+                            ? processor.SeasonalSimilarity(
                                   *req.series_id, req.length, effective)
-                            : processor().SimilarGroupsOfLength(req.length,
-                                                                effective);
+                            : processor.SimilarGroupsOfLength(req.length,
+                                                              effective);
           if (result.ok()) {
             response.payload = SeasonalResult{std::move(result).value()};
           } else {
@@ -234,9 +229,9 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
             error = effective->Check();
             if (!error.ok()) return;
             response.payload = RecommendResult{
-                {recommender().Recommend(*req.degree, req.length)}};
+                {recommender.Recommend(*req.degree, req.length)}};
           } else {
-            auto rows = recommender().AllDegrees(req.length, effective);
+            auto rows = recommender.AllDegrees(req.length, effective);
             // Fewer than three rows means the context stopped the scan
             // between degrees.
             if (rows.size() < 3) error = effective->Check();
@@ -247,14 +242,14 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
                            QueryStage::kRefine);
           RefineResult refinements;
           auto summarize = [&](size_t length, const GtiEntry& refined) {
-            const GtiEntry* before = base_->EntryFor(length);
+            const GtiEntry* before = base->EntryFor(length);
             refinements.refinements.push_back(RefineSummary{
                 length, before != nullptr ? before->NumGroups() : 0,
                 refined.NumGroups()});
           };
           if (req.length != 0) {
             auto refined =
-                refiner().RefineLength(req.length, req.st_prime, effective);
+                refiner.RefineLength(req.length, req.st_prime, effective);
             if (refined.ok()) {
               summarize(req.length, refined.value());
             } else {
@@ -264,9 +259,9 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
             // Length by length (rather than RefineAll) so an
             // interruption keeps the summaries of every length already
             // refined — those become the partial response.
-            for (size_t length : base_->gti().Lengths()) {
+            for (size_t length : base->gti().Lengths()) {
               auto refined =
-                  refiner().RefineLength(length, req.st_prime, effective);
+                  refiner.RefineLength(length, req.st_prime, effective);
               if (!refined.ok()) {
                 error = refined.status();
                 break;
@@ -321,34 +316,16 @@ Result<QueryResponse> Engine::ExecuteLocked(const QueryRequest& request,
   return response;
 }
 
-Result<QueryResponse> Engine::Execute(const QueryRequest& request,
-                                      const ExecContext& ctx) const {
-  ReaderMutexLock lock(*rw_mutex_);
-  return ExecuteLocked(request, ctx);
+Status Engine::AppendSeries(TimeSeries series, size_t* index) {
+  std::vector<TimeSeries> batch;
+  batch.push_back(std::move(series));
+  return AppendBatch(std::move(batch), index);
 }
 
-Status Engine::AppendSeries(TimeSeries series, size_t* index) {
+Status Engine::AppendBatch(std::vector<TimeSeries> batch,
+                           size_t* first_index) {
   // Validate before logging: a WAL record that cannot be applied would
   // poison every future replay.
-  if (series.empty()) {
-    return Status::InvalidArgument("cannot append an empty series");
-  }
-  Status values = CheckSeriesValues(series);
-  if (!values.ok()) return values;
-  WriterMutexLock lock(*rw_mutex_);
-  if (append_sink_ != nullptr) {
-    const Status logged = append_sink_->LogAppend(
-        std::span<const TimeSeries>(&series, 1));
-    if (!logged.ok()) return logged;
-  }
-  const Status applied = base_->AppendSeries(std::move(series));
-  if (applied.ok() && index != nullptr) {
-    *index = base_->dataset().size() - 1;
-  }
-  return applied;
-}
-
-Status Engine::AppendBatch(std::vector<TimeSeries> batch) {
   for (const TimeSeries& series : batch) {
     if (series.empty()) {
       return Status::InvalidArgument("cannot append an empty series");
@@ -356,39 +333,51 @@ Status Engine::AppendBatch(std::vector<TimeSeries> batch) {
     Status values = CheckSeriesValues(series);
     if (!values.ok()) return values;
   }
-  WriterMutexLock lock(*rw_mutex_);
-  if (append_sink_ != nullptr) {
-    const Status logged = append_sink_->LogAppend(batch);
+  MutexLock writer(*append_mutex_);
+  std::shared_ptr<const OnexBase> pinned;
+  storage::AppendSink* sink = nullptr;
+  {
+    MutexLock lock(*version_mutex_);
+    pinned = current_;
+    sink = append_sink_;
+  }
+  if (sink != nullptr) {
+    const Status logged = sink->LogAppend(batch);
     if (!logged.ok()) return logged;
   }
-  // One maintenance pass for the whole batch: derived structures are
-  // rebuilt once per affected length, not once per series. WAL replay
-  // routes recovery through here for exactly that reason.
-  return base_->AppendBatch(std::move(batch));
+  // One maintenance pass for the whole batch, on a private copy: derived
+  // structures are rebuilt once per affected length, and queries keep
+  // answering from `pinned` until the copy is published.
+  auto next = std::make_shared<OnexBase>(*pinned);
+  const size_t first = next->dataset().size();
+  const Status applied = next->AppendBatch(std::move(batch));
+  if (!applied.ok()) return applied;
+  {
+    // `pinned` keeps the old version alive past the lock, so it is
+    // never freed under it.
+    MutexLock lock(*version_mutex_);
+    current_ = std::move(next);
+  }
+  if (first_index != nullptr) *first_index = first;
+  return Status::OK();
 }
 
 void Engine::AttachAppendSink(storage::AppendSink* sink) {
-  // Writer lock: a detach must wait for any in-flight append that is
-  // about to log through the old sink (the DurableEngine destructor
-  // detaches right before closing the WAL).
-  WriterMutexLock lock(*rw_mutex_);
+  // A detach waits for any in-flight append that is about to log
+  // through the old sink (the DurableEngine destructor detaches right
+  // before closing the WAL).
+  MutexLock writer(*append_mutex_);
+  MutexLock lock(*version_mutex_);
   append_sink_ = sink;
 }
 
-Status Engine::Exclusive(
-    const std::function<Status(const OnexBase& base)>& fn) const {
-  WriterMutexLock lock(*rw_mutex_);
-  return fn(*base_);
+bool Engine::durable() const {
+  MutexLock lock(*version_mutex_);
+  return append_sink_ != nullptr;
 }
 
-BaseStats Engine::base_stats() const {
-  ReaderMutexLock lock(*rw_mutex_);
-  return base_->stats();
-}
+BaseStats Engine::base_stats() const { return Pin()->stats(); }
 
-size_t Engine::num_series() const {
-  ReaderMutexLock lock(*rw_mutex_);
-  return base_->dataset().size();
-}
+size_t Engine::num_series() const { return Pin()->dataset().size(); }
 
 }  // namespace onex

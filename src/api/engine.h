@@ -7,19 +7,21 @@
 // end (the paper's web UI, our onex_cli) drives for a whole exploration
 // session, and the unit a server shards or batches over.
 //
-// Concurrency contract: Execute is safe to call from any number of
-// threads concurrently (it takes a reader lock and uses per-call
-// QueryStats); AppendSeries takes the writer lock and may run
-// concurrently with queries — queries observe the base either before or
-// after the append, never mid-maintenance.
+// Concurrency contract: the engine holds one immutable OnexBase per
+// version. Execute pins the current version (a shared_ptr copy under a
+// leaf mutex) and answers from it with no lock held, so any number of
+// queries run concurrently and none of them ever waits on an append.
+// Appends are serialized among themselves: each copies the current
+// version, applies the batch to the copy and publishes it. A query
+// answers from the version it pinned, before or after an append, never
+// mid-maintenance. A version stays alive while a query pins it, so at
+// most one version per running query plus the current one is resident.
 
 #ifndef ONEX_API_ENGINE_H_
 #define ONEX_API_ENGINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <variant>
@@ -212,8 +214,8 @@ struct QueryResponse {
 
 // --------------------------------------------------------------- engine
 
-/// Owns a built OnexBase and the lazily-created query components, and
-/// answers typed QueryRequests. Movable, not copyable. See the file
+/// Owns the current version of a built OnexBase and answers typed
+/// QueryRequests against it. Movable, not copyable. See the file
 /// comment for the concurrency contract.
 class Engine {
  public:
@@ -228,7 +230,7 @@ class Engine {
   /// Reads a base persisted with Save()/SaveBase() and wraps it.
   static Result<Engine> Open(const std::string& path);
 
-  /// Persists the underlying base (serialization.h format).
+  /// Persists the current version (serialization.h format).
   Status Save(const std::string& path) const;
 
   /// Answers one request under interactive control: `ctx` carries the
@@ -240,118 +242,85 @@ class Engine {
   /// code — so an interactive front end can always render SOMETHING.
   /// Genuine failures (bad request, absent length) return an error
   /// Result as before; a query value that is NaN or infinite is a bad
-  /// request (InvalidArgument), as it is on the wire. Thread-safe:
-  /// concurrent callers share the reader lock. (The context-free
-  /// Execute(request) shim of the previous release is gone — pass a
-  /// context explicitly.)
+  /// request (InvalidArgument), as it is on the wire. Thread-safe: the
+  /// call pins the current version and holds no lock while it runs, so
+  /// a caller parked in its progress sink holds off no append.
   Result<QueryResponse> Execute(const QueryRequest& request,
                                 const ExecContext& ctx) const;
 
-  /// Base maintenance (Algorithm 1 append). Takes the writer lock:
-  /// blocks until in-flight queries drain, then updates the base. In
-  /// durable mode (an AppendSink is attached) the series is logged to
-  /// the sink first; a sink failure aborts the append unapplied, so an
-  /// acknowledged append is always recoverable. On success `*index`
-  /// (when non-null) receives the new series' index — captured under
-  /// the writer lock, so concurrent appenders see distinct values.
+  /// Base maintenance (Algorithm 1 append): a batch of one. On success
+  /// `*index` (when non-null) receives the new series' index, taken
+  /// while appends are serialized, so concurrent appenders see distinct
+  /// values.
   Status AppendSeries(TimeSeries series, size_t* index = nullptr);
 
-  /// Appends a batch under ONE writer-lock acquisition; in durable mode
-  /// the whole batch is logged with a single group commit (one fsync)
-  /// before any of it is applied, and the in-memory apply is ONE
-  /// maintenance pass (OnexBase::AppendBatch: derived state rebuilt
-  /// once per affected length, not once per series). All-or-nothing:
-  /// an invalid series anywhere rejects the batch unapplied.
-  Status AppendBatch(std::vector<TimeSeries> batch);
+  /// Appends a batch as one new version. Appends are serialized: in
+  /// durable mode (an AppendSink is attached) the whole batch is logged
+  /// with a single group commit (one fsync) first, and a sink failure
+  /// aborts the append unapplied, so an acknowledged append is always
+  /// recoverable. The batch is then applied to a copy of the current
+  /// version in ONE maintenance pass (OnexBase::AppendBatch: derived
+  /// state rebuilt once per affected length) and the copy is published.
+  /// Queries keep running on the version they pinned meanwhile.
+  /// All-or-nothing: an invalid series anywhere rejects the batch
+  /// unapplied. On success `*first_index` (when non-null) receives the
+  /// index of the batch's first series.
+  Status AppendBatch(std::vector<TimeSeries> batch,
+                     size_t* first_index = nullptr);
 
   // ---- durable mode (storage/storage.h attaches itself here).
 
   /// Attaches (or, with nullptr, detaches) the write-ahead sink. The
   /// sink must outlive every subsequent append; DurableEngine owns both
   /// this engine and the sink, so its lifetime covers the engine's.
-  /// Takes the writer lock (appends in flight drain first), so it is
-  /// safe even against a concurrent appender — but attach before
-  /// publishing the engine anyway: an append admitted before the
-  /// attach is not logged.
+  /// Waits for an append in flight, so a detach never races one — but
+  /// attach before publishing the engine anyway: an append admitted
+  /// before the attach is not logged.
   void AttachAppendSink(storage::AppendSink* sink);
 
   /// True when an AppendSink is attached (appends are write-ahead
   /// logged).
-  bool durable() const {
-    ReaderMutexLock lock(*rw_mutex_);
-    return append_sink_ != nullptr;
-  }
+  bool durable() const;
 
-  /// Runs `fn` on the base with the WRITER lock held: no queries, no
-  /// appends in flight. The storage checkpointer uses this to snapshot
-  /// the base and rotate the WAL as one atomic step (an append can
-  /// never land between the two).
-  Status Exclusive(
-      const std::function<Status(const OnexBase& base)>& fn) const;
+  /// The current version, pinned: it stays alive and unchanged for as
+  /// long as the caller holds the pointer, whatever appends publish
+  /// meanwhile.
+  std::shared_ptr<const OnexBase> Pin() const;
 
-  /// Snapshot accessors (reader lock; cheap copies, safe to call
-  /// concurrently with AppendSeries).
+  /// Pin() once an append in flight has published, so the version holds
+  /// every append the sink has logged. Waits for that append and holds
+  /// further appends off for the pointer copy; queries never wait. The
+  /// storage checkpointer serializes one of these, so a checkpoint
+  /// triggered by an append's log record also covers that append.
+  std::shared_ptr<const OnexBase> PinSettled() const;
+
+  /// Accessors over the current version (safe to call concurrently
+  /// with appends).
   BaseStats base_stats() const;
   size_t num_series() const;
 
-  /// Direct views for single-threaded tooling (serialization, plotting,
-  /// the CLI's `show`). NOT synchronized against AppendSeries — do not
-  /// hold these across maintenance calls from another thread. The
-  /// analysis opt-out below is exactly that documented contract: the
-  /// caller promises no concurrent writer exists.
-  const OnexBase& base() const NO_THREAD_SAFETY_ANALYSIS { return *base_; }
-  const Dataset& dataset() const NO_THREAD_SAFETY_ANALYSIS {
-    return base_->dataset();
-  }
-  const OnexOptions& options() const NO_THREAD_SAFETY_ANALYSIS {
-    return base_->options();
-  }
-
-  /// The engine's reader/writer lock, exposed FOR ANNOTATIONS ONLY:
-  /// storage::DurableEngine's WAL state is guarded by this engine's
-  /// lock (the AppendSink contract), and writing that down requires a
-  /// nameable capability. Do not lock it directly — use the public
-  /// Execute/Append/Exclusive surface.
-  SharedMutex& mu() const RETURN_CAPABILITY(*rw_mutex_) { return *rw_mutex_; }
+  /// Direct views of the current version for single-threaded tooling
+  /// (serialization, plotting, the CLI's `show`). The reference is
+  /// valid until the next append publishes a new version; a caller that
+  /// may race an append holds Pin() instead.
+  const OnexBase& base() const { return *Pin(); }
+  const Dataset& dataset() const { return base().dataset(); }
+  const OnexOptions& options() const { return base().options(); }
 
  private:
   explicit Engine(OnexBase base);
 
-  /// Dispatch body; the caller holds the reader lock.
-  Result<QueryResponse> ExecuteLocked(const QueryRequest& request,
-                                      const ExecContext& ctx) const
-      REQUIRES_SHARED(*rw_mutex_);
-
-  /// Query components, created on first use via std::call_once (cheap
-  /// atomic check on the hot path; no lock contention between
-  /// concurrent readers). Each holds a pointer to *base_, whose
-  /// address is stable across Engine moves. Heap-allocated as one
-  /// block because once_flag is neither movable nor copyable.
-  struct LazyComponents {
-    std::once_flag processor_once;
-    std::once_flag recommender_once;
-    std::once_flag refiner_once;
-    std::unique_ptr<QueryProcessor> processor;
-    std::unique_ptr<Recommender> recommender;
-    std::unique_ptr<ThresholdRefiner> refiner;
-  };
-
-  const QueryProcessor& processor() const;
-  const Recommender& recommender() const;
-  const ThresholdRefiner& refiner() const;
-
-  /// Reader/writer lock of the concurrency contract (heap-allocated so
-  /// the engine stays movable). Declared before the state it guards so
-  /// annotations below can name it.
-  mutable std::unique_ptr<SharedMutex> rw_mutex_;
-  /// The base itself: the pointer is set once at construction (stable
-  /// across moves), the POINTEE mutates under the writer lock —
-  /// PT_GUARDED_BY is exactly that split.
-  std::unique_ptr<OnexBase> base_ PT_GUARDED_BY(*rw_mutex_);
+  /// Held only to copy or replace `current_`, never across a query or
+  /// an append (leaf rank). Heap-held so the engine stays movable.
+  mutable std::unique_ptr<Mutex> version_mutex_;
+  std::shared_ptr<const OnexBase> current_ GUARDED_BY(*version_mutex_);
   /// Write-ahead sink of the optional durable mode; nullptr = memory
   /// only. Owned by the attaching storage manager, not the engine.
-  storage::AppendSink* append_sink_ GUARDED_BY(*rw_mutex_) = nullptr;
-  mutable std::unique_ptr<LazyComponents> lazy_;
+  /// Replaced with append_mutex_ held too, so it is fixed for the
+  /// length of an append.
+  storage::AppendSink* append_sink_ GUARDED_BY(*version_mutex_) = nullptr;
+  /// Serializes writers: log to the sink, copy, apply, publish.
+  mutable std::unique_ptr<Mutex> append_mutex_;
 };
 
 }  // namespace onex

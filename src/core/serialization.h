@@ -41,9 +41,8 @@ Result<OnexBase> LoadBase(const std::string& path);
 
 /// Serializes `base` into an in-memory buffer — byte-identical to the
 /// file SaveBase would write. This is the snapshot-shadow step of the
-/// incremental checkpointer (storage/storage.h): the engine writer lock
-/// is held only for this memory serialization, never for disk I/O or
-/// delta encoding.
+/// incremental checkpointer (storage/storage.h), run on a pinned
+/// version of the base while queries and appends go on.
 Result<std::string> SaveBaseToString(const OnexBase& base);
 
 /// Deserializes a buffer produced by SaveBaseToString (or read back

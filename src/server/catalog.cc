@@ -159,9 +159,9 @@ Result<AppendOutcome> Catalog::Append(const std::string& name,
     engine = resolved.value()->engine;
   }
 
-  // The index is captured inside AppendSeries under the writer lock:
-  // reading num_series() afterwards would race a concurrent append and
-  // report someone else's index back to this client.
+  // The index is captured inside AppendSeries while appends are
+  // serialized: reading num_series() afterwards would race a concurrent
+  // append and report someone else's index back to this client.
   size_t index = 0;
   const Status appended = engine->AppendSeries(std::move(series), &index);
   if (!appended.ok()) return appended;

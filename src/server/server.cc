@@ -810,8 +810,8 @@ void Server::HandleRequest(Connection* connection, const Request& request,
   }
 
   // Mutation path: APPEND is catalog-mediated (the session's engine
-  // handle is const) and answered inline — appends take the engine's
-  // writer lock, so routing them through the worker pool would let
+  // handle is const) and answered inline — appends to one dataset run
+  // one at a time, so routing them through the worker pool would let
   // one slow append occupy a worker every query is waiting for.
   if (const auto* append = std::get_if<AppendRequest>(&request)) {
     if (engine == nullptr) {

@@ -92,8 +92,8 @@ class Session {
   void CancelAllAndWait();
 
   const int fd_;
-  /// Below kEngine: a node streams PART frames from inside
-  /// Engine::Execute with the engine's reader lock held.
+  /// A node streams PART frames from inside Engine::Execute, which
+  /// holds no engine lock while the query runs.
   Mutex write_mutex_{LockRank::kSessionWrite, "session.write_mutex"};
 
   /// Cancel actions run with it released: the router's takes its merge

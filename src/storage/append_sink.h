@@ -2,7 +2,7 @@
 // The hook that gives onex::Engine its optional durable mode without an
 // api -> storage header dependency: Engine holds an AppendSink pointer
 // and, when one is attached, logs every append through it BEFORE
-// mutating the in-memory base (write-ahead ordering). storage.h's
+// publishing the version that holds it (write-ahead ordering). storage.h's
 // DurableEngine implements the sink over a WAL; tests can implement it
 // over a vector. This header depends on nothing above util/, so
 // api/engine.h can forward-declare and api/engine.cc can include it
@@ -20,8 +20,10 @@ namespace onex {
 namespace storage {
 
 /// Durability hook for Engine::AppendSeries / AppendBatch. Calls arrive
-/// serialized under the engine's writer lock; implementations need no
-/// locking of their own for the log state they touch here.
+/// one at a time, in publish order (the engine serializes its appends
+/// with its append mutex held); an implementation whose log state is
+/// also touched elsewhere (a checkpoint's rotation) guards it with a
+/// mutex of its own ranked above kEngineAppend.
 class AppendSink {
  public:
   virtual ~AppendSink() = default;

@@ -192,7 +192,11 @@ DurableEngine::DurableEngine(Private, Engine engine, WalWriter wal,
       wal_path_(std::move(wal_path)) {}
 
 void DurableEngine::Start() {
-  wal_bytes_.store(wal_.bytes());
+  {
+    MutexLock lock(wal_mutex_);
+    wal_records_.store(wal_.records());
+    wal_bytes_.store(wal_.bytes());
+  }
   engine_.AttachAppendSink(this);
   if (options_.background_checkpointer) {
     checkpointer_ = std::thread([this] { CheckpointerLoop(); });
@@ -255,8 +259,10 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
   RecoveredChain rc = std::move(recovered).value();
   auto parsed = LoadBaseFromBuffer(rc.bytes);
   if (!parsed.ok()) return parsed.status();
-  Engine engine = Engine::FromBase(std::move(parsed).value());
-  const uint64_t chain_series = engine.num_series();
+  // The WAL tail is applied to this base before the engine wraps it, so
+  // replay pays no version copy.
+  OnexBase base = std::move(parsed).value();
+  const uint64_t chain_series = base.dataset().size();
 
   uint64_t replayed = 0;
   uint64_t skipped = 0;
@@ -265,14 +271,13 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
   WalWriter wal;
 
   auto contents = ReadWal(wal_path);
-  if (contents.ok() &&
-      contents.value().snapshot_series > engine.num_series()) {
+  if (contents.ok() && contents.value().snapshot_series > chain_series) {
     if (!rc.degraded) {
       return Status::Corruption(
           "WAL '" + wal_path + "' expects a snapshot with " +
           std::to_string(contents.value().snapshot_series) +
           " series but '" + base_path + "' has " +
-          std::to_string(engine.num_series()) +
+          std::to_string(chain_series) +
           " — snapshot and log do not belong together");
     }
     // Degraded recovery: the log belongs to a checkpoint the corrupt
@@ -284,14 +289,13 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
                   << "': WAL sequence base "
                   << contents.value().snapshot_series
                   << " is past the last valid checkpoint ("
-                  << engine.num_series()
+                  << chain_series
                   << " series) — dropping the unreachable log tail";
     wal_beyond_state = true;
   }
   if (contents.ok() && !wal_beyond_state) {
     WalContents& log = contents.value();
     torn = log.tail_torn;
-    const uint64_t snapshot_series = engine.num_series();
     // Batch the replay: collect every record the snapshot doesn't
     // already cover, then apply them through ONE AppendBatch — one
     // derived-state rebuild per length instead of one per record, so
@@ -302,7 +306,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     for (size_t i = 0; i < log.records.size(); ++i) {
       // Record i creates series index snapshot_series_at_log_start + i;
       // skip what a newer snapshot (crash mid-checkpoint) already has.
-      if (log.snapshot_series + i < snapshot_series) {
+      if (log.snapshot_series + i < chain_series) {
         ++skipped;
         continue;
       }
@@ -310,7 +314,7 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     }
     replayed = to_replay.size();
     if (!to_replay.empty()) {
-      const Status applied = engine.AppendBatch(std::move(to_replay));
+      const Status applied = base.AppendBatch(std::move(to_replay));
       if (!applied.ok()) {
         return Status::Corruption("WAL replay failed after " +
                                   std::to_string(skipped) +
@@ -327,18 +331,19 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
     // only violated with replayed == 0 (the snapshot covers every
     // valid record), so rotation never discards WAL-only data.
     if (log.valid_bytes > 0 &&
-        log.snapshot_series + log.records.size() == engine.num_series()) {
-      auto writer = WalWriter::OpenForAppend(wal_path, log.valid_bytes);
+        log.snapshot_series + log.records.size() == base.dataset().size()) {
+      auto writer = WalWriter::OpenForAppend(wal_path, log.valid_bytes,
+                                             log.records.size());
       if (!writer.ok()) return writer.status();
       wal = std::move(writer).value();
     } else {
-      auto writer = WalWriter::Create(wal_path, engine.num_series());
+      auto writer = WalWriter::Create(wal_path, base.dataset().size());
       if (!writer.ok()) return writer.status();
       wal = std::move(writer).value();
     }
   } else if (wal_beyond_state ||
              contents.status().code() == Status::Code::kNotFound) {
-    auto writer = WalWriter::Create(wal_path, engine.num_series());
+    auto writer = WalWriter::Create(wal_path, base.dataset().size());
     if (!writer.ok()) return writer.status();
     wal = std::move(writer).value();
   } else {
@@ -357,9 +362,8 @@ Result<std::shared_ptr<DurableEngine>> DurableEngine::Open(
   if (!dir_synced.ok()) return dir_synced;
 
   auto durable = std::make_shared<DurableEngine>(
-      Private{}, std::move(engine), std::move(wal), options, base_path,
-      wal_path);
-  durable->wal_records_.store(wal_beyond_state ? 0 : replayed + skipped);
+      Private{}, Engine::FromBase(std::move(base)), std::move(wal), options,
+      base_path, wal_path);
   durable->replayed_records_ = replayed;
   durable->skipped_records_ = skipped;
   durable->recovered_torn_tail_ = torn;
@@ -394,6 +398,7 @@ DurableEngine::~DurableEngine() {
   // exit (that is the whole point). A final best-effort sync covers
   // appends acknowledged with sync_appends off.
   engine_.AttachAppendSink(nullptr);
+  MutexLock lock(wal_mutex_);
   if (wal_.bytes() > 0) wal_.Sync();
 }
 
@@ -409,12 +414,11 @@ Status DurableEngine::Append(TimeSeries series) {
   return engine_.AppendSeries(std::move(series));
 }
 
-// ---- AppendSink (under the engine writer lock).
+// ---- AppendSink (appends arrive serialized by the engine).
 
 Status DurableEngine::LogAppend(std::span<const TimeSeries> batch) {
-  // AppendSink contract: the engine calls this under its writer lock.
-  engine_.mu().AssertHeld();
   ONEX_TRACE_SPAN("wal.append");
+  MutexLock lock(wal_mutex_);
   if (options_.wal_fault_injection) {
     const Status injected = options_.wal_fault_injection();
     if (!injected.ok()) {
@@ -505,21 +509,18 @@ Status DurableEngine::CheckpointIncremental() {
   ONEX_TRACE_SPAN("storage.checkpoint_incremental");
   Timer duration;
 
-  // Phase 1 (brief writer-lock hold): serialize the base to a memory
-  // shadow. No disk I/O, no fsync, no delta encoding under the lock.
+  // Serialize a version holding every append logged so far to a memory
+  // shadow. No lock is held: queries and appends go on while it
+  // encodes.
   std::string shadow;
   uint64_t series = 0;
-  int64_t phase1_ns = 0;
-  Status held = engine_.Exclusive([&](const OnexBase& base) {
-    Timer hold;
-    auto bytes = SaveBaseToString(base);
+  {
+    const std::shared_ptr<const OnexBase> pinned = engine_.PinSettled();
+    auto bytes = SaveBaseToString(*pinned);
     if (!bytes.ok()) return bytes.status();
     shadow = std::move(bytes).value();
-    series = base.dataset().size();
-    phase1_ns = hold.ElapsedNanos();
-    return Status::OK();
-  });
-  if (!held.ok()) return held;
+    series = pinned->dataset().size();
+  }
 
   // Nothing changed since the last checkpoint (disk already covers
   // every series and the WAL is empty): don't grow the chain with
@@ -528,7 +529,7 @@ Status DurableEngine::CheckpointIncremental() {
     return Status::OK();
   }
 
-  // Out-of-lock: delta against the previous snapshot shadow.
+  // Delta against the previous snapshot shadow.
   const std::string delta = EncodeDelta(prev_snapshot_, shadow);
 
   const bool over_length =
@@ -541,8 +542,8 @@ Status DurableEngine::CheckpointIncremental() {
   const bool not_paying = delta.size() >= shadow.size();
 
   if (over_length || over_bytes || not_paying) {
-    // Compaction: publish the shadow as a fresh full base (still
-    // outside every engine lock), then drop the folded chain.
+    // Compaction: publish the shadow as a fresh full base, then drop
+    // the folded chain.
     const Status published = WriteFileDurable(base_path_, shadow);
     if (!published.ok()) return published;
     RetireChainLocked();
@@ -576,23 +577,21 @@ Status DurableEngine::CheckpointIncremental() {
   prev_snapshot_ = std::move(shadow);
   snapshot_series_.store(series);
 
-  // Phase 2 (second brief hold): rotate the WAL to sequence base
-  // `series`, re-logging appends that landed during encoding. A crash
-  // between the publish above and this rotation is the PR-3 crash
-  // window: the old log's sequence base is below the new chain's, and
-  // Open skips the already-covered prefix.
-  int64_t phase2_ns = 0;
-  held = engine_.Exclusive([&](const OnexBase& base) {
+  // Rotate the WAL to sequence base `series`, re-logging appends that
+  // landed after the pin. Appends are held off for this step only. A
+  // crash between the publish above and this rotation leaves the old
+  // log, whose sequence base is below the new chain's, and Open skips
+  // the already-covered prefix.
+  {
+    MutexLock lock(wal_mutex_);
     Timer hold;
-    const Status rotated = RotateWalLocked(base, series);
-    phase2_ns = hold.ElapsedNanos();
-    return rotated;
-  });
-  if (!held.ok()) return held;
+    const Status rotated = RotateWalLocked(series);
+    last_lock_hold_ns_.store(hold.ElapsedNanos());
+    if (!rotated.ok()) return rotated;
+  }
 
   checkpoints_.fetch_add(1);
   last_checkpoint_duration_ns_.store(duration.ElapsedNanos());
-  last_lock_hold_ns_.store(phase1_ns + phase2_ns);
   last_checkpoint_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
@@ -600,17 +599,32 @@ Status DurableEngine::CheckpointIncremental() {
   return Status::OK();
 }
 
-Status DurableEngine::RotateWalLocked(const OnexBase& base, uint64_t series) {
-  engine_.mu().AssertHeld();
+Status DurableEngine::RotateWalLocked(uint64_t series) {
+  // The live log holds every acknowledged append, including one that is
+  // logged but not yet published as a version, so the records to carry
+  // over come from it rather than from any base. Only the writer's
+  // first records() count: bytes past them belong to an append that
+  // failed and was never acknowledged.
+  auto live = ReadWal(wal_path_);
+  if (!live.ok()) return live.status();
+  const WalContents& log = live.value();
+  if (log.records.size() < wal_.records() || log.snapshot_series > series) {
+    return Status::Corruption(
+        "WAL '" + wal_path_ + "' reads " +
+        std::to_string(log.records.size()) + " records from sequence " +
+        std::to_string(log.snapshot_series) + ", the writer logged " +
+        std::to_string(wal_.records()) + " and the checkpoint covers " +
+        std::to_string(series) + " series");
+  }
   const std::string wal_tmp = wal_path_ + ".tmp";
   auto fresh = WalWriter::Create(wal_tmp, series);
   if (!fresh.ok()) return fresh.status();
   WalWriter writer = std::move(fresh).value();
-  // Re-log every series the chain doesn't cover (appended while the
-  // delta was encoding) — one group-commit fsync for all of them.
+  // Re-log every record the chain doesn't cover — one group-commit
+  // fsync for all of them.
   uint64_t relogged = 0;
-  for (size_t i = series; i < base.dataset().size(); ++i) {
-    const Status appended = writer.Append(base.dataset()[i]);
+  for (size_t i = series - log.snapshot_series; i < wal_.records(); ++i) {
+    const Status appended = writer.Append(log.records[i]);
     if (!appended.ok()) return appended;
     ++relogged;
   }

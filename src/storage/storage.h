@@ -9,8 +9,8 @@
 // Mechanics:
 //   - Appends are WRITE-AHEAD: the engine (durable mode) logs each
 //     series to the WAL — fsync'd per append, or once per group-commit
-//     batch — before mutating the in-memory base. A WAL failure aborts
-//     the append unapplied.
+//     batch — before it publishes the version holding it. A WAL failure
+//     aborts the append unapplied.
 //   - Recovery (Open) is snapshot-load + WAL-replay. Records the
 //     snapshot already contains (crash between "snapshot renamed" and
 //     "WAL rotated") are skipped by sequence number; a torn or corrupt
@@ -21,11 +21,13 @@
 //     proportional to log length; checkpoints bound it). Every file is
 //     replaced via write-temp-then-rename, so a crash at any instant
 //     leaves a recoverable set.
-//   - Checkpoints are INCREMENTAL: the base is serialized to a memory
-//     shadow under a brief writer-lock hold, then a binary delta
-//     against the previous snapshot (storage/delta.h) is encoded and
-//     published OUTSIDE every engine lock; a second brief hold rotates
-//     the WAL and re-logs whatever appends landed mid-encode. Recovery
+//   - Checkpoints are INCREMENTAL: a pinned version of the base,
+//     holding every append logged so far, is serialized to a memory
+//     shadow, then a binary delta against the previous snapshot
+//     (storage/delta.h) is encoded and published — all of it while
+//     queries and appends go on. A brief hold of the WAL mutex then
+//     rotates the WAL and re-logs, from the live log, the appends
+//     logged after the pin. Recovery
 //     applies the chain in place on top of the base, then replays the
 //     WAL tail; the chain is compacted into a fresh full snapshot past
 //     a length/bytes budget.
@@ -35,10 +37,10 @@
 //     removal is recognized at recovery by the leftover delta's intact
 //     header not matching the new base (ignored, not degraded).
 //
-// Locking: all WAL-writer state is touched only under the engine's
-// writer lock (appends via the AppendSink hook, rotation via
-// Engine::Exclusive), so checkpoints and appends serialize without a
-// lock-order cycle. Chain state (previous-snapshot shadow, link list)
+// Locking: the WAL writer is guarded by wal_mutex_, taken by appends
+// (through the AppendSink hook) and by the WAL rotation; it is the only
+// point where a checkpoint holds appends off, and no checkpoint step
+// holds off a query. Chain state (previous-snapshot shadow, link list)
 // is guarded by checkpoint_mutex_, which also serializes explicit and
 // background checkpoints.
 //
@@ -87,7 +89,7 @@ struct StorageOptions {
   /// readiness) without breaking a real file descriptor.
   std::function<Status()> wal_fault_injection;
   /// Compact the chain (fold every delta into a fresh full snapshot,
-  /// written from the shadow outside the engine lock) once it would
+  /// written from the shadow) once it would
   /// hold more deltas than this (0 = unbounded) or more than 64 MiB of
   /// them. Bounds recovery and follower-bootstrap time.
   uint64_t max_delta_chain_length = 8;
@@ -129,8 +131,9 @@ struct StorageStats {
   uint64_t last_delta_bytes = 0;    ///< Size of the newest delta artifact.
   /// Series covered by base + chain == the live WAL's sequence base.
   uint64_t snapshot_series = 0;
-  /// Engine writer-lock hold time of the last checkpoint — the number
-  /// incremental checkpoints exist to shrink (perfbench's
+  /// How long the last checkpoint held appends off: its WAL rotation
+  /// (the pin before it holds them off only for a pointer copy).
+  /// Queries are never held off (perfbench's
   /// storage.checkpoint_lock_hold_ms).
   double checkpoint_lock_hold_seconds = 0.0;
   /// Recovery degraded to the last valid chain prefix (corrupt or torn
@@ -221,10 +224,11 @@ class DurableEngine : public AppendSink,
   /// commits go through engine()->AppendBatch.
   Status Append(TimeSeries series);
 
-  /// Checkpoints the engine, atomically with respect to appends. The
-  /// engine writer lock is held only for the in-memory serialization
-  /// and the WAL rotation — disk I/O, fsyncs, and delta encoding run
-  /// outside it.
+  /// Checkpoints a pinned version of the engine that holds every append
+  /// logged before the call (Engine::PinSettled). Queries run on
+  /// throughout; appends wait only for the pointer copy and the WAL
+  /// rotation at the end. Serialization, delta encoding and the
+  /// artifact's disk I/O hold nothing they need.
   Status Checkpoint();
 
   StorageStats stats() const;
@@ -242,7 +246,7 @@ class DurableEngine : public AppendSink,
   const std::string& base_path() const { return base_path_; }
   const std::string& wal_path() const { return wal_path_; }
 
-  // AppendSink — called by the engine under its writer lock. Not for
+  // AppendSink — called by the engine, one append at a time. Not for
   // direct use.
   Status LogAppend(std::span<const TimeSeries> batch) override;
 
@@ -254,26 +258,20 @@ class DurableEngine : public AppendSink,
 
  private:
   /// Spin up the sink attachment and (optionally) the checkpointer;
-  /// shared tail of both factories. Unchecked: runs before the object
-  /// is shared with any other thread, so the guarded wal_ access is
-  /// single-threaded by construction.
-  void Start() NO_THREAD_SAFETY_ANALYSIS;
+  /// shared tail of both factories.
+  void Start();
 
   void CheckpointerLoop();
   bool OverThreshold() const;
 
-  /// Checkpoint body: brief-lock shadow serialization, out-of-lock
-  /// delta publish (or chain compaction), brief-lock WAL rotation with
-  /// mid-encode appends re-logged.
+  /// Checkpoint body: serialization of a pinned version, delta publish
+  /// (or chain compaction), WAL rotation with later appends re-logged.
   Status CheckpointIncremental() REQUIRES(checkpoint_mutex_);
 
-  /// Phase 2 of the incremental path: rotate the WAL to sequence base
-  /// `series` and re-log every engine series at index >= `series`
-  /// (appends that landed while the delta was encoding). Runs under
-  /// the engine writer lock via Exclusive (an untyped std::function
-  /// boundary — it opens with engine_.mu().AssertHeld(), the
-  /// analysis-visible form of that contract).
-  Status RotateWalLocked(const OnexBase& base, uint64_t series);
+  /// Last step of a checkpoint: rotate the WAL to sequence base
+  /// `series` and re-log every live-WAL record at sequence >= `series`
+  /// (appends the checkpointed version does not hold).
+  Status RotateWalLocked(uint64_t series) REQUIRES(wal_mutex_);
 
   /// Removes every `<base>.onex.delta.<k>` on disk from k = `from` up
   /// (stale artifacts after a compaction or a re-persist).
@@ -290,18 +288,17 @@ class DurableEngine : public AppendSink,
   size_t SweepRetiredLocked() REQUIRES(checkpoint_mutex_);
 
   Engine engine_;
-  /// All WAL-writer state is touched only under the engine's WRITER
-  /// lock: appends arrive through the AppendSink hook (write-ahead,
-  /// inside the engine's append path) and rotation runs via
-  /// Engine::Exclusive — so checkpoints and appends serialize without
-  /// a lock-order cycle.
-  WalWriter wal_ GUARDED_BY(engine_.mu());
+  /// Guards the WAL writer: appends log through the AppendSink hook
+  /// (inside the engine's append path, which ranks below it) and the
+  /// checkpoint's rotation replaces the writer.
+  mutable Mutex wal_mutex_{LockRank::kStorageWal, "storage.wal_mutex"};
+  WalWriter wal_ GUARDED_BY(wal_mutex_);
   StorageOptions options_;
   const std::string base_path_;
   const std::string wal_path_;
 
   /// Counters mirrored atomically so stats() and the checkpointer
-  /// predicate read them without the engine lock.
+  /// predicate read them without the WAL mutex.
   std::atomic<uint64_t> appends_{0};
   std::atomic<uint64_t> wal_records_{0};
   std::atomic<uint64_t> wal_bytes_{0};
@@ -311,8 +308,8 @@ class DurableEngine : public AppendSink,
   /// it (see StorageStats::wal_write_failed).
   std::atomic<bool> wal_write_failed_{false};
   /// Steady-clock ns of the last completed checkpoint (0 = never) and
-  /// how long it held the writer lock — the METRICS gauges for
-  /// checkpoint age and duration read these without any lock.
+  /// how long it took — the METRICS gauges for checkpoint age and
+  /// duration read these without any lock.
   std::atomic<int64_t> last_checkpoint_ns_{0};
   std::atomic<int64_t> last_checkpoint_duration_ns_{0};
   // Recovery facts, written once in Open before the object is shared.
@@ -333,8 +330,8 @@ class DurableEngine : public AppendSink,
   std::atomic<uint64_t> snapshot_series_{0};
 
   /// Serializes explicit Checkpoint() calls against the background one
-  /// and guards the chain state below. Above kEngine: held across
-  /// Engine::Exclusive. (The catalog may hold its registry mutex while
+  /// and guards the chain state below. Below kStorageWal: held across
+  /// the WAL rotation. (The catalog may hold its registry mutex while
   /// checkpointing a dirty victim, hence kCatalog < kStorageCheckpoint.)
   mutable Mutex checkpoint_mutex_{LockRank::kStorageCheckpoint,
                                   "storage.checkpoint_mutex"};
@@ -360,8 +357,8 @@ class DurableEngine : public AppendSink,
   std::atomic<uint64_t> gc_reclaimed_bytes_{0};
   std::atomic<uint64_t> gc_pending_artifacts_{0};
 
-  /// Checkpointer thread plumbing. Above kEngine: the append sink
-  /// pokes the checkpointer while the engine writer lock is held.
+  /// Checkpointer thread plumbing. Above kStorageWal: the append sink
+  /// pokes the checkpointer with the WAL mutex held.
   Mutex cp_mutex_{LockRank::kStorageCp, "storage.cp_mutex"};
   CondVar cp_cv_;
   bool stop_ GUARDED_BY(cp_mutex_) = false;

@@ -86,7 +86,8 @@ Result<WalWriter> WalWriter::Create(const std::string& path,
 }
 
 Result<WalWriter> WalWriter::OpenForAppend(const std::string& path,
-                                           uint64_t offset) {
+                                           uint64_t offset,
+                                           uint64_t records) {
   if (offset < kHeaderBytes) {
     return Status::InvalidArgument("WAL append offset inside the header");
   }
@@ -108,6 +109,7 @@ Result<WalWriter> WalWriter::OpenForAppend(const std::string& path,
   WalWriter writer;
   writer.fd_ = fd;
   writer.bytes_ = offset;
+  writer.records_ = records;
   return writer;
 }
 
@@ -164,6 +166,8 @@ Status WalWriter::Rollback(uint64_t bytes, uint64_t discarded_records) {
   if (bytes > bytes_ || discarded_records > records_) {
     return Status::InvalidArgument("rollback past the log head");
   }
+  bytes_ = bytes;
+  records_ -= discarded_records;
   if (::ftruncate(fd_, static_cast<off_t>(bytes)) != 0 ||
       ::lseek(fd_, static_cast<off_t>(bytes), SEEK_SET) < 0) {
     const Status failed = Status::IOError(
@@ -171,8 +175,6 @@ Status WalWriter::Rollback(uint64_t bytes, uint64_t discarded_records) {
     Close();  // Poisoned: never append on top of untracked bytes.
     return failed;
   }
-  bytes_ = bytes;
-  records_ -= discarded_records;
   return Status::OK();
 }
 

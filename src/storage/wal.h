@@ -50,8 +50,8 @@ enum class WalRecordType : uint8_t {
 };
 
 /// Appends records to one log file. Not thread-safe: the caller
-/// serializes access (DurableEngine funnels every write through the
-/// engine's writer lock). Movable, not copyable.
+/// serializes access (DurableEngine holds its WAL mutex around every
+/// use). Movable, not copyable.
 class WalWriter {
  public:
   /// Creates (or truncates) the log at `path` with a fresh header and
@@ -60,10 +60,11 @@ class WalWriter {
                                   uint64_t snapshot_series);
 
   /// Opens an existing log for appending at `offset` (the valid-prefix
-  /// end reported by ReadWal). The file is truncated to `offset` first,
-  /// discarding any torn tail so new records stay reachable.
+  /// end reported by ReadWal), on top of the `records` valid records
+  /// before it. The file is truncated to `offset` first, discarding any
+  /// torn tail so new records stay reachable.
   static Result<WalWriter> OpenForAppend(const std::string& path,
-                                         uint64_t offset);
+                                         uint64_t offset, uint64_t records);
 
   /// A default-constructed writer is closed; assign an opened one in.
   WalWriter() = default;
@@ -90,6 +91,8 @@ class WalWriter {
   /// series the client was told did not land). If the truncate itself
   /// fails the writer is poisoned (closed): every subsequent append
   /// fails rather than risk acknowledging on top of untracked bytes.
+  /// Either way bytes() and records() afterwards describe the log
+  /// without the discarded records.
   Status Rollback(uint64_t bytes, uint64_t discarded_records);
 
   /// Current log size in bytes (header included) and records appended

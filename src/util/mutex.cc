@@ -187,8 +187,6 @@ void DumpHeldStacksSigSafe(int fd) {
 
 void CheckHeld(const void* mutex, const char* name) {
   if (Holds(mutex)) return;
-  // A shared_mutex held SHARED by many threads records per-thread, so
-  // this is exact: the calling thread itself did not acquire it.
   std::fprintf(stderr,
                "onex lock assertion failed: '%s' is not held by the "
                "calling thread\n",

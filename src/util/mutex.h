@@ -10,11 +10,11 @@
 //      (ONEX_LOCK_ORDER_CHECKS) abort with both lock names when a
 //      thread acquires out of rank order — turning a potential
 //      deadlock into a deterministic crash at the acquisition site.
-//   3. AssertHeld()/AssertReaderHeld(): the sound escape hatch for
+//   3. AssertHeld(): the sound escape hatch for
 //      code that receives a lock across an untyped boundary (a
-//      std::function callback run under Engine::Exclusive, a virtual
-//      AppendSink call) — it informs the analysis AND verifies at
-//      runtime when checking is compiled in.
+//      std::function callback or a virtual call made with the lock
+//      held) — it informs the analysis AND verifies at runtime when
+//      checking is compiled in.
 //
 // The deployment-wide rank order (outermost first) is LockRank below;
 // README "Concurrency & locking model" narrates it. Acquiring a lock
@@ -32,7 +32,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -49,15 +48,18 @@ namespace onex {
 ///
 /// The order encodes the real call chains of the serving stack:
 ///   - the catalog opens/evicts engines (and checkpoints dirty durable
-///     victims) under its registry mutex, so catalog < checkpoint <
-///     engine;
-///   - an engine append (writer lock held) write-ahead logs through
+///     victims) under its registry mutex, so catalog < checkpoint;
+///   - a checkpoint pins a settled version under the engine's append
+///     mutex and rotates the WAL under the WAL mutex, so checkpoint <
+///     engine-append and checkpoint < storage-wal;
+///   - an engine append (append mutex held) write-ahead logs through
 ///     the AppendSink into the WAL and pokes the checkpointer, so
-///     engine < storage-cp;
-///   - a query streams PART frames to the session socket from inside
-///     Engine::Execute (reader lock held), so engine < session-write;
+///     engine-append < storage-wal < storage-cp;
+///   - the engine's version mutex is held only to copy or replace the
+///     current version pointer and calls nothing, so it is kLeaf; a
+///     query runs on its pinned version with no engine lock held;
 ///   - metrics are recorded everywhere and call nothing, so metrics is
-///     the innermost (leaf) rank.
+///     the innermost server rank.
 /// Client-side locks live in their own (higher) band: a client runs in
 /// the same process only in tests, and its threads never hold server
 /// locks.
@@ -67,7 +69,8 @@ enum class LockRank : int {
   kServerQueue = 15,       ///< Server::queue_mutex_
   kCatalog = 20,           ///< Catalog::mutex_
   kStorageCheckpoint = 30, ///< DurableEngine::checkpoint_mutex_
-  kEngine = 40,            ///< Engine::rw_mutex_
+  kEngineAppend = 40,      ///< Engine::append_mutex_
+  kStorageWal = 42,        ///< DurableEngine::wal_mutex_
   kStorageCp = 50,         ///< DurableEngine::cp_mutex_
   // Router band: below the session ranks (a merge callback holds its
   // op mutex while sending the merged frame downstream) and below the
@@ -158,61 +161,6 @@ class CAPABILITY("mutex") Mutex {
   const char* const name_;
 };
 
-/// Annotated std::shared_mutex (the Engine's reader/writer split).
-/// Shared and exclusive holds occupy the same rank slot — a reader
-/// acquiring a second lock obeys the same hierarchy as a writer.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  explicit SharedMutex(LockRank rank = LockRank::kLeaf,
-                       const char* name = "shared_mutex")
-      : rank_(rank), name_(name) {}
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() {
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::PushHeld(this, rank_, name_);
-#endif
-    mu_.lock();
-  }
-  void Unlock() RELEASE() {
-    mu_.unlock();
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::PopHeld(this);
-#endif
-  }
-  void LockShared() ACQUIRE_SHARED() {
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::PushHeld(this, rank_, name_);
-#endif
-    mu_.lock_shared();
-  }
-  void UnlockShared() RELEASE_SHARED() {
-    mu_.unlock_shared();
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::PopHeld(this);
-#endif
-  }
-
-  /// See Mutex::AssertHeld. The runtime check cannot tell shared from
-  /// exclusive holds apart; the analysis can, and does.
-  void AssertHeld() const ASSERT_CAPABILITY() {
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::CheckHeld(this, name_);
-#endif
-  }
-  void AssertReaderHeld() const ASSERT_SHARED_CAPABILITY() {
-#if ONEX_LOCK_ORDER_CHECKS
-    lock_debug::CheckHeld(this, name_);
-#endif
-  }
-
- private:
-  std::shared_mutex mu_;
-  const LockRank rank_;
-  const char* const name_;
-};
-
 /// Scoped exclusive hold of a Mutex.
 class SCOPED_CAPABILITY MutexLock {
  public:
@@ -223,34 +171,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped exclusive (writer) hold of a SharedMutex.
-class SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  ~WriterMutexLock() RELEASE() { mu_.Unlock(); }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped shared (reader) hold of a SharedMutex.
-class SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderMutexLock() RELEASE() { mu_.UnlockShared(); }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable over an annotated Mutex. No predicate overloads

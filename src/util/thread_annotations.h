@@ -13,12 +13,10 @@
 //
 // Conventions for new code:
 //   - Every mutable member shared between threads is GUARDED_BY (or
-//     PT_GUARDED_BY for the pointee of a stable smart pointer) one of
-//     the annotated onex::Mutex / onex::SharedMutex wrappers
-//     (util/mutex.h) — never a raw std primitive.
+//     PT_GUARDED_BY for the pointee of a stable smart pointer) an
+//     annotated onex::Mutex (util/mutex.h) — never a raw std primitive.
 //   - Private helpers that assume the lock is held are named
-//     `*Locked()` and annotated REQUIRES(mutex) /
-//     REQUIRES_SHARED(mutex).
+//     `*Locked()` and annotated REQUIRES(mutex).
 //   - Code that receives the lock through an untyped boundary (a
 //     std::function callback run under the lock, a virtual call) calls
 //     mutex.AssertHeld() first — which both informs the analysis and,

@@ -225,10 +225,11 @@ TEST(ExecContextTest, RefineThresholdKeepsPerLengthPartials) {
   EXPECT_LT(partial.value().refinements().size(), all_lengths);
 }
 
-/// The TSan target: queries being cancelled while appends mutate the
-/// base. Readers hold the shared lock, the appender the exclusive one,
-/// and the token is fired from a third thread — TSan verifies no
-/// unsynchronized access anywhere in the context plumbing.
+/// The TSan target: queries being cancelled while appends publish new
+/// versions of the base. Queries run on the version they pinned, the
+/// appender builds the next one, and the token is fired from a third
+/// thread — TSan verifies no unsynchronized access anywhere in the
+/// context plumbing.
 TEST(ExecContextTest, CancelRacesConcurrentAppendCleanly) {
   Engine engine = BuildMarketEngine(16, 64);
   std::atomic<bool> stop{false};

@@ -4,10 +4,13 @@
 // (the `thread-sanitizer` CI job runs this binary with lock-order
 // checking compiled in) and still fast enough for the tier-1 suite:
 //
-//   - checkpointer vs. concurrent appends: the background checkpointer
-//     rotates the WAL (engine writer lock via Exclusive) while many
-//     threads append (writer lock + AppendSink + cp notify) — the
-//     kCatalog < kStorageCheckpoint < kEngine < kStorageCp chain.
+//   - checkpointer vs. concurrent appends and queries: the background
+//     checkpointer serializes a pinned version and rotates the WAL
+//     (WAL mutex) while many threads append (engine append mutex +
+//     AppendSink + cp notify) and query versions the appends retire —
+//     the kCatalog < kStorageCheckpoint < kEngineAppend < kStorageWal <
+//     kStorageCp chain. Under ASan a query reading a freed version
+//     fails here.
 //   - client disconnect vs. in-flight cancel: Close() used to read the
 //     demux pointer unguarded while a racing Cancel()/Submit ran.
 //   - Server::Stop vs. live sessions: Stop() used to iterate
@@ -88,7 +91,7 @@ class ScratchDirTest : public ::testing::Test {
 TEST_F(ScratchDirTest, CheckpointerRacesConcurrentAppends) {
   storage::StorageOptions options;
   // Rotate constantly: every few appends crosses the threshold, so the
-  // checkpointer keeps taking the writer lock mid-stream.
+  // checkpointer keeps rotating the WAL mid-stream.
   options.checkpoint_wal_records = 4;
   options.checkpoint_wal_bytes = 0;
   options.background_checkpointer = true;
@@ -111,14 +114,21 @@ TEST_F(ScratchDirTest, CheckpointerRacesConcurrentAppends) {
           failures.fetch_add(1);
         }
         if (i % 8 == 0) {
-          // Interleave reader-lock traffic with the writer churn.
-          (void)durable->engine()->num_series();
+          // Query versions while the other appenders retire them.
+          const TimeSeries probe = RampSeries(tag);
+          const auto values = probe.Subsequence(0, 8);
+          auto answer = durable->engine()->Execute(
+              BestMatchRequest{std::vector<double>(values.begin(),
+                                                   values.end()),
+                               8},
+              ExecContext{});
+          if (!answer.ok()) failures.fetch_add(1);
         }
       }
     });
   }
   // Explicit checkpoints race the background ones (checkpoint_mutex_
-  // serializes them; both then take the engine writer lock).
+  // serializes them; both then rotate under the WAL mutex).
   std::thread explicit_checkpointer([&] {
     for (int i = 0; i < 8; ++i) {
       (void)durable->Checkpoint();
@@ -155,7 +165,7 @@ TEST_F(ScratchDirTest, CatalogEvictionRacesAppendsOnDurableEntries) {
 
   // Two threads appending to different datasets force the pre-eviction
   // checkpoint of a dirty victim (catalog mutex -> checkpoint mutex ->
-  // engine writer lock) to race the other dataset's appends.
+  // WAL mutex) to race the other dataset's appends.
   std::atomic<int> failures{0};
   std::vector<std::thread> writers;
   for (int t = 0; t < 2; ++t) {

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -19,6 +23,8 @@
 #include "core/threshold_refiner.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "parked_query.h"
+#include "storage/append_sink.h"
 #include "util/rng.h"
 
 namespace onex {
@@ -398,6 +404,121 @@ TEST(EngineTest, ConcurrentQueriesAndAppendsStaySound) {
   auto response = engine.Execute(BestMatchRequest{probe, 8}, ExecContext{});
   ASSERT_TRUE(response.ok());
   EXPECT_LE(response.value().matches()[0].distance, 1e-9);
+}
+
+// ------------------------------------------- versions vs. parked queries.
+
+/// Seasonal data-driven mode: streams one progress event per confirmed
+/// group, so a ParkedQuery parks inside it.
+SeasonalRequest ParkableRequest() { return SeasonalRequest{std::nullopt, 8}; }
+
+/// A copy of series 0: its subsequences join existing groups, so the
+/// answer of ParkableRequest() changes once it is appended.
+TimeSeries CopyOfFirstSeries(const Engine& engine) {
+  const TimeSeries& first = engine.dataset()[0];
+  const auto values = first.Subsequence(0, first.length());
+  return TimeSeries(std::vector<double>(values.begin(), values.end()));
+}
+
+TEST(EngineTest, AppendDoesNotWaitForAParkedQuery) {
+  Engine engine = Engine::FromBase(BuildRawBase());
+  const size_t series_before = engine.num_series();
+  TimeSeries appended = CopyOfFirstSeries(engine);
+  // Declared before the query so that, on an early return, the query
+  // is released before the pending append is waited for.
+  std::future<Status> append;
+  ParkedQuery parked(engine, ParkableRequest());
+  ASSERT_TRUE(parked.WaitParked());
+
+  append = std::async(std::launch::async, [&] {
+    return engine.AppendSeries(std::move(appended));
+  });
+  EXPECT_EQ(append.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  ASSERT_TRUE(parked.Finish().ok());
+  EXPECT_TRUE(append.get().ok());
+  EXPECT_EQ(engine.num_series(), series_before + 1);
+}
+
+TEST(EngineTest, ParkedQueryAnswersFromTheVersionItPinned) {
+  Engine engine = Engine::FromBase(BuildRawBase());
+  auto before = engine.Execute(ParkableRequest(), ExecContext{});
+  ASSERT_TRUE(before.ok());
+  TimeSeries appended = CopyOfFirstSeries(engine);
+  // Declared before the query so that, on an early return, the query
+  // is released before the pending append is waited for.
+  std::future<Status> append;
+  ParkedQuery parked(engine, ParkableRequest());
+  ASSERT_TRUE(parked.WaitParked());
+
+  append = std::async(std::launch::async, [&] {
+    return engine.AppendSeries(std::move(appended));
+  });
+  // The append lands while the query is still parked.
+  ASSERT_EQ(append.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  ASSERT_TRUE(append.get().ok());
+  auto after = engine.Execute(ParkableRequest(), ExecContext{});
+  ASSERT_TRUE(after.ok());
+  ASSERT_NE(after.value().groups(), before.value().groups());
+
+  auto released = parked.Finish();
+  ASSERT_TRUE(released.ok());
+  EXPECT_FALSE(released.value().partial);
+  EXPECT_EQ(released.value().groups(), before.value().groups());
+}
+
+/// A sink that holds its first logged batch until Release(): the
+/// append it belongs to is logged but not yet published meanwhile.
+class HoldingSink : public storage::AppendSink {
+ public:
+  Status LogAppend(std::span<const TimeSeries>) override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    logged_ = true;
+    changed_.notify_all();
+    changed_.wait_for(lock, std::chrono::seconds(60),
+                      [this] { return released_; });
+    return Status::OK();
+  }
+  bool WaitLogged() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, std::chrono::seconds(10),
+                             [this] { return logged_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable changed_;
+  bool logged_ = false;
+  bool released_ = false;
+};
+
+TEST(EngineTest, PinSettledHoldsEveryLoggedAppend) {
+  // A checkpoint pins with PinSettled: an append whose record is
+  // already in the log must be in the version it serializes.
+  Engine engine = Engine::FromBase(BuildRawBase());
+  const size_t series_before = engine.num_series();
+  HoldingSink sink;
+  engine.AttachAppendSink(&sink);
+  auto append = std::async(std::launch::async, [&] {
+    return engine.AppendSeries(CopyOfFirstSeries(engine));
+  });
+  ASSERT_TRUE(sink.WaitLogged());
+  auto settled = std::async(std::launch::async,
+                            [&] { return engine.PinSettled(); });
+  EXPECT_EQ(settled.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  // Queries are not held off meanwhile.
+  EXPECT_EQ(engine.Pin()->dataset().size(), series_before);
+  sink.Release();
+  ASSERT_TRUE(append.get().ok());
+  EXPECT_EQ(settled.get()->dataset().size(), series_before + 1);
+  engine.AttachAppendSink(nullptr);
 }
 
 // ------------------------------------------------------ build helpers.

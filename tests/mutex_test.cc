@@ -32,23 +32,6 @@ TEST(MutexTest, GuardsExcludeEachOther) {
   EXPECT_EQ(value, 4000);
 }
 
-TEST(MutexTest, SharedMutexAllowsConcurrentReaders) {
-  SharedMutex mu(LockRank::kLeaf, "test.shared");
-  int value = 41;
-  {
-    WriterMutexLock lock(mu);
-    ++value;
-  }
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      ReaderMutexLock lock(mu);
-      EXPECT_EQ(value, 42);
-    });
-  }
-  for (std::thread& reader : readers) reader.join();
-}
-
 TEST(MutexTest, CondVarWaitLoopSeesNotifiedPredicate) {
   Mutex mu(LockRank::kLeaf, "test.cv");
   CondVar cv;
@@ -73,12 +56,12 @@ TEST(MutexTest, CondVarWaitLoopSeesNotifiedPredicate) {
 
 TEST(MutexTest, AscendingRanksNest) {
   Mutex outer(LockRank::kCatalog, "test.outer");
-  SharedMutex mid(LockRank::kEngine, "test.mid");
+  Mutex mid(LockRank::kEngineAppend, "test.mid");
   Mutex inner(LockRank::kMetrics, "test.inner");
   MutexLock a(outer);
-  ReaderMutexLock b(mid);
+  MutexLock b(mid);
   MutexLock c(inner);
-  mid.AssertReaderHeld();
+  mid.AssertHeld();
   outer.AssertHeld();
 }
 
@@ -90,10 +73,10 @@ TEST(MutexDeathTest, RankInversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Mutex engine(LockRank::kEngine, "death.engine");
+        Mutex engine(LockRank::kEngineAppend, "death.engine");
         Mutex catalog(LockRank::kCatalog, "death.catalog");
         MutexLock a(engine);
-        MutexLock b(catalog);  // kCatalog < kEngine: inversion.
+        MutexLock b(catalog);  // kCatalog < kEngineAppend: inversion.
       },
       "lock-order violation");
 }

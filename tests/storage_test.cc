@@ -14,6 +14,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "api/engine.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "parked_query.h"
 #include "server/catalog.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -150,9 +152,12 @@ TEST_F(StorageTest, WalTornTailRecoversValidPrefixAndStaysAppendable) {
 
   // Appending on top of the valid prefix truncates the torn tail, so
   // the new record is reachable at the next replay.
-  auto writer = WalWriter::OpenForAppend(path, contents.value().valid_bytes);
+  auto writer = WalWriter::OpenForAppend(path, contents.value().valid_bytes,
+                                         contents.value().records.size());
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  EXPECT_EQ(writer.value().records(), 4u);
   ASSERT_TRUE(writer.value().Append(TaggedSeries(99)).ok());
+  EXPECT_EQ(writer.value().records(), 5u);
   ASSERT_TRUE(writer.value().Sync().ok());
 
   auto reread = ReadWal(path);
@@ -430,6 +435,12 @@ TEST_F(StorageTest, StaleShortWalIsRotatedNotContinued) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_EQ(reopened.value()->engine()->num_series(), kSeedSeries + 3);
     EXPECT_EQ(reopened.value()->stats().replayed_records, 0u);
+    // The rotated log is empty, and the stats say so: a checkpoint with
+    // nothing new must not publish an empty delta.
+    EXPECT_EQ(reopened.value()->stats().wal_records, 0u);
+    const uint64_t chain = reopened.value()->stats().delta_chain_length;
+    ASSERT_TRUE(reopened.value()->Checkpoint().ok());
+    EXPECT_EQ(reopened.value()->stats().delta_chain_length, chain);
     // An append after this recovery must survive the NEXT recovery.
     ASSERT_TRUE(reopened.value()->Append(TaggedSeries(803)).ok());
   }
@@ -437,6 +448,45 @@ TEST_F(StorageTest, StaleShortWalIsRotatedNotContinued) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again.value()->engine()->num_series(), kSeedSeries + 4);
   EXPECT_EQ(again.value()->engine()->dataset()[kSeedSeries + 3].label(), 803);
+}
+
+TEST_F(StorageTest, CheckpointAndAppendsDoNotWaitForAParkedQuery) {
+  // A query parked in its progress sink (a `progress=1` client that
+  // stopped reading) must hold off neither appends nor a checkpoint, and
+  // everything acknowledged meanwhile must survive a reopen.
+  StorageOptions options;
+  options.background_checkpointer = false;
+  {
+    auto durable = DurableEngine::Create(dir_.string(), "parked",
+                                         BuildSmallEngine(11), options);
+    ASSERT_TRUE(durable.ok());
+    DurableEngine& d = *durable.value();
+    ASSERT_TRUE(d.Append(TaggedSeries(900)).ok());
+    // Declared before the query so that, on an early return, the query
+    // is released before the pending work is waited for.
+    std::future<Status> work;
+    ParkedQuery parked(*d.engine(), SeasonalRequest{std::nullopt, 8});
+    ASSERT_TRUE(parked.WaitParked());
+
+    work = std::async(std::launch::async, [&] {
+      Status status = d.Append(TaggedSeries(901));
+      if (status.ok()) status = d.Checkpoint();
+      if (status.ok()) status = d.Append(TaggedSeries(902));
+      return status;
+    });
+    EXPECT_EQ(work.wait_for(std::chrono::seconds(5)),
+              std::future_status::ready);
+    EXPECT_TRUE(parked.Finish().ok());
+    ASSERT_TRUE(work.get().ok());
+    EXPECT_EQ(d.stats().checkpoints, 1u);
+  }
+  auto reopened = DurableEngine::Open(dir_.string(), "parked", options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  const auto engine = reopened.value()->engine();
+  ASSERT_EQ(engine->num_series(), kSeedSeries + 3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(engine->dataset()[kSeedSeries + i].label(), 900 + i);
+  }
 }
 
 TEST_F(StorageTest, BackgroundCheckpointerTriggersOnRecordThreshold) {

@@ -33,30 +33,11 @@ class Counter {
   int value_ GUARDED_BY(mutex_) = 0;
 };
 
-class Registry {
- public:
-  int Read() const {
-    onex::ReaderMutexLock lock(mutex_);
-    return value_;
-  }
-
-  void Write(int v) {
-    onex::WriterMutexLock lock(mutex_);
-    value_ = v;
-  }
-
- private:
-  mutable onex::SharedMutex mutex_;
-  int value_ GUARDED_BY(mutex_) = 0;
-};
-
 }  // namespace
 
 int main() {
   Counter counter;
   counter.Increment();
   counter.IncrementBy(2);
-  Registry registry;
-  registry.Write(counter.Get());
-  return registry.Read();
+  return counter.Get();
 }
