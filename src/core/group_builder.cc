@@ -46,7 +46,8 @@ std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
         min_k = k;
       }
     }
-    if (min_sq <= radius_sq) {
+    // With no group yet there is nothing to join, whatever the radius.
+    if (!groups.empty() && min_sq <= radius_sq) {
       groups[min_k].Add(ref, values);  // Lines 16-17.
     } else {
       groups.emplace_back(length, ref, values);  // Lines 19-20.

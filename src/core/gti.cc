@@ -8,6 +8,12 @@
 
 namespace onex {
 
+size_t EnvelopeWindow(double window_ratio, size_t length) {
+  if (!(window_ratio >= 0.0)) return length;
+  return static_cast<size_t>(std::ceil(std::min(window_ratio, 1.0) *
+                                       static_cast<double>(length)));
+}
+
 GtiEntry BuildGtiEntry(const Dataset& dataset,
                        std::vector<SimilarityGroup> groups, double st,
                        double window_ratio, bool compute_sp_space) {
@@ -15,19 +21,16 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
   if (groups.empty()) return entry;
   entry.length = groups.front().length();
   const size_t length = entry.length;
-  const size_t window =
-      window_ratio < 0
-          ? length
-          : static_cast<size_t>(
-                std::ceil(window_ratio * static_cast<double>(length)));
+  const size_t window = EnvelopeWindow(window_ratio, length);
 
   // Freeze each group into an LsiEntry: final representative, members
-  // sorted by normalized ED to it, envelope around it.
+  // sorted by normalized ED to it, envelope around it. A singleton's
+  // representative is its member's values (SimilarityGroup seeds the
+  // running sum with them), so it keeps no copy and its one ED is 0.
   entry.groups.reserve(groups.size());
   for (auto& group : groups) {
     LsiEntry lsi;
-    lsi.representative = group.representative();
-    const std::span<const double> rep(lsi.representative.data(), length);
+    const std::span<const double> rep(group.representative().data(), length);
     lsi.members.reserve(group.size());
     for (const SubsequenceRef& ref : group.members()) {
       lsi.members.push_back({ref, NormalizedEuclidean(ref.View(dataset), rep)});
@@ -37,6 +40,7 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
                 return a.ed_to_rep < b.ed_to_rep;
               });
     lsi.envelope = ComputeEnvelope(rep, window);
+    if (group.size() > 1) lsi.representative = group.representative();
     entry.groups.push_back(std::move(lsi));
   }
 
@@ -47,16 +51,17 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
   // triangle) only when the SP-Space markers need it, and dies with this
   // call.
   const size_t g = entry.groups.size();
+  std::vector<std::span<const double>> reps;
+  reps.reserve(g);
+  for (const LsiEntry& group : entry.groups) {
+    reps.push_back(RepresentativeOf(group, dataset));
+  }
   std::vector<double> dc;
   if (compute_sp_space) dc.reserve(g * (g - 1) / 2);
   std::vector<double> sums(g, 0.0);
   for (size_t k = 0; k < g; ++k) {
-    const std::span<const double> rk(entry.groups[k].representative.data(),
-                                     length);
     for (size_t l = k + 1; l < g; ++l) {
-      const std::span<const double> rl(entry.groups[l].representative.data(),
-                                       length);
-      const double d = NormalizedEuclidean(rk, rl);
+      const double d = NormalizedEuclidean(reps[k], reps[l]);
       sums[k] += d;
       sums[l] += d;
       if (compute_sp_space) dc.push_back(d);

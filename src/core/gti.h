@@ -48,8 +48,14 @@ struct GtiEntry {
   }
 };
 
+/// Envelope band for subsequences of `length` points: window_ratio *
+/// length, rounded up; the full length for a negative or NaN ratio, and
+/// at most the full length (so no ratio reaches an out-of-range cast).
+size_t EnvelopeWindow(double window_ratio, size_t length);
+
 /// Builds the frozen GtiEntry for one length from construction-time
-/// groups: freezes representatives, sorts members by normalized ED to
+/// groups: freezes representatives (a singleton keeps none: its member
+/// is its representative), sorts members by normalized ED to
 /// the final representative, computes envelopes (band = window_ratio *
 /// length), then one pass over the representative pairs for Dc, from
 /// which it derives the sum-sorted array and, when requested, the merge

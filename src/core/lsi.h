@@ -8,6 +8,7 @@
 #define ONEX_CORE_LSI_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "dataset/subsequence.h"
@@ -25,6 +26,8 @@ struct LsiMember {
 /// Frozen per-group index entry.
 struct LsiEntry {
   /// Representative R^i_k: point-wise average of the members (Def. 7).
+  /// Empty for a singleton, whose representative is its one member's
+  /// values bit for bit: read it through RepresentativeOf.
   std::vector<double> representative;
   /// LB_Keogh envelope around the representative (pruning, Sec. 4.3).
   Envelope envelope;
@@ -45,6 +48,18 @@ struct LsiEntry {
   /// in-group scan. Returns 0 for an empty entry.
   size_t ClosestMemberTo(double target) const;
 };
+
+/// The representative of `group`: its stored vector, or, for a
+/// singleton, its member's values in `dataset`, the dataset of the base
+/// version `group` belongs to. The entry keeps no pointer into the
+/// dataset, so a copied base resolves against its own copy.
+inline std::span<const double> RepresentativeOf(const LsiEntry& group,
+                                                const Dataset& dataset) {
+  if (group.members.size() == 1) {
+    return group.members.front().ref.View(dataset);
+  }
+  return group.representative;
+}
 
 }  // namespace onex
 

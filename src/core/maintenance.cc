@@ -49,7 +49,7 @@ void AssignSubsequences(const Dataset& dataset, uint32_t series_id,
         min_k = k;
       }
     }
-    if (min_sq <= radius_sq) {
+    if (!groups.empty() && min_sq <= radius_sq) {
       groups[min_k].Add(ref, values);
     } else {
       groups.emplace_back(length, ref, values);

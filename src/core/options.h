@@ -4,6 +4,7 @@
 #ifndef ONEX_CORE_OPTIONS_H_
 #define ONEX_CORE_OPTIONS_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "dataset/length_spec.h"
@@ -15,6 +16,11 @@ namespace onex {
 /// (the "balanced" threshold of Sec. 6.3), full length decomposition,
 /// and a 10% Sakoe-Chiba band for online DTW.
 struct OnexOptions {
+  /// Largest ST a base takes. Above it the squared join radius,
+  /// L * (ST/2)^2, could overflow to +inf and every subsequence would
+  /// "join" a group that does not exist yet.
+  static constexpr double kMaxSt = 1e100;
+
   /// Similarity threshold ST in normalized-distance units (Def. 4 with
   /// the normalized distances of Defs. 5-6). Groups have ED radius ST/2.
   double st = 0.2;
@@ -23,7 +29,8 @@ struct OnexOptions {
   LengthSpec lengths;
 
   /// Sakoe-Chiba band for online DTW as a fraction of the longer series;
-  /// negative = unconstrained. Also sizes the LSI envelopes.
+  /// negative = unconstrained, and 1 or more the full width. Also sizes
+  /// the LSI envelopes.
   double window_ratio = 0.1;
 
   /// Seed for RANDOMIZE-IN-PLACE in Algorithm 1.
@@ -36,7 +43,13 @@ struct OnexOptions {
 
   /// Validates parameter sanity.
   Status Validate() const {
-    if (st <= 0.0) return Status::InvalidArgument("st must be positive");
+    // Written so that NaN fails each test.
+    if (!(st > 0.0 && st <= kMaxSt)) {
+      return Status::InvalidArgument("st must be positive and at most 1e100");
+    }
+    if (!std::isfinite(window_ratio)) {
+      return Status::InvalidArgument("window_ratio must be finite");
+    }
     if (lengths.min_length < 2) {
       return Status::InvalidArgument("min_length must be >= 2");
     }

@@ -206,8 +206,8 @@ std::pair<uint32_t, double> QueryProcessor::BestRepresentative(
   auto consider = [&](uint32_t k) {
     if (!scan.live()) return;
     const LsiEntry& group = entry.groups[k];
-    const std::span<const double> rep(group.representative.data(),
-                                      entry.length);
+    const std::span<const double> rep =
+        RepresentativeOf(group, base_->dataset());
     const double prune_at = scan.threshold();
     if (options_.use_cascade && prune_at < kInf) {
       if (LbKim(query, query_extrema, rep, group.envelope.extrema) / norm >
@@ -293,8 +293,7 @@ std::vector<std::pair<uint32_t, double>> QueryProcessor::TopRepresentatives(
   ScoreInBatches(
       query, entry.NumGroups(),
       [&](size_t k) {
-        return std::span<const double>(entry.groups[k].representative.data(),
-                                       entry.length);
+        return RepresentativeOf(entry.groups[k], base_->dataset());
       },
       kInf, norm, dtw_options, check, [&](size_t k, double d) {
         ++stats.reps_compared;
@@ -672,8 +671,8 @@ Result<std::vector<QueryMatch>> QueryProcessor::FindAllWithin(
       LaneQueue reps;
       while (screened < num_groups && !reps.full()) {
         const size_t k = screened++;
-        const std::span<const double> rep(
-            entry->groups[k].representative.data(), len);
+        const std::span<const double> rep =
+            RepresentativeOf(entry->groups[k], base_->dataset());
         ++call.reps_compared;
         if (m == len &&
             std::sqrt(SquaredEuclidean(query, rep)) / norm <= half_st) {

@@ -19,6 +19,21 @@ constexpr char kMagic[4] = {'O', 'N', 'E', 'X'};
 
 /// The last format version that stored the Dc matrix; still readable.
 constexpr uint32_t kVersionWithDc = 1;
+/// The last format version that stored every group's representative
+/// and a length in every member record; still readable.
+constexpr uint32_t kVersionWithSingletonReps = 2;
+
+// Smallest possible records, for the pre-reserve bounds checks.
+/// Every version: u64 length, f64 st_half, f64 st_final, u64 group
+/// count, u64 sum count.
+constexpr uint64_t kMinEntryBytes = 40;
+/// Versions 1-2: u64 representative size + u64 member count.
+constexpr uint64_t kMinOldGroupBytes = 16;
+/// Version 3 singleton: u32 member count, u32 series, u32 start.
+constexpr uint64_t kSingletonBytes = 12;
+/// Version 3 larger group, before its representative's doubles: u32
+/// member count and at least two 16-byte member records.
+constexpr uint64_t kMinGroupBytesBeforeRep = 4 + 2 * 16;
 
 // ------------------------------------------------------------- Writing.
 
@@ -39,11 +54,12 @@ class Writer {
   }
   bool ok() const { return out_->good(); }
 
- private:
   void Raw(const void* data, size_t bytes) {
     out_->write(static_cast<const char*>(data),
                 static_cast<std::streamsize>(bytes));
   }
+
+ private:
   std::ostream* out_;
 };
 
@@ -97,9 +113,9 @@ class Reader {
     return true;
   }
 
- private:
   uint64_t remaining() const { return bytes_.size() - at_; }
 
+ private:
   std::string_view bytes_;
   size_t at_ = 0;
 };
@@ -138,13 +154,24 @@ Status SaveBaseToStream(const OnexBase& base, std::ostream& out,
     w.F64(entry.st_half);
     w.F64(entry.st_final);
     w.U64(entry.groups.size());
+    uint64_t singletons = 0;
+    for (const auto& group : entry.groups) singletons += group.size() == 1;
+    w.U64(singletons);
     for (const auto& group : entry.groups) {
-      w.Doubles(group.representative);
-      w.U64(group.members.size());
+      w.U32(static_cast<uint32_t>(group.members.size()));
+      if (group.members.size() == 1) {
+        // Its representative is the member itself and its ED to it 0.
+        w.U32(group.members[0].ref.series);
+        w.U32(group.members[0].ref.start);
+        continue;
+      }
+      // The entry names the length, of the representative and of every
+      // member alike.
+      w.Raw(group.representative.data(),
+            group.representative.size() * sizeof(double));
       for (const auto& member : group.members) {
         w.U32(member.ref.series);
         w.U32(member.ref.start);
-        w.U32(member.ref.length);
         w.F64(member.ed_to_rep);
       }
     }
@@ -159,6 +186,104 @@ Status SaveBaseToStream(const OnexBase& base, std::ostream& out,
   return Status::OK();
 }
 
+/// True when `singletons` version-3 singleton records and `larger`
+/// version-3 larger groups of `length` points could fit in the bytes
+/// left. Each count is bounded by division, so nothing overflows.
+bool Version3GroupsFit(const Reader& r, uint64_t length, uint64_t singletons,
+                       uint64_t larger) {
+  if (!r.Fits(singletons, kSingletonBytes)) return false;
+  if (larger == 0) return true;
+  if (length > r.remaining() / sizeof(double)) return false;
+  const uint64_t group_bytes =
+      kMinGroupBytesBeforeRep + length * sizeof(double);
+  return larger <=
+         (r.remaining() - singletons * kSingletonBytes) / group_bytes;
+}
+
+/// Checks that `ref`, a member of an entry of `length` points, lies in
+/// `dataset`.
+bool RefInBounds(const SubsequenceRef& ref, const Dataset& dataset,
+                 size_t length) {
+  // Widen before adding: start + length are u32 and a corrupt pair can
+  // wrap mod 2^32 past the bounds check.
+  return ref.series < dataset.size() && ref.length == length &&
+         static_cast<uint64_t>(ref.start) + ref.length <=
+             dataset[ref.series].length();
+}
+
+/// Decodes one version-1/2 group record: u64-prefixed representative,
+/// u64 member count, 20-byte members (series, start, length, ed_to_rep).
+/// A singleton's stored representative must equal its member bit for
+/// bit, and its ED 0; it is dropped, as the builder drops it.
+Result<LsiEntry> DecodeOldGroup(Reader& r, const Dataset& dataset,
+                                size_t length) {
+  LsiEntry group;
+  uint64_t num_members = 0;
+  if (!r.Doubles(&group.representative) || !r.U64(&num_members) ||
+      !r.Fits(num_members, /*member record=*/20)) {
+    return Status::Corruption("truncated group");
+  }
+  if (group.representative.size() != length) {
+    return Status::Corruption("representative length mismatch");
+  }
+  if (num_members == 0) return Status::Corruption("empty group");
+  group.members.resize(num_members);
+  for (auto& member : group.members) {
+    if (!r.U32(&member.ref.series) || !r.U32(&member.ref.start) ||
+        !r.U32(&member.ref.length) || !r.F64(&member.ed_to_rep)) {
+      return Status::Corruption("truncated member record");
+    }
+    if (!RefInBounds(member.ref, dataset, length)) {
+      return Status::Corruption("member reference out of bounds");
+    }
+  }
+  if (num_members == 1) {
+    const auto values = group.members[0].ref.View(dataset);
+    if (group.members[0].ed_to_rep != 0.0 ||
+        std::memcmp(values.data(), group.representative.data(),
+                    length * sizeof(double)) != 0) {
+      return Status::Corruption("singleton representative differs from "
+                                "its member");
+    }
+    group.representative = {};
+  }
+  return group;
+}
+
+/// Decodes one version-3 group record: u32 member count, then either a
+/// singleton's u32 series and u32 start, or the representative's
+/// `length` doubles and 16-byte members (series, start, ed_to_rep). The
+/// entry supplies the length of every member.
+Result<LsiEntry> DecodeGroup(Reader& r, const Dataset& dataset,
+                             size_t length) {
+  LsiEntry group;
+  uint32_t num_members = 0;
+  if (!r.U32(&num_members)) return Status::Corruption("truncated group");
+  if (num_members == 0) return Status::Corruption("empty group");
+  if (num_members > 1) {
+    if (length > r.remaining() / sizeof(double) ||
+        !r.Fits(num_members, /*member record=*/16)) {
+      return Status::Corruption("truncated group");
+    }
+    group.representative.resize(length);
+    if (!r.Raw(group.representative.data(), length * sizeof(double))) {
+      return Status::Corruption("truncated representative");
+    }
+  }
+  group.members.resize(num_members);
+  for (auto& member : group.members) {
+    member.ref.length = static_cast<uint32_t>(length);
+    if (!r.U32(&member.ref.series) || !r.U32(&member.ref.start) ||
+        (num_members > 1 && !r.F64(&member.ed_to_rep))) {
+      return Status::Corruption("truncated member record");
+    }
+    if (!RefInBounds(member.ref, dataset, length)) {
+      return Status::Corruption("member reference out of bounds");
+    }
+  }
+  return group;
+}
+
 /// The one decoder behind the file and in-memory entry points; `where`
 /// names the source in error messages.
 Result<OnexBase> DecodeBase(std::string_view bytes, const std::string& where) {
@@ -170,8 +295,8 @@ Result<OnexBase> DecodeBase(std::string_view bytes, const std::string& where) {
     return Status::Corruption("'" + where + "' is not an ONEX base file");
   }
   uint32_t version = 0;
-  if (!r.U32(&version) ||
-      (version != kOnexBaseFormatVersion && version != kVersionWithDc)) {
+  if (!r.U32(&version) || version < kVersionWithDc ||
+      version > kOnexBaseFormatVersion) {
     return Status::Corruption("unsupported format version " +
                               std::to_string(version));
   }
@@ -208,70 +333,59 @@ Result<OnexBase> DecodeBase(std::string_view bytes, const std::string& where) {
                      static_cast<size_t>(step)};
   options.seed = seed;
   options.compute_sp_space = sp != 0;
+  if (Status valid = options.Validate(); !valid.ok()) {
+    return Status::Corruption("invalid options block: " + valid.message());
+  }
 
   // GTI.
   uint64_t num_lengths = 0;
-  if (!r.U64(&num_lengths) ||
-      !r.Fits(num_lengths, /*entry header=*/32)) {
+  if (!r.U64(&num_lengths) || !r.Fits(num_lengths, kMinEntryBytes)) {
     return Status::Corruption("truncated GTI");
   }
   GlobalTimeIndex gti;
   for (uint64_t e = 0; e < num_lengths; ++e) {
     GtiEntry entry;
-    uint64_t length = 0, num_groups = 0;
+    uint64_t length = 0, num_groups = 0, num_singletons = 0;
     if (!r.U64(&length) || !r.F64(&entry.st_half) ||
         !r.F64(&entry.st_final) || !r.U64(&num_groups) ||
-        !r.Fits(num_groups, /*rep count + member count=*/16)) {
+        (version > kVersionWithSingletonReps && !r.U64(&num_singletons))) {
       return Status::Corruption("truncated GTI entry header");
     }
+    if (num_singletons > num_groups) {
+      return Status::Corruption("singleton count larger than group count");
+    }
+    // Every group must fit in the bytes left before anything is
+    // reserved for it.
+    const bool fits =
+        version <= kVersionWithSingletonReps
+            ? r.Fits(num_groups, kMinOldGroupBytes)
+            : Version3GroupsFit(r, length, num_singletons,
+                                num_groups - num_singletons);
+    if (!fits) return Status::Corruption("truncated GTI entry");
     if (!std::isfinite(entry.st_half) || !std::isfinite(entry.st_final) ||
         !(options.st <= entry.st_half) || !(entry.st_half <= entry.st_final)) {
       return Status::Corruption("SP-Space markers not finite or out of "
                                 "order");
     }
     entry.length = static_cast<size_t>(length);
-    // Clamp the ratio before the size_t cast: a corrupt value (huge,
-    // NaN) must not become undefined behaviour. ComputeEnvelope clamps
-    // the window to the series length anyway, so capping at 1.0 (and
-    // treating NaN like "full window") preserves semantics.
-    const double ratio = options.window_ratio;
-    const size_t window =
-        !(ratio >= 0.0)
-            ? entry.length
-            : static_cast<size_t>(std::ceil(std::min(ratio, 1.0) *
-                                            static_cast<double>(length)));
+    const size_t window = EnvelopeWindow(options.window_ratio, entry.length);
     entry.groups.reserve(num_groups);
+    uint64_t singletons_seen = 0;
     for (uint64_t g = 0; g < num_groups; ++g) {
-      LsiEntry group;
-      uint64_t num_members = 0;
-      if (!r.Doubles(&group.representative) || !r.U64(&num_members) ||
-          !r.Fits(num_members, /*member record=*/20)) {
-        return Status::Corruption("truncated group");
-      }
-      if (group.representative.size() != entry.length) {
-        return Status::Corruption("representative length mismatch");
-      }
-      group.members.resize(num_members);
-      for (auto& member : group.members) {
-        if (!r.U32(&member.ref.series) || !r.U32(&member.ref.start) ||
-            !r.U32(&member.ref.length) || !r.F64(&member.ed_to_rep)) {
-          return Status::Corruption("truncated member record");
-        }
-        // Widen before adding: start + length are u32 and a corrupt
-        // pair can wrap mod 2^32 past the bounds check.
-        if (member.ref.series >= dataset.size() ||
-            member.ref.length != entry.length ||
-            static_cast<uint64_t>(member.ref.start) + member.ref.length >
-                dataset[member.ref.series].length()) {
-          return Status::Corruption("member reference out of bounds");
-        }
-      }
+      auto group = version <= kVersionWithSingletonReps
+                       ? DecodeOldGroup(r, dataset, entry.length)
+                       : DecodeGroup(r, dataset, entry.length);
+      if (!group.ok()) return group.status();
+      LsiEntry& decoded = group.value();
+      singletons_seen += decoded.size() == 1;
       // Envelopes are derived state: rebuild.
-      group.envelope = ComputeEnvelope(
-          std::span<const double>(group.representative.data(),
-                                  group.representative.size()),
-          window);
-      entry.groups.push_back(std::move(group));
+      decoded.envelope =
+          ComputeEnvelope(RepresentativeOf(decoded, dataset), window);
+      entry.groups.push_back(std::move(decoded));
+    }
+    if (version > kVersionWithSingletonReps &&
+        singletons_seen != num_singletons) {
+      return Status::Corruption("singleton count mismatch");
     }
     const size_t g = entry.groups.size();
     if (version == kVersionWithDc) {

@@ -29,8 +29,8 @@ Result<GtiEntry> ThresholdRefiner::RefineLength(size_t length,
                                                 double st_prime,
                                                 const ExecContext* ctx) const {
   ONEX_TRACE_SPAN("refine.length");
-  if (st_prime <= 0.0) {
-    return Status::InvalidArgument("st' must be positive");
+  if (!(st_prime > 0.0 && st_prime <= OnexOptions::kMaxSt)) {
+    return Status::InvalidArgument("st' must be positive and at most 1e100");
   }
   const GtiEntry* entry = base_->EntryFor(length);
   if (entry == nullptr) {
@@ -106,7 +106,8 @@ GtiEntry ThresholdRefiner::Merge(const GtiEntry& entry, double st_prime,
   work.reserve(entry.NumGroups());
   for (const LsiEntry& group : entry.groups) {
     Working w;
-    w.rep = group.representative;
+    const std::span<const double> rep = RepresentativeOf(group, dataset);
+    w.rep.assign(rep.begin(), rep.end());
     w.members.reserve(group.members.size());
     for (const LsiMember& member : group.members) {
       w.members.push_back(member.ref);
@@ -162,8 +163,8 @@ GtiEntry ThresholdRefiner::Merge(const GtiEntry& entry, double st_prime,
 
 Result<GlobalTimeIndex> ThresholdRefiner::RefineAll(
     double st_prime, const ExecContext* ctx) const {
-  if (st_prime <= 0.0) {
-    return Status::InvalidArgument("st' must be positive");
+  if (!(st_prime > 0.0 && st_prime <= OnexOptions::kMaxSt)) {
+    return Status::InvalidArgument("st' must be positive and at most 1e100");
   }
   GlobalTimeIndex refined;
   for (size_t length : base_->gti().Lengths()) {

@@ -348,9 +348,11 @@ DtwOptions DtwOptions::FromRatio(double ratio, size_t n, size_t m) {
   if (ratio < 0) {
     options.window = -1;
   } else {
+    // Any ratio of 1 or more spans every cell; capping it keeps a large
+    // ratio from overflowing the int.
     const size_t longest = std::max(n, m);
-    options.window =
-        static_cast<int>(std::ceil(ratio * static_cast<double>(longest)));
+    options.window = static_cast<int>(
+        std::ceil(std::min(ratio, 1.0) * static_cast<double>(longest)));
   }
   return options;
 }

@@ -241,6 +241,10 @@ TEST(DtwBandTest, FromRatioComputesPoints) {
   EXPECT_EQ(options.window, 20);
   const DtwOptions unconstrained = DtwOptions::FromRatio(-1.0, 200, 100);
   EXPECT_LT(unconstrained.window, 0);
+  // A ratio of 1 or more spans every cell, and one whose window would
+  // not fit an int (a finite ratio a base accepts) must not wrap.
+  EXPECT_EQ(DtwOptions::FromRatio(1.5, 200, 100).window, 200);
+  EXPECT_EQ(DtwOptions::FromRatio(1e300, 200, 100).window, 200);
 }
 
 // ------------------------------------------------------ Early abandon.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -32,6 +33,18 @@ Dataset TestDataset(size_t n_series = 10, size_t length = 24,
 uint64_t KeyOf(const SubsequenceRef& ref) {
   return (static_cast<uint64_t>(ref.series) << 40) |
          (static_cast<uint64_t>(ref.start) << 16) | ref.length;
+}
+
+// With an infinite radius every distance is "within" it, including the
+// +inf that stands for "no group yet": the first subsequence must found
+// a group instead of joining one that does not exist.
+TEST(GroupBuilderTest, FirstSubsequenceFoundsAGroupAtAnyRadius) {
+  Dataset d = TestDataset();
+  Rng rng(1);
+  const auto groups = BuildGroupsForLength(
+      d, 8, std::numeric_limits<double>::infinity(), &rng);
+  ASSERT_EQ(groups.size(), 1u);
+  EXPECT_EQ(groups[0].size(), d.size() * (24 - 8 + 1));
 }
 
 TEST(GroupBuilderTest, CoversEverySubsequenceExactlyOnce) {

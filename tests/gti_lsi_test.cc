@@ -40,12 +40,10 @@ GtiEntry BuildEntry(const Dataset& d, size_t length, double st = 0.2) {
 }
 
 /// Dc(k, l) (Def. 10): normalized ED between two representatives.
-double RepDistance(const GtiEntry& entry, size_t k, size_t l) {
-  return NormalizedEuclidean(
-      std::span<const double>(entry.groups[k].representative.data(),
-                              entry.length),
-      std::span<const double>(entry.groups[l].representative.data(),
-                              entry.length));
+double RepDistance(const Dataset& d, const GtiEntry& entry, size_t k,
+                   size_t l) {
+  return NormalizedEuclidean(RepresentativeOf(entry.groups[k], d),
+                             RepresentativeOf(entry.groups[l], d));
 }
 
 TEST(GtiEntryTest, MembersSortedByEdToRep) {
@@ -63,8 +61,7 @@ TEST(GtiEntryTest, StoredEdMatchesRecomputation) {
   Dataset d = TestDataset();
   const GtiEntry entry = BuildEntry(d, 8);
   for (const auto& group : entry.groups) {
-    const std::span<const double> rep(group.representative.data(),
-                                      entry.length);
+    const std::span<const double> rep = RepresentativeOf(group, d);
     for (const auto& member : group.members) {
       EXPECT_NEAR(member.ed_to_rep,
                   NormalizedEuclidean(member.ref.View(d), rep), 1e-12);
@@ -77,12 +74,12 @@ TEST(GtiEntryTest, RepresentativeDistancesSymmetricAndSeparated) {
   const GtiEntry entry = BuildEntry(d, 8);
   const size_t g = entry.NumGroups();
   for (size_t k = 0; k < g; ++k) {
-    EXPECT_DOUBLE_EQ(RepDistance(entry, k, k), 0.0);
+    EXPECT_DOUBLE_EQ(RepDistance(d, entry, k, k), 0.0);
     for (size_t l = 0; l < g; ++l) {
-      EXPECT_DOUBLE_EQ(RepDistance(entry, k, l), RepDistance(entry, l, k));
+      EXPECT_DOUBLE_EQ(RepDistance(d, entry, k, l), RepDistance(d, entry, l, k));
       if (k != l) {
         // Distinct groups' representatives are separated by construction.
-        EXPECT_GT(RepDistance(entry, k, l), 0.0);
+        EXPECT_GT(RepDistance(d, entry, k, l), 0.0);
       }
     }
   }
@@ -101,7 +98,7 @@ TEST(GtiEntryTest, SumSortedAscendingAndComplete) {
     if (i > 0) EXPECT_GE(sum, entry.sum_sorted[i - 1].second);
     // Sum matches its Dc row.
     double expected = 0.0;
-    for (size_t l = 0; l < g; ++l) expected += RepDistance(entry, k, l);
+    for (size_t l = 0; l < g; ++l) expected += RepDistance(d, entry, k, l);
     EXPECT_NEAR(sum, expected, 1e-9);
   }
   for (bool s : seen) EXPECT_TRUE(s);
@@ -113,9 +110,10 @@ TEST(GtiEntryTest, EnvelopesSizedToLength) {
   for (const auto& group : entry.groups) {
     EXPECT_EQ(group.envelope.size(), entry.length);
     // Envelope brackets its representative.
+    const std::span<const double> rep = RepresentativeOf(group, d);
     for (size_t i = 0; i < entry.length; ++i) {
-      EXPECT_LE(group.envelope.lower[i], group.representative[i] + 1e-12);
-      EXPECT_GE(group.envelope.upper[i], group.representative[i] - 1e-12);
+      EXPECT_LE(group.envelope.lower[i], rep[i] + 1e-12);
+      EXPECT_GE(group.envelope.upper[i], rep[i] - 1e-12);
     }
   }
 }
@@ -187,15 +185,15 @@ struct Derived {
 /// Reference derivation over the full g x g Dc matrix: row sums in
 /// ascending column order, sorted by sum, then a Kruskal sweep over all
 /// g(g-1)/2 edges for the markers.
-Derived ReferenceDerivation(const GtiEntry& entry, double st,
-                            bool compute_sp_space) {
+Derived ReferenceDerivation(const Dataset& d, const GtiEntry& entry,
+                            double st, bool compute_sp_space) {
   Derived out;
   const size_t g = entry.NumGroups();
   if (g == 0) return out;  // BuildGtiEntry returns an empty entry.
   std::vector<double> dc(g * g, 0.0);
   for (size_t k = 0; k < g; ++k) {
     for (size_t l = k + 1; l < g; ++l) {
-      dc[k * g + l] = dc[l * g + k] = RepDistance(entry, k, l);
+      dc[k * g + l] = dc[l * g + k] = RepDistance(d, entry, k, l);
     }
   }
   for (size_t k = 0; k < g; ++k) {
@@ -234,9 +232,9 @@ bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-void ExpectMatchesReference(const GtiEntry& entry, double st,
-                            bool compute_sp_space) {
-  const Derived want = ReferenceDerivation(entry, st, compute_sp_space);
+void ExpectMatchesReference(const Dataset& d, const GtiEntry& entry,
+                            double st, bool compute_sp_space) {
+  const Derived want = ReferenceDerivation(d, entry, st, compute_sp_space);
   ASSERT_EQ(entry.sum_sorted.size(), want.sum_sorted.size());
   for (size_t i = 0; i < want.sum_sorted.size(); ++i) {
     EXPECT_EQ(entry.sum_sorted[i].first, want.sum_sorted[i].first) << i;
@@ -280,7 +278,7 @@ TEST(GtiEquivalenceTest, RandomBasesMatchFullMatrixKruskal) {
             auto groups = BuildGroupsForLength(d, length, st, &rng);
             const GtiEntry entry =
                 BuildGtiEntry(d, std::move(groups), st, 0.1, sp);
-            ExpectMatchesReference(entry, st, sp);
+            ExpectMatchesReference(d, entry, st, sp);
           }
         }
       }
@@ -307,7 +305,7 @@ TEST(GtiEquivalenceTest, DuplicateRepresentativesTieEdges) {
   const GtiEntry entry = BuildGtiEntry(d, WholeSeriesGroups(d, all), 0.2,
                                        0.1, true);
   ASSERT_EQ(entry.NumGroups(), 9u);
-  ExpectMatchesReference(entry, 0.2, true);
+  ExpectMatchesReference(d, entry, 0.2, true);
   // Three clusters of identical representatives: "half merged" needs
   // only zero-length edges, "final" needs positive ones.
   EXPECT_DOUBLE_EQ(entry.st_half, 0.2);
@@ -328,7 +326,7 @@ TEST(GtiEquivalenceTest, SmallGroupCounts) {
     const GtiEntry entry =
         BuildGtiEntry(d, WholeSeriesGroups(d, series), 0.2, 0.1, true);
     ASSERT_EQ(entry.NumGroups(), g);
-    ExpectMatchesReference(entry, 0.2, true);
+    ExpectMatchesReference(d, entry, 0.2, true);
   }
 }
 
@@ -354,7 +352,8 @@ TEST(GtiEquivalenceTest, AppendBatchRebuildMatchesReference) {
   ASSERT_TRUE(base.AppendBatch(std::move(batch)).ok());
   for (const auto& [length, entry] : base.gti().entries()) {
     SCOPED_TRACE("length " + std::to_string(length));
-    ExpectMatchesReference(entry, options.st, options.compute_sp_space);
+    ExpectMatchesReference(base.dataset(), entry, options.st,
+                           options.compute_sp_space);
   }
 }
 

@@ -91,7 +91,7 @@ TEST(EnvelopeTest, MatchesBruteForceMinMax) {
     size_t groups = 0;
     for (size_t length : base.gti().Lengths()) {
       for (const LsiEntry& group : base.EntryFor(length)->groups) {
-        const SeriesExtrema want = ExtremaOf(S(group.representative));
+        const SeriesExtrema want = ExtremaOf(RepresentativeOf(group, base.dataset()));
         EXPECT_EQ(group.envelope.extrema.min, want.min) << when;
         EXPECT_EQ(group.envelope.extrema.max, want.max) << when;
         EXPECT_LE(want.min, want.max) << when;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/onex_base.h"
+#include "core/serialization.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 
@@ -117,6 +121,51 @@ TEST(OnexBaseTest, InvalidOptionsRejected) {
   OnexOptions bad_min;
   bad_min.lengths = {1, 0, 1};  // Subsequences must have >= 2 points.
   EXPECT_FALSE(OnexBase::Build(TestDataset(), bad_min).ok());
+}
+
+// An infinite st (or one whose squared join radius overflows) made the
+// first subsequence "join" a group that did not exist yet; a NaN st
+// built a base whose snapshot failed to load; a NaN window ratio reached
+// an undefined float-to-integer cast.
+TEST(OnexBaseTest, NonFiniteOrOverflowingThresholdsRejected) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double st : {inf, -inf, std::nan(""), 1e200}) {
+    OnexOptions options;
+    options.st = st;
+    options.lengths = {8, 16, 8};
+    auto result = OnexBase::Build(TestDataset(), options);
+    ASSERT_FALSE(result.ok()) << st;
+    EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument) << st;
+  }
+  for (double ratio : {std::nan(""), inf}) {
+    OnexOptions options;
+    options.window_ratio = ratio;
+    options.lengths = {8, 16, 8};
+    auto result = OnexBase::Build(TestDataset(), options);
+    ASSERT_FALSE(result.ok()) << ratio;
+    EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument)
+        << ratio;
+  }
+}
+
+TEST(OnexBaseTest, LargestThresholdsBuildAndReload) {
+  for (double st : {OnexOptions::kMaxSt, 1e6}) {
+    OnexOptions options;
+    options.st = st;
+    options.window_ratio = 1.0;
+    options.lengths = {8, 16, 8};
+    auto built = OnexBase::Build(TestDataset(), options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    // Every subsequence is within any finite radius this large.
+    for (const auto& [length, entry] : built.value().gti().entries()) {
+      EXPECT_EQ(entry.NumGroups(), 1u) << length;
+    }
+    auto bytes = SaveBaseToString(built.value());
+    ASSERT_TRUE(bytes.ok());
+    auto reloaded = LoadBaseFromBuffer(bytes.value());
+    ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+    EXPECT_EQ(SaveBaseToString(reloaded.value()).value(), bytes.value());
+  }
 }
 
 TEST(OnexBaseTest, DatasetRetainedForRefResolution) {

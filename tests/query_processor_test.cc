@@ -516,7 +516,8 @@ class PerCandidateQ1 {
     const auto consider = [&](uint32_t k) {
       ++candidates;
       const LsiEntry& group = entry.groups[k];
-      const std::span<const double> rep = S(group.representative);
+      const std::span<const double> rep =
+          RepresentativeOf(group, base_.dataset());
       const double prune_at = std::min(bsf, best_d);
       if (options_.use_cascade && prune_at < kInf) {
         if (LbKim(query, rep) / norm > prune_at) return;
@@ -594,7 +595,7 @@ class PerCandidateQ1 {
     for (uint32_t k = 0; k < entry.NumGroups(); ++k) {
       ++candidates;
       reps.push_back(
-          {k, Score(query, S(entry.groups[k].representative), kInf,
+          {k, Score(query, RepresentativeOf(entry.groups[k], base_.dataset()), kInf,
                     entry.length)});
     }
     const size_t top = std::min(options_.groups_to_search, reps.size());

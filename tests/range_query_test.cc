@@ -124,7 +124,8 @@ TEST(RangeQueryTest, Lemma2FastPathFiresAndIsSound) {
         group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
     QueryStats call;
     auto result = processor.FindAllWithin(
-        S(group.representative), st, 16, /*exact_distances=*/true, &call);
+        RepresentativeOf(group, base.dataset()), st, 16,
+        /*exact_distances=*/true, &call);
     ASSERT_TRUE(result.ok());
     total.Add(call);
     if (radius <= st / 2.0) expected_admissions += group.members.size();
@@ -156,7 +157,8 @@ TEST(RangeQueryTest, FastPathReportsUpperBoundWithoutExactFlag) {
   }
   if (eligible == nullptr) GTEST_SKIP() << "no fast-path-eligible group";
   auto result =
-      processor.FindAllWithin(S(eligible->representative), st, 8, false);
+      processor.FindAllWithin(RepresentativeOf(*eligible, base.dataset()), st,
+                              8, false);
   ASSERT_TRUE(result.ok());
   // Fast-path members carry distance == st (the Lemma-2 upper bound)
   // and are flagged so callers can tell bounds from real distances.
@@ -242,20 +244,21 @@ ReferenceRange PerCandidateRange(const OnexBase& base,
     const double norm = 2.0 * static_cast<double>(std::max(query.size(), len));
     for (uint32_t k = 0; k < entry->NumGroups(); ++k) {
       const LsiEntry& group = entry->groups[k];
-      const double rep_d =
-          DtwDistance(query, S(group.representative), options) / norm;
+      const std::span<const double> rep =
+          RepresentativeOf(group, base.dataset());
+      const double rep_d = DtwDistance(query, rep, options) / norm;
       // Counting rule: every representative is compared; one that the
       // ED upper bound settles (equal lengths only) skips the cascade,
       // the others run a DTW that may abandon just past st/2.
       ++s.reps_compared;
       const bool settled =
           query.size() == len &&
-          EuclideanDistance(query, S(group.representative)) / norm <=
+          EuclideanDistance(query, rep) / norm <=
               st / 2.0;
       if (!settled) {
         ++s.cascade.candidates;
         const double bounded = DtwEarlyAbandon(
-            query, S(group.representative), st / 2.0 * (1.0 + 1e-9) * norm,
+            query, rep, st / 2.0 * (1.0 + 1e-9) * norm,
             options);
         ++(std::isinf(bounded) ? s.cascade.dtw_abandoned
                                : s.cascade.dtw_completed);
@@ -371,7 +374,9 @@ std::vector<size_t> ScannedGroupSizes(const OnexBase& base,
   const double norm = 2.0 * static_cast<double>(std::max(query.size(), len));
   for (const LsiEntry& group : base.EntryFor(len)->groups) {
     const double rep_d =
-        DtwDistance(query, S(group.representative), DtwOptions{-1}) / norm;
+        DtwDistance(query, RepresentativeOf(group, base.dataset()),
+                    DtwOptions{-1}) /
+        norm;
     const double radius =
         group.members.empty() ? 0.0 : group.members.back().ed_to_rep;
     if (!(rep_d <= st / 2.0 && radius <= st / 2.0)) {

@@ -41,6 +41,18 @@ OnexBase BuildTestBase() {
   return std::move(result).value();
 }
 
+/// A base with both singletons and larger groups at every length.
+OnexBase BuildMixedBase() {
+  OnexBase base = BuildTestBase();
+  for (const auto& [length, entry] : base.gti().entries()) {
+    size_t singletons = 0;
+    for (const LsiEntry& group : entry.groups) singletons += group.size() == 1;
+    EXPECT_GT(singletons, 0u) << length;
+    EXPECT_LT(singletons, entry.NumGroups()) << length;
+  }
+  return base;
+}
+
 /// Same lengths, groups, members, envelopes, sum order and markers, bit
 /// for bit.
 void ExpectSameGti(const OnexBase& original, const OnexBase& copy) {
@@ -178,7 +190,7 @@ TEST(SerializationTest, SaveToBadPathIsIOError) {
 /// a structured error (Corruption), never a crash, hang, or giant
 /// allocation — LoadBase parses length prefixes it cannot trust.
 TEST(SerializationTest, FuzzTruncationAlwaysReturnsCorruption) {
-  OnexBase original = BuildTestBase();
+  OnexBase original = BuildMixedBase();
   const std::string path = TempPath("onex_fuzz_trunc.bin");
   const std::string mutated = TempPath("onex_fuzz_trunc_cut.bin");
   ASSERT_TRUE(SaveBase(original, path).ok());
@@ -204,7 +216,7 @@ TEST(SerializationTest, FuzzTruncationAlwaysReturnsCorruption) {
 /// turn a length field into a multi-gigabyte resize (the bounded
 /// Reader caps every count by the bytes actually remaining).
 TEST(SerializationTest, FuzzBitFlipsNeverCrash) {
-  OnexBase original = BuildTestBase();
+  OnexBase original = BuildMixedBase();
   const std::string path = TempPath("onex_fuzz_flip.bin");
   const std::string mutated = TempPath("onex_fuzz_flip_mut.bin");
   ASSERT_TRUE(SaveBase(original, path).ok());
@@ -265,6 +277,8 @@ TEST(SerializationTest, HugeLengthPrefixIsCorruptionNotBadAlloc) {
 
 // ------------------------------------------------ format versions.
 
+void ExpectCorruption(const std::string& bytes, const std::string& what);
+
 // A base written by the format-1 SaveBase, which also stored each
 // length's g x g Dc matrix: MakeItalyPower (5 series of 12 points, seed
 // 11, min-max normalized) built with st 0.3, lengths {4, 12, 4}.
@@ -324,10 +338,40 @@ TEST(SerializationTest, SaveWritesCurrentVersion) {
   auto bytes = SaveBaseToString(BuildTestBase());
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(FormatVersionOf(bytes.value()), kOnexBaseFormatVersion);
-  EXPECT_EQ(kOnexBaseFormatVersion, 2u);
+  EXPECT_EQ(kOnexBaseFormatVersion, 3u);
 }
 
-TEST(SerializationTest, Version1SnapshotLoadsLikeVersion2RoundTrip) {
+/// Bytes that version 2 spends on `base` beyond version 3. Per entry,
+/// version 3 adds a u64 singleton count. A singleton drops its
+/// u64-prefixed representative and its ED, and shrinks its u64 member
+/// count to a u32 and its 20-byte record to 8 bytes. A larger group
+/// drops the representative's u64 prefix, shrinks its member count to a
+/// u32, and each 20-byte member record to 16.
+int64_t Version2Overhead(const OnexBase& base) {
+  int64_t overhead = 0;
+  for (const auto& [length, entry] : base.gti().entries()) {
+    overhead -= 8;
+    for (const LsiEntry& group : entry.groups) {
+      const int64_t n = static_cast<int64_t>(group.size());
+      overhead += n == 1 ? (8 + 8 * static_cast<int64_t>(length) + 8 + 20) - 12
+                         : (8 + 8) - 4 + 4 * n;
+    }
+  }
+  return overhead;
+}
+
+/// The number of singleton and of larger groups in `base`.
+std::pair<size_t, size_t> GroupMix(const OnexBase& base) {
+  size_t singletons = 0, larger = 0;
+  for (const auto& [length, entry] : base.gti().entries()) {
+    for (const LsiEntry& group : entry.groups) {
+      ++(group.size() == 1 ? singletons : larger);
+    }
+  }
+  return {singletons, larger};
+}
+
+TEST(SerializationTest, Version1SnapshotLoadsLikeCurrentRoundTrip) {
   const std::string v1_bytes = ReadFile(kVersion1Fixture);
   ASSERT_FALSE(v1_bytes.empty()) << kVersion1Fixture;
   ASSERT_EQ(FormatVersionOf(v1_bytes), 1u);
@@ -338,28 +382,111 @@ TEST(SerializationTest, Version1SnapshotLoadsLikeVersion2RoundTrip) {
   // round-tripped through the current format.
   auto rebuilt = OnexBase::Build(v1.value().dataset(), v1.value().options());
   ASSERT_TRUE(rebuilt.ok());
-  auto v2_bytes = SaveBaseToString(rebuilt.value());
-  ASSERT_TRUE(v2_bytes.ok());
-  auto v2 = LoadBaseFromBuffer(v2_bytes.value());
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  auto current_bytes = SaveBaseToString(rebuilt.value());
+  ASSERT_TRUE(current_bytes.ok());
+  auto current = LoadBaseFromBuffer(current_bytes.value());
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
 
   EXPECT_EQ(v1.value().dataset().size(), 5u);
   EXPECT_EQ(v1.value().gti().Lengths(), (std::vector<size_t>{4, 8, 12}));
-  ExpectSameGti(v1.value(), v2.value());
-  ExpectSameQ1Answers(v1.value(), v2.value(), 8);
+  ExpectSameGti(v1.value(), current.value());
+  ExpectSameQ1Answers(v1.value(), current.value(), 8);
 
-  // Version 2 is version 1 minus each length's Dc block: a u64 count
-  // and g^2 doubles.
+  // Version 1 is version 2 plus each length's Dc block (a u64 count and
+  // g^2 doubles), and version 2 is version 3 plus Version2Overhead.
   size_t dc_bytes = 0;
   for (const auto& [length, entry] : v1.value().gti().entries()) {
     dc_bytes += 8 + 8 * entry.NumGroups() * entry.NumGroups();
   }
-  EXPECT_EQ(v2_bytes.value().size() + dc_bytes, v1_bytes.size());
+  EXPECT_EQ(static_cast<int64_t>(current_bytes.value().size()) +
+                Version2Overhead(v1.value()) +
+                static_cast<int64_t>(dc_bytes),
+            static_cast<int64_t>(v1_bytes.size()));
 
-  // Re-saving a loaded version-1 base writes version 2.
+  // Re-saving a loaded version-1 base writes the current version.
   auto resaved = SaveBaseToString(v1.value());
   ASSERT_TRUE(resaved.ok());
-  EXPECT_EQ(resaved.value(), v2_bytes.value());
+  EXPECT_EQ(resaved.value(), current_bytes.value());
+}
+
+// A base written by the format-2 SaveBase: MakeTwoPatterns (5 series of
+// 24 points, seed 7, min-max normalized) built with st 0.2, lengths
+// {6, 24, 6} and the other options at their defaults. 69 of its 98
+// groups are singletons.
+const std::string kVersion2Fixture =
+    std::string(ONEX_TEST_DATA_DIR) + "/base_v2.onex";
+
+TEST(SerializationTest, Version2SnapshotAnswersLikeAFreshBuild) {
+  const std::string v2_bytes = ReadFile(kVersion2Fixture);
+  ASSERT_FALSE(v2_bytes.empty()) << kVersion2Fixture;
+  ASSERT_EQ(FormatVersionOf(v2_bytes), 2u);
+  auto v2 = LoadBase(kVersion2Fixture);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  EXPECT_EQ(v2.value().dataset().size(), 5u);
+  EXPECT_EQ(v2.value().gti().Lengths(),
+            (std::vector<size_t>{6, 12, 18, 24}));
+  EXPECT_EQ(GroupMix(v2.value()), (std::pair<size_t, size_t>{69, 29}));
+
+  auto fresh = OnexBase::Build(v2.value().dataset(), v2.value().options());
+  ASSERT_TRUE(fresh.ok());
+  ExpectSameGti(fresh.value(), v2.value());
+  for (size_t query_length : {6u, 12u, 17u, 24u}) {
+    ExpectSameQ1Answers(fresh.value(), v2.value(), query_length);
+  }
+
+  // Re-saved, it is the fresh build's version-3 snapshot, smaller by
+  // exactly the bytes version 3 no longer spends.
+  auto resaved = SaveBaseToString(v2.value());
+  ASSERT_TRUE(resaved.ok());
+  EXPECT_EQ(resaved.value(), SaveBaseToString(fresh.value()).value());
+  EXPECT_EQ(FormatVersionOf(resaved.value()), 3u);
+  EXPECT_EQ(static_cast<int64_t>(resaved.value().size()) +
+                Version2Overhead(v2.value()),
+            static_cast<int64_t>(v2_bytes.size()));
+}
+
+TEST(SerializationTest, FuzzTruncatedVersion2IsCorruption) {
+  const std::string bytes = ReadFile(kVersion2Fixture);
+  ASSERT_FALSE(bytes.empty());
+  for (size_t cut = 0; cut < bytes.size(); cut += 5) {
+    auto result = LoadBaseFromBuffer(bytes.substr(0, cut));
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << cut;
+  }
+}
+
+/// A version-2 singleton whose stored representative is not its member
+/// cannot be dropped without changing answers: Corruption.
+TEST(SerializationTest, Version2SingletonRepresentativeMustBeItsMember) {
+  const std::string bytes = ReadFile(kVersion2Fixture);
+  auto v2 = LoadBaseFromBuffer(bytes);
+  ASSERT_TRUE(v2.ok());
+  // Walk the first entry's version-2 group records to its first
+  // singleton: u64 representative size, the doubles, u64 member count,
+  // 20-byte members.
+  const GtiEntry& first = v2.value().gti().entries().begin()->second;
+  size_t at = GtiOffset(v2.value()) + /*entry header=*/32;
+  const LsiEntry* singleton = nullptr;
+  for (const LsiEntry& group : first.groups) {
+    if (group.size() == 1) {
+      singleton = &group;
+      break;
+    }
+    at += 8 + 8 * first.length + 8 + 20 * group.size();
+  }
+  ASSERT_NE(singleton, nullptr);
+  std::string mutated = bytes;
+  double value = 0;
+  std::memcpy(&value, mutated.data() + at + 8, sizeof(value));
+  value += 0.25;
+  std::memcpy(mutated.data() + at + 8, &value, sizeof(value));
+  ExpectCorruption(mutated, "singleton representative off its member");
+
+  mutated = bytes;
+  const double ed = 1e-3;
+  const size_t ed_at = at + 8 + 8 * first.length + 8 + 12;
+  std::memcpy(mutated.data() + ed_at, &ed, sizeof(ed));
+  ExpectCorruption(mutated, "singleton ED not 0");
 }
 
 TEST(SerializationTest, Version1DcPrefixIsBoundsChecked) {
@@ -370,7 +497,7 @@ TEST(SerializationTest, Version1DcPrefixIsBoundsChecked) {
   const GtiEntry& first = v1.value().gti().entries().begin()->second;
   size_t at = GtiOffset(v1.value()) + /*entry header=*/32;
   for (const LsiEntry& group : first.groups) {
-    at += 8 + 8 * group.representative.size() + 8 + 20 * group.members.size();
+    at += 8 + 8 * first.length + 8 + 20 * group.members.size();
   }
   uint64_t count = 0;
   std::memcpy(&count, bytes.data() + at, sizeof(count));
@@ -484,6 +611,247 @@ TEST(SerializationTest, BadSpSpaceMarkersAreCorruption) {
     std::memcpy(mutated.data() + at, &value, sizeof(value));
     ExpectCorruption(mutated, what);
   }
+}
+
+// ------------------------------------------------ version-3 groups.
+
+/// The version-3 group records of the first GTI entry of `base`'s
+/// snapshot: (byte offset, member count) of each, in group-id order.
+struct GroupRecord {
+  size_t at = 0;
+  uint32_t members = 0;
+};
+std::vector<GroupRecord> FirstEntryGroupRecords(const OnexBase& base,
+                                                const std::string& bytes) {
+  const GtiEntry& first = base.gti().entries().begin()->second;
+  size_t at = GtiOffset(base) + /*entry header=*/40;
+  std::vector<GroupRecord> records;
+  for (size_t k = 0; k < first.NumGroups(); ++k) {
+    GroupRecord record{at, 0};
+    std::memcpy(&record.members, bytes.data() + at, sizeof(record.members));
+    records.push_back(record);
+    at += 4 + (record.members == 1
+                   ? 8
+                   : 8 * first.length + 16 * size_t{record.members});
+  }
+  return records;
+}
+
+TEST(SerializationTest, SingletonRecordsHoldOnlyTheirRef) {
+  const OnexBase base = BuildMixedBase();
+  const std::string bytes = SaveBaseToString(base).value();
+  const GtiEntry& first = base.gti().entries().begin()->second;
+  const auto records = FirstEntryGroupRecords(base, bytes);
+  ASSERT_EQ(records.size(), first.NumGroups());
+  uint64_t stored_singletons = 0;
+  std::memcpy(&stored_singletons, bytes.data() + GtiOffset(base) + 32,
+              sizeof(stored_singletons));
+  size_t singletons = 0;
+  for (size_t k = 0; k < records.size(); ++k) {
+    ASSERT_EQ(records[k].members, first.groups[k].size()) << k;
+    if (records[k].members != 1) continue;
+    ++singletons;
+    uint32_t ref[2];
+    std::memcpy(ref, bytes.data() + records[k].at + 4, sizeof(ref));
+    EXPECT_EQ(ref[0], first.groups[k].members[0].ref.series);
+    EXPECT_EQ(ref[1], first.groups[k].members[0].ref.start);
+  }
+  EXPECT_EQ(stored_singletons, singletons);
+}
+
+/// After a reload, a singleton owns no representative: the one it
+/// reads through RepresentativeOf is its member, bit for bit, and its
+/// ED to it is +0.0. Checked over bases of several seeds, thresholds
+/// and lengths, and over the version-2 fixture.
+TEST(SerializationTest, ReloadedSingletonsAreTheirMembers) {
+  const auto expect_singletons_are_members = [](const OnexBase& base,
+                                                const std::string& what) {
+    size_t singletons = 0;
+    for (const auto& [length, entry] : base.gti().entries()) {
+      for (const LsiEntry& group : entry.groups) {
+        if (group.size() != 1) {
+          EXPECT_EQ(group.representative.size(), length) << what;
+          continue;
+        }
+        ++singletons;
+        EXPECT_TRUE(group.representative.empty()) << what;
+        const auto member = group.members[0].ref.View(base.dataset());
+        const auto rep = RepresentativeOf(group, base.dataset());
+        ASSERT_EQ(rep.size(), length) << what;
+        EXPECT_EQ(std::memcmp(rep.data(), member.data(),
+                              length * sizeof(double)),
+                  0)
+            << what;
+        EXPECT_EQ(std::signbit(group.members[0].ed_to_rep), false) << what;
+        EXPECT_EQ(group.members[0].ed_to_rep, 0.0) << what;
+        // The envelope is still derived, around the member.
+        EXPECT_EQ(group.envelope.lower.size(), length) << what;
+      }
+    }
+    EXPECT_GT(singletons, 0u) << what;
+  };
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (double st : {0.1, 0.3}) {
+      GenOptions gen;
+      gen.num_series = 6;
+      gen.length = 20;
+      gen.seed = seed;
+      Dataset d = MakeRandomWalk(gen);
+      MinMaxNormalize(&d);
+      OnexOptions options;
+      options.st = st;
+      options.lengths = {4, 20, 4};
+      auto built = OnexBase::Build(std::move(d), options);
+      ASSERT_TRUE(built.ok());
+      const std::string what =
+          "seed " + std::to_string(seed) + " st " + std::to_string(st);
+      expect_singletons_are_members(built.value(), what + " built");
+      auto reloaded =
+          LoadBaseFromBuffer(SaveBaseToString(built.value()).value());
+      ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+      expect_singletons_are_members(reloaded.value(), what + " reloaded");
+      ExpectSameGti(built.value(), reloaded.value());
+    }
+  }
+  auto v2 = LoadBase(kVersion2Fixture);
+  ASSERT_TRUE(v2.ok());
+  expect_singletons_are_members(v2.value(), "version-2 fixture");
+}
+
+TEST(SerializationTest, SingletonRefOutOfRangeIsCorruption) {
+  const OnexBase base = BuildMixedBase();
+  const std::string good = SaveBaseToString(base).value();
+  const GtiEntry& first = base.gti().entries().begin()->second;
+  size_t at = 0;
+  for (const GroupRecord& record : FirstEntryGroupRecords(base, good)) {
+    if (record.members == 1) {
+      at = record.at + 4;
+      break;
+    }
+  }
+  ASSERT_NE(at, 0u);
+  const auto n = static_cast<uint32_t>(base.dataset().size());
+  uint32_t series = 0;
+  std::memcpy(&series, good.data() + at, sizeof(series));
+  const auto last_start = static_cast<uint32_t>(
+      base.dataset()[series].length() - first.length);
+  const std::vector<std::tuple<size_t, uint32_t, std::string>> cases = {
+      {at, n, "series past the dataset"},
+      {at, ~uint32_t{0}, "series 2^32 - 1"},
+      {at + 4, last_start + 1, "start past the series end"},
+      {at + 4, ~uint32_t{0}, "start that wraps start + length"},
+  };
+  for (const auto& [where, value, what] : cases) {
+    std::string mutated = good;
+    std::memcpy(mutated.data() + where, &value, sizeof(value));
+    ExpectCorruption(mutated, what);
+  }
+  // The last start that fits still loads.
+  std::string edge = good;
+  std::memcpy(edge.data() + at + 4, &last_start, sizeof(last_start));
+  EXPECT_TRUE(LoadBaseFromBuffer(edge).ok());
+}
+
+TEST(SerializationTest, SingletonCountMustMatchTheGroups) {
+  const OnexBase base = BuildMixedBase();
+  const std::string good = SaveBaseToString(base).value();
+  const size_t count_at = GtiOffset(base) + 32;
+  const uint64_t groups = base.gti().entries().begin()->second.NumGroups();
+  uint64_t singletons = 0;
+  std::memcpy(&singletons, good.data() + count_at, sizeof(singletons));
+  const std::vector<std::pair<uint64_t, std::string>> cases = {
+      {groups + 1, "singleton count larger than group count"},
+      {~uint64_t{0}, "singleton count 2^64 - 1"},
+      {singletons + 1, "one singleton too many"},
+      {singletons - 1, "one singleton too few"},
+  };
+  for (const auto& [value, what] : cases) {
+    std::string mutated = good;
+    std::memcpy(mutated.data() + count_at, &value, sizeof(value));
+    auto result = LoadBaseFromBuffer(mutated);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << what;
+  }
+  std::string mutated = good;
+  const uint64_t too_many = groups + 1;
+  std::memcpy(mutated.data() + count_at, &too_many, sizeof(too_many));
+  EXPECT_EQ(LoadBaseFromBuffer(mutated).status().message(),
+            "singleton count larger than group count");
+}
+
+/// A group count is checked against the smallest records it could
+/// have before anything is reserved: 12 bytes a singleton, and for a
+/// larger group its member count, its representative and two 16-byte
+/// members.
+TEST(SerializationTest, GroupCountsFitTheMinimumRecordSizes) {
+  const OnexBase base = BuildMixedBase();
+  const std::string good = SaveBaseToString(base).value();
+  const size_t groups_at = GtiOffset(base) + 24;
+  const size_t singletons_at = groups_at + 8;
+  const size_t length = base.gti().entries().begin()->first;
+  const uint64_t left = good.size() - (singletons_at + 8);
+  const uint64_t larger_bytes = 4 + 8 * length + 32;
+  const auto set = [&](uint64_t groups, uint64_t singletons) {
+    std::string mutated = good;
+    std::memcpy(mutated.data() + groups_at, &groups, sizeof(groups));
+    std::memcpy(mutated.data() + singletons_at, &singletons,
+                sizeof(singletons));
+    return LoadBaseFromBuffer(mutated).status();
+  };
+  const std::vector<std::tuple<uint64_t, uint64_t, std::string>> cases = {
+      {uint64_t{1} << 40, 0, "2^40 larger groups"},
+      {uint64_t{1} << 40, uint64_t{1} << 40, "2^40 singletons"},
+      {left / 12 + 1, left / 12 + 1, "one singleton more than fits"},
+      {left / larger_bytes + 1, 0, "one larger group more than fits"},
+      {left / 12, left / 12 - 1,
+       "singletons that fit, with one larger group that then does not"},
+  };
+  for (const auto& [groups, singletons, what] : cases) {
+    const Status status = set(groups, singletons);
+    EXPECT_EQ(status.code(), Status::Code::kCorruption) << what;
+    EXPECT_EQ(status.message(), "truncated GTI entry") << what;
+  }
+}
+
+/// Every prefix of a version-3 snapshot with both record kinds, cut at
+/// every byte of its GTI, is Corruption.
+TEST(SerializationTest, FuzzTruncatedVersion3GtiIsCorruption) {
+  const OnexBase base = BuildMixedBase();
+  const std::string bytes = SaveBaseToString(base).value();
+  for (size_t cut = GtiOffset(base) - 8; cut < bytes.size(); ++cut) {
+    auto result = LoadBaseFromBuffer(bytes.substr(0, cut));
+    ASSERT_FALSE(result.ok()) << "cut at " << cut;
+    EXPECT_EQ(result.status().code(), Status::Code::kCorruption) << cut;
+  }
+}
+
+/// Bit flips all over the GTI of a version-3 snapshot with both record
+/// kinds: each load gives Corruption or a base that answers queries.
+TEST(SerializationTest, FuzzVersion3GtiBitFlipsLoadOrFail) {
+  const OnexBase base = BuildMixedBase();
+  const std::string good = SaveBaseToString(base).value();
+  const size_t gti_at = GtiOffset(base) - 8;
+  Rng rng(91);
+  int corruptions = 0, loads = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string mutated = good;
+    const size_t at = gti_at + rng.Uniform(good.size() - gti_at);
+    mutated[at] = static_cast<char>(mutated[at] ^ (1 << rng.Uniform(8)));
+    auto result = LoadBaseFromBuffer(mutated);
+    if (!result.ok()) {
+      EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
+          << "flip at " << at << ": " << result.status().ToString();
+      ++corruptions;
+      continue;
+    }
+    ++loads;
+    QueryProcessor processor(&result.value());
+    const std::vector<double> query(12, 0.5);
+    QueryStats stats;
+    EXPECT_TRUE(processor.FindBestMatch(query, &stats).ok()) << at;
+  }
+  EXPECT_GT(corruptions, 0);
+  EXPECT_GT(loads, 0);
 }
 
 }  // namespace

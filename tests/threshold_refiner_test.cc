@@ -124,9 +124,9 @@ TEST(ThresholdRefinerTest, MergedGroupsRespectDcCondition) {
   const double budget = st_prime - base.options().st;
   for (size_t k = 0; k < entry.NumGroups(); ++k) {
     for (size_t l = k + 1; l < entry.NumGroups(); ++l) {
-      const double dc = NormalizedEuclidean(
-          std::span<const double>(entry.groups[k].representative.data(), 8),
-          std::span<const double>(entry.groups[l].representative.data(), 8));
+      const double dc =
+          NormalizedEuclidean(RepresentativeOf(entry.groups[k], base.dataset()),
+                              RepresentativeOf(entry.groups[l], base.dataset()));
       EXPECT_GT(dc, budget);
     }
   }
