@@ -2,17 +2,123 @@
 // paper argues the expected group count is O(sqrt(n)) and the build
 // O(n^{3/2}); sweeping the subsequence count exposes that superlinear-
 // but-far-from-quadratic growth, and the counters report the measured
-// group counts.
+// group counts. BM_AssignmentScan and BM_PairwiseRowSums time the two
+// halves of a build, each through each batch kernel, on the shape of
+// perfbench's explore base: ns_per_point is the time per point of the
+// (subsequence, representative) or (representative, representative)
+// pairs scored, counted in full even where a block stops early.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+#include <vector>
+
 #include "core/group_builder.h"
+#include "core/gti.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "util/rng.h"
 
 namespace onex {
 namespace {
+
+/// perfbench's explore base: TwoPattern, 100 series of 128 points,
+/// min-max normalized, built at the default ST of 0.2.
+const Dataset& ExploreData() {
+  static const Dataset data = [] {
+    GenOptions gen;
+    gen.num_series = 100;
+    gen.length = 128;
+    gen.seed = 42;
+    Dataset d = MakeTwoPatterns(gen);
+    MinMaxNormalize(&d);
+    return d;
+  }();
+  return data;
+}
+
+constexpr double kExploreSt = 0.2;
+
+/// Reports `ns` of timed work over `points` scored as ns per point.
+void ReportNsPerPoint(benchmark::State& state, double ns, double points) {
+  state.counters["ns_per_point"] =
+      ns / (points * static_cast<double>(state.iterations()));
+}
+
+double NsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::nano>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// Args: subsequence length, kernel (0 portable, 1 AVX2).
+LaneKernel KernelArg(benchmark::State& state) {
+  const LaneKernel kernel =
+      state.range(1) == 0 ? LaneKernel::kPortable : LaneKernel::kAvx2;
+  if (!LaneKernelSupported(kernel)) state.SkipWithError("kernel unsupported");
+  return kernel;
+}
+
+void BM_AssignmentScan(benchmark::State& state) {
+  const Dataset& d = ExploreData();
+  const auto length = static_cast<uint32_t>(state.range(0));
+  const LaneKernel kernel = KernelArg(state);
+  std::vector<SubsequenceRef> refs;
+  for (uint32_t p = 0; p < d.size(); ++p) {
+    for (uint32_t j = 0; j + length <= d[p].length(); ++j) {
+      refs.push_back({p, j, length});
+    }
+  }
+  Rng rng(42);
+  RandomizeInPlace(&refs, &rng);
+  double pairs = 0, ns = 0;
+  size_t groups = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    GroupAssigner assigner(length, kExploreSt, {}, kernel);
+    pairs = 0;
+    for (const SubsequenceRef& ref : refs) {
+      pairs += static_cast<double>(assigner.size());
+      assigner.Assign(ref, ref.View(d));
+    }
+    groups = assigner.size();
+    benchmark::DoNotOptimize(groups);
+    ns += NsSince(start);
+  }
+  ReportNsPerPoint(state, ns, pairs * length);
+  state.counters["groups"] = static_cast<double>(groups);
+}
+BENCHMARK(BM_AssignmentScan)
+    ->ArgsProduct({{16, 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_PairwiseRowSums(benchmark::State& state) {
+  const Dataset& d = ExploreData();
+  const auto length = static_cast<size_t>(state.range(0));
+  const LaneKernel kernel = KernelArg(state);
+  Rng rng(42);
+  const std::vector<SimilarityGroup> groups =
+      BuildGroupsForLength(d, length, kExploreSt, &rng);
+  std::vector<std::span<const double>> reps;
+  for (const SimilarityGroup& group : groups) {
+    reps.emplace_back(group.representative());
+  }
+  const double g = static_cast<double>(reps.size());
+  std::vector<double> dc;
+  double ns = 0;
+  for (auto _ : state) {
+    const auto start = std::chrono::steady_clock::now();
+    dc.clear();
+    dc.reserve(reps.size() * (reps.size() - 1) / 2);
+    benchmark::DoNotOptimize(PairwiseRowSums(reps, &dc, kernel));
+    ns += NsSince(start);
+  }
+  ReportNsPerPoint(state, ns, g * (g - 1) / 2 * static_cast<double>(length));
+  state.counters["groups"] = g;
+}
+BENCHMARK(BM_PairwiseRowSums)
+    ->ArgsProduct({{16, 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BuildGroupsForLength(benchmark::State& state) {
   const size_t n_series = static_cast<size_t>(state.range(0));

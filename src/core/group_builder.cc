@@ -1,13 +1,64 @@
 #include "core/group_builder.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "distance/euclidean.h"
 
 namespace onex {
+
+GroupAssigner::GroupAssigner(size_t length, double st,
+                             std::vector<SimilarityGroup> groups,
+                             LaneKernel kernel)
+    : length_(length), kernel_(kernel), groups_(std::move(groups)) {
+  // Radius in *raw* ED units: sqrt(L) * ST / 2 (Algorithm 1 line 15).
+  const double radius = std::sqrt(static_cast<double>(length)) * st / 2.0;
+  radius_sq_ = radius * radius;
+  blocks_.assign(EdBlockDoubles(groups_.size(), length_), 0.0);
+  for (size_t k = 0; k < groups_.size(); ++k) StoreLane(k);
+}
+
+void GroupAssigner::StoreLane(size_t k) {
+  StoreEdLane(blocks_, k, groups_[k].representative());
+}
+
+void GroupAssigner::Assign(SubsequenceRef ref,
+                           std::span<const double> values) {
+  assert(values.size() == length_);
+  // Find the nearest representative (lines 12-14), each block's EDs
+  // abandoned at the better of the running minimum and the join radius.
+  double min_sq = std::numeric_limits<double>::infinity();
+  size_t min_k = 0;
+  std::array<double, kEdBatchLanes> d_sq;
+  for (size_t first = 0; first < groups_.size(); first += kEdBatchLanes) {
+    const size_t count = std::min(kEdBatchLanes, groups_.size() - first);
+    SquaredEuclideanBatchWith(
+        kernel_, values,
+        std::span<const double>(blocks_).subspan(first * length_,
+                                                 kEdBatchLanes * length_),
+        count, std::min(min_sq, radius_sq_), d_sq);
+    for (size_t l = 0; l < count; ++l) {
+      if (d_sq[l] < min_sq) {
+        min_sq = d_sq[l];
+        min_k = first + l;
+      }
+    }
+  }
+  // With no group yet there is nothing to join, whatever the radius.
+  if (!groups_.empty() && min_sq <= radius_sq_) {
+    groups_[min_k].Add(ref, values);  // Lines 16-17.
+    StoreLane(min_k);
+    return;
+  }
+  groups_.emplace_back(length_, ref, values);  // Lines 19-20.
+  blocks_.resize(EdBlockDoubles(groups_.size(), length_), 0.0);
+  StoreLane(groups_.size() - 1);
+}
 
 std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
                                                   size_t length, double st,
@@ -23,37 +74,11 @@ std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
   }
   RandomizeInPlace(&refs, rng);
 
-  // Radius in *raw* ED units: sqrt(L) * ST / 2 (Algorithm 1 line 15).
-  const double radius =
-      std::sqrt(static_cast<double>(length)) * st / 2.0;
-  const double radius_sq = radius * radius;
-
-  std::vector<SimilarityGroup> groups;
+  GroupAssigner assigner(length, st);
   for (const SubsequenceRef& ref : refs) {
-    const auto values = ref.View(dataset);
-    // Find the nearest representative (lines 12-14), abandoning each ED
-    // early at the better of the running minimum and the join radius.
-    double min_sq = std::numeric_limits<double>::infinity();
-    size_t min_k = 0;
-    for (size_t k = 0; k < groups.size(); ++k) {
-      const double abandon_at = std::min(min_sq, radius_sq);
-      const double d_sq = SquaredEuclideanEarlyAbandon(
-          values,
-          std::span<const double>(groups[k].representative().data(), length),
-          abandon_at);
-      if (d_sq < min_sq) {
-        min_sq = d_sq;
-        min_k = k;
-      }
-    }
-    // With no group yet there is nothing to join, whatever the radius.
-    if (!groups.empty() && min_sq <= radius_sq) {
-      groups[min_k].Add(ref, values);  // Lines 16-17.
-    } else {
-      groups.emplace_back(length, ref, values);  // Lines 19-20.
-    }
+    assigner.Assign(ref, ref.View(dataset));
   }
-  return groups;
+  return std::move(assigner).TakeGroups();
 }
 
 std::map<size_t, std::vector<SimilarityGroup>> BuildAllGroups(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/sp_space.h"
 #include "distance/euclidean.h"
@@ -12,6 +13,37 @@ size_t EnvelopeWindow(double window_ratio, size_t length) {
   if (!(window_ratio >= 0.0)) return length;
   return static_cast<size_t>(std::ceil(std::min(window_ratio, 1.0) *
                                        static_cast<double>(length)));
+}
+
+std::vector<double> PairwiseRowSums(
+    std::span<const std::span<const double>> reps, std::vector<double>* dc,
+    LaneKernel kernel) {
+  const size_t g = reps.size();
+  std::vector<double> sums(g, 0.0);
+  if (g < 2) return sums;
+  const size_t length = reps[0].size();
+  const double norm = std::sqrt(static_cast<double>(length));
+  // A lane-major copy, unused lanes 0.
+  std::vector<double> blocks(EdBlockDoubles(g, length), 0.0);
+  for (size_t l = 0; l < g; ++l) StoreEdLane(blocks, l, reps[l]);
+  std::vector<double> sq(g);
+  for (size_t k = 0; k + 1 < g; ++k) {
+    // Score from the block holding k + 1; its lanes up to k go unused.
+    const size_t first = (k + 1) - (k + 1) % kEdBatchLanes;
+    SquaredEuclideanBatchWith(
+        kernel, reps[k],
+        std::span<const double>(blocks).subspan(first * length), g - first,
+        std::numeric_limits<double>::infinity(),
+        std::span<double>(sq).subspan(first));
+    for (size_t l = k + 1; l < g; ++l) {
+      // NormalizedEuclidean's arithmetic: sqrt of the sum over sqrt(L).
+      const double d = std::sqrt(sq[l]) / norm;
+      sums[k] += d;
+      sums[l] += d;
+      if (dc != nullptr) dc->push_back(d);
+    }
+  }
+  return sums;
 }
 
 GtiEntry BuildGtiEntry(const Dataset& dataset,
@@ -58,15 +90,8 @@ GtiEntry BuildGtiEntry(const Dataset& dataset,
   }
   std::vector<double> dc;
   if (compute_sp_space) dc.reserve(g * (g - 1) / 2);
-  std::vector<double> sums(g, 0.0);
-  for (size_t k = 0; k < g; ++k) {
-    for (size_t l = k + 1; l < g; ++l) {
-      const double d = NormalizedEuclidean(reps[k], reps[l]);
-      sums[k] += d;
-      sums[l] += d;
-      if (compute_sp_space) dc.push_back(d);
-    }
-  }
+  const std::vector<double> sums =
+      PairwiseRowSums(reps, compute_sp_space ? &dc : nullptr);
 
   // Group ids sorted by their Dc row sum: the seed order for the
   // median-out representative search (Sec. 5.3).

@@ -12,10 +12,12 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/group.h"
 #include "core/lsi.h"
+#include "distance/lanes.h"
 
 namespace onex {
 
@@ -53,14 +55,27 @@ struct GtiEntry {
 /// at most the full length (so no ratio reaches an out-of-range cast).
 size_t EnvelopeWindow(double window_ratio, size_t length);
 
+/// The pairwise pass over one length's representatives (Def. 10): the
+/// normalized ED of every pair k < l, each computed once, added to the
+/// row sums of both, every row receiving its terms in ascending l.
+/// Returns the row sums; when `dc` is not null, also appends each pair's
+/// distance in (k, l > k) order, the strict upper triangle. For each k
+/// the representatives l > k are scored kEdBatchLanes at a time,
+/// through SquaredEuclideanBatch on a lane-major copy, so every
+/// distance and sum is that of a scalar NormalizedEuclidean loop, bit
+/// for bit.
+std::vector<double> PairwiseRowSums(
+    std::span<const std::span<const double>> reps, std::vector<double>* dc,
+    LaneKernel kernel = DefaultLaneKernel());
+
 /// Builds the frozen GtiEntry for one length from construction-time
 /// groups: freezes representatives (a singleton keeps none: its member
 /// is its representative), sorts members by normalized ED to
 /// the final representative, computes envelopes (band = window_ratio *
-/// length), then one pass over the representative pairs for Dc, from
-/// which it derives the sum-sorted array and, when requested, the merge
-/// thresholds. Dc is freed before returning. `st` is the base
-/// similarity threshold.
+/// length), then one pass over the representative pairs for Dc
+/// (PairwiseRowSums), from which it derives the sum-sorted array and,
+/// when requested, the merge thresholds. Dc is freed before returning.
+/// `st` is the base similarity threshold.
 GtiEntry BuildGtiEntry(const Dataset& dataset,
                        std::vector<SimilarityGroup> groups, double st,
                        double window_ratio, bool compute_sp_space);

@@ -211,6 +211,20 @@ bool RefInBounds(const SubsequenceRef& ref, const Dataset& dataset,
              dataset[ref.series].length();
 }
 
+/// True when `members`' EDs are finite and ascending from 0, as
+/// BuildGtiEntry sorts them: ClosestMemberTo binary-searches them.
+bool EdsAscending(const std::vector<LsiMember>& members) {
+  double previous = 0.0;
+  for (const LsiMember& member : members) {
+    // Written so that NaN fails.
+    if (!(member.ed_to_rep >= previous) || !std::isfinite(member.ed_to_rep)) {
+      return false;
+    }
+    previous = member.ed_to_rep;
+  }
+  return true;
+}
+
 /// Decodes one version-1/2 group record: u64-prefixed representative,
 /// u64 member count, 20-byte members (series, start, length, ed_to_rep).
 /// A singleton's stored representative must equal its member bit for
@@ -246,6 +260,8 @@ Result<LsiEntry> DecodeOldGroup(Reader& r, const Dataset& dataset,
                                 "its member");
     }
     group.representative = {};
+  } else if (!EdsAscending(group.members)) {
+    return Status::Corruption("member EDs not finite and ascending");
   }
   return group;
 }
@@ -280,6 +296,9 @@ Result<LsiEntry> DecodeGroup(Reader& r, const Dataset& dataset,
     if (!RefInBounds(member.ref, dataset, length)) {
       return Status::Corruption("member reference out of bounds");
     }
+  }
+  if (!EdsAscending(group.members)) {
+    return Status::Corruption("member EDs not finite and ascending");
   }
   return group;
 }

@@ -1,7 +1,6 @@
 #include "core/threshold_refiner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "core/group_builder.h"
@@ -52,38 +51,20 @@ GtiEntry ThresholdRefiner::Split(const GtiEntry& entry, double st_prime,
                                  ExecChecker& check) const {
   const Dataset& dataset = base_->dataset();
   const size_t length = entry.length;
-  const double radius =
-      std::sqrt(static_cast<double>(length)) * st_prime / 2.0;
-  const double radius_sq = radius * radius;
 
   // Re-cluster each group's members at the smaller radius with the
   // original assignment rule (nearest qualifying representative).
   std::vector<SimilarityGroup> refined;
   for (const LsiEntry& group : entry.groups) {
     if (check.ShouldStop()) break;
-    std::vector<SimilarityGroup> local;
+    GroupAssigner local(length, st_prime);
     for (const LsiMember& member : group.members) {
       if (check.ShouldStop()) break;
-      const auto values = member.ref.View(dataset);
-      double min_sq = std::numeric_limits<double>::infinity();
-      size_t min_k = 0;
-      for (size_t k = 0; k < local.size(); ++k) {
-        const double d_sq = SquaredEuclideanEarlyAbandon(
-            values,
-            std::span<const double>(local[k].representative().data(), length),
-            std::min(min_sq, radius_sq));
-        if (d_sq < min_sq) {
-          min_sq = d_sq;
-          min_k = k;
-        }
-      }
-      if (min_sq <= radius_sq) {
-        local[min_k].Add(member.ref, values);
-      } else {
-        local.emplace_back(length, member.ref, values);
-      }
+      local.Assign(member.ref, member.ref.View(dataset));
     }
-    for (auto& g : local) refined.push_back(std::move(g));
+    for (auto& g : std::move(local).TakeGroups()) {
+      refined.push_back(std::move(g));
+    }
   }
   return BuildGtiEntry(dataset, std::move(refined), st_prime,
                        base_->options().window_ratio,

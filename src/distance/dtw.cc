@@ -6,8 +6,18 @@
 #include <cstdint>
 #include <limits>
 
+#include "distance/lanes.h"
+
 namespace onex {
 namespace {
+
+using lanes::Aligned;
+using lanes::Broadcast;
+using lanes::kWidth;
+using lanes::Load;
+using lanes::Pack2;
+using lanes::Pack4;
+using lanes::Store;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -18,14 +28,6 @@ size_t EffectiveWindow(const DtwOptions& options, size_t n, size_t m) {
   const size_t diff = n > m ? n - m : m - n;
   return std::max(static_cast<size_t>(options.window), diff);
 }
-
-// GCC warns that 32-byte vector arguments change the ABI of functions
-// compiled without AVX. The vector helpers below are all inlined into
-// their callers and never cross a call boundary, so no ABI is involved.
-// (GCC reports it at the end of the file, so the whole file opts out.)
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
 
 // `x < y ? x : y`, the exact semantics of std::min(y, x) and of the
 // x86 MINPD instruction (y wins ties and NaNs). T is double or a
@@ -108,47 +110,6 @@ double SquaredDtwCore(std::span<const double> a, std::span<const double> b,
 // K vectors of W doubles, so K independent chains overlap. Candidates
 // are transposed lane-major (bt[j * L + l] = column j of candidate l)
 // and the DP rows use the same layout.
-
-// Lane packs: two doubles (portable: SSE2 on x86-64, NEON on AArch64,
-// scalar pairs elsewhere) or four (AVX2). `V` is the register type;
-// buffers are plain doubles read and written through `Mem`, which may
-// alias double and needs no alignment (a vector type's alignment
-// differs between the AVX2 and the default target of one build).
-struct Pack2 {
-  using V = double __attribute__((vector_size(16)));
-  using Mem = double __attribute__((vector_size(16), aligned(8), may_alias));
-};
-struct Pack4 {
-  using V = double __attribute__((vector_size(32)));
-  using Mem = double __attribute__((vector_size(32), aligned(8), may_alias));
-};
-
-template <class P>
-inline constexpr size_t kWidth = sizeof(typename P::V) / sizeof(double);
-
-template <class P>
-[[gnu::always_inline]] inline typename P::V Load(const double* p) {
-  return *reinterpret_cast<const typename P::Mem*>(p);
-}
-
-template <class P>
-[[gnu::always_inline]] inline void Store(double* p, const typename P::V& v) {
-  *reinterpret_cast<typename P::Mem*>(p) = v;
-}
-
-template <class P>
-[[gnu::always_inline]] inline typename P::V Broadcast(double x) {
-  typename P::V v;
-  for (size_t l = 0; l < kWidth<P>; ++l) v[l] = x;
-  return v;
-}
-
-// `count` doubles of `storage`, starting on a 32-byte boundary.
-inline double* Aligned(std::vector<double>& storage, size_t count) {
-  storage.resize(count + 4);
-  const auto misalign = reinterpret_cast<uintptr_t>(storage.data()) % 32;
-  return storage.data() + (32 - misalign) % 32 / sizeof(double);
-}
 
 // Squared DTW of `a` against the K * kWidth<P> candidates `b` (lane l
 // scores b[l], each of length m) under half-width `w`. Row i does, per
@@ -285,35 +246,20 @@ void SquaredDtwPortable(std::span<const double> a,
     const DtwOptions& options, double threshold_sq, double* out) {
   SquaredDtwBatch<Pack4>(a, b, options, threshold_sq, out);
 }
-
-bool CpuHasAvx2() {
-  static const bool has = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
-  return has;
-}
-#else
-bool CpuHasAvx2() { return false; }
 #endif
 
 }  // namespace
-
-bool DtwBatchKernelSupported(DtwBatchKernel kernel) {
-  return kernel == DtwBatchKernel::kPortable || CpuHasAvx2();
-}
 
 void DtwEarlyAbandonBatch(std::span<const double> query,
                           std::span<const std::span<const double>> candidates,
                           double threshold, std::span<double> out,
                           const DtwOptions& options) {
-  DtwEarlyAbandonBatchWith(
-      CpuHasAvx2() ? DtwBatchKernel::kAvx2 : DtwBatchKernel::kPortable, query,
-      candidates, threshold, out, options);
+  DtwEarlyAbandonBatchWith(DefaultLaneKernel(), query, candidates, threshold,
+                           out, options);
 }
 
 void DtwEarlyAbandonBatchWith(
-    DtwBatchKernel kernel, std::span<const double> query,
+    LaneKernel kernel, std::span<const double> query,
     std::span<const std::span<const double>> candidates, double threshold,
     std::span<double> out, const DtwOptions& options) {
   assert(out.size() >= candidates.size());
@@ -329,7 +275,7 @@ void DtwEarlyAbandonBatchWith(
   }
   const double threshold_sq = threshold * threshold;
 #if defined(__x86_64__) || defined(__i386__)
-  if (kernel == DtwBatchKernel::kAvx2 && CpuHasAvx2()) {
+  if (kernel == LaneKernel::kAvx2 && CpuHasAvx2()) {
     SquaredDtwAvx2(query, candidates, options, threshold_sq, out.data());
   } else {
     SquaredDtwPortable(query, candidates, options, threshold_sq, out.data());

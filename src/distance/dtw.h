@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "distance/lanes.h"
+
 namespace onex {
 
 /// Band constraint for DTW. A negative window means unconstrained; a
@@ -65,17 +67,10 @@ void DtwEarlyAbandonBatch(std::span<const double> query,
                           double threshold, std::span<double> out,
                           const DtwOptions& options = {});
 
-/// The batch kernels; DtwEarlyAbandonBatch picks one. Exposed so tests
-/// can check each against the scalar kernel.
-enum class DtwBatchKernel { kPortable, kAvx2 };
-
-/// Whether this build and CPU can run `kernel` (kPortable always can).
-bool DtwBatchKernelSupported(DtwBatchKernel kernel);
-
 /// DtwEarlyAbandonBatch through `kernel` when supported, through
-/// kPortable otherwise.
+/// kPortable otherwise (DtwEarlyAbandonBatch runs DefaultLaneKernel()).
 void DtwEarlyAbandonBatchWith(
-    DtwBatchKernel kernel, std::span<const double> query,
+    LaneKernel kernel, std::span<const double> query,
     std::span<const std::span<const double>> candidates, double threshold,
     std::span<double> out, const DtwOptions& options = {});
 

@@ -48,14 +48,14 @@ Batch MakeBatch(size_t n, size_t m, size_t count, uint64_t seed) {
   return batch;
 }
 
-std::string KernelName(DtwBatchKernel kernel) {
-  return kernel == DtwBatchKernel::kAvx2 ? "Avx2" : "Portable";
+std::string KernelName(LaneKernel kernel) {
+  return kernel == LaneKernel::kAvx2 ? "Avx2" : "Portable";
 }
 
-class DtwBatchTest : public ::testing::TestWithParam<DtwBatchKernel> {
+class DtwBatchTest : public ::testing::TestWithParam<LaneKernel> {
  protected:
   void SetUp() override {
-    if (!DtwBatchKernelSupported(GetParam())) {
+    if (!LaneKernelSupported(GetParam())) {
       GTEST_SKIP() << KernelName(GetParam()) << " kernel unsupported here";
     }
   }
@@ -177,8 +177,8 @@ TEST_P(DtwBatchTest, ExactDuplicatesScoreZero) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kernels, DtwBatchTest,
-    ::testing::Values(DtwBatchKernel::kPortable, DtwBatchKernel::kAvx2),
-    [](const ::testing::TestParamInfo<DtwBatchKernel>& info) {
+    ::testing::Values(LaneKernel::kPortable, LaneKernel::kAvx2),
+    [](const ::testing::TestParamInfo<LaneKernel>& info) {
       return KernelName(info.param);
     });
 

@@ -1,19 +1,22 @@
 // Tests for Algorithm 1 (similarity-group construction): coverage and
 // exclusivity (every subsequence in exactly one group, Def. 8),
-// radius and compactness behaviour, determinism, and the group-count
-// trend as ST varies (the mechanism behind the paper's Figs. 5-6).
+// radius and compactness behaviour, determinism, the group-count
+// trend as ST varies (the mechanism behind the paper's Figs. 5-6), and
+// bit-for-bit agreement of the lane-batched scan with the scalar one.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/group_builder.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "distance/euclidean.h"
+#include "scalar_grouping.h"
 #include "util/rng.h"
 
 namespace onex {
@@ -209,6 +212,84 @@ TEST(BuildAllGroupsTest, RaggedSeriesContributeWhereLongEnough) {
   size_t total16 = 0;
   for (const auto& g : by_length.at(16)) total16 += g.size();
   EXPECT_EQ(total16, static_cast<size_t>(20 - 16 + 1));  // Only series 0.
+}
+
+// ------------------------------------ Equivalence with the scalar scan.
+
+/// Whole builds through the lane-batched scan equal the scalar scan's:
+/// the same groups, member order and representative bits. Tiny ST
+/// founds a group per subsequence (hundreds of lanes, partial last
+/// blocks), huge ST joins everything to the first group, and 0.2 is
+/// the mix in between.
+TEST(GroupBuilderTest, LaneScanBuildsTheScalarScansGroups) {
+  using Generator = Dataset (*)(const GenOptions&);
+  const Generator generators[] = {MakeItalyPower, MakeRandomWalk,
+                                  MakeTwoPatterns};
+  for (Generator make : generators) {
+    for (uint64_t seed : {1u, 2u, 3u}) {
+      GenOptions gen;
+      gen.num_series = 10;
+      gen.length = 40;
+      gen.seed = seed;
+      Dataset d = make(gen);
+      MinMaxNormalize(&d);
+      for (double st : {1e-3, 0.2, OnexOptions::kMaxSt}) {
+        for (size_t length : {8u, 24u}) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " st " +
+                       std::to_string(st) + " length " +
+                       std::to_string(length));
+          Rng rng(seed), reference_rng(seed);
+          scalar_grouping::ExpectSameGroups(
+              BuildGroupsForLength(d, length, st, &rng),
+              scalar_grouping::BuildGroupsForLength(d, length, st,
+                                                    &reference_rng));
+        }
+      }
+    }
+  }
+}
+
+/// Each kernel, on an empty assigner and on one handed existing groups
+/// (as an append hands it the frozen ones), assigns like the scalar
+/// scan.
+TEST(GroupBuilderTest, EveryKernelAssignsLikeTheScalarScan) {
+  Dataset d = TestDataset(12, 32, 19);
+  const size_t length = 12;
+  std::vector<SubsequenceRef> refs;
+  for (uint32_t p = 0; p < d.size(); ++p) {
+    for (uint32_t j = 0; j + length <= d[p].length(); ++j) {
+      refs.push_back({p, j, static_cast<uint32_t>(length)});
+    }
+  }
+  Rng rng(3);
+  RandomizeInPlace(&refs, &rng);
+  const size_t half = refs.size() / 2;
+  for (LaneKernel kernel : {LaneKernel::kPortable, LaneKernel::kAvx2}) {
+    if (!LaneKernelSupported(kernel)) continue;
+    for (double st : {0.05, 0.2}) {
+      SCOPED_TRACE("kernel " + std::to_string(static_cast<int>(kernel)) +
+                   " st " + std::to_string(st));
+      const double radius_sq = scalar_grouping::RadiusSq(length, st);
+      std::vector<SimilarityGroup> reference;
+      GroupAssigner fresh(length, st, {}, kernel);
+      for (size_t i = 0; i < half; ++i) {
+        scalar_grouping::Assign(reference, length, radius_sq, refs[i],
+                                refs[i].View(d));
+        fresh.Assign(refs[i], refs[i].View(d));
+      }
+      scalar_grouping::ExpectSameGroups(std::move(fresh).TakeGroups(),
+                                        reference);
+      GroupAssigner resumed(length, st, reference, kernel);
+      for (size_t i = half; i < refs.size(); ++i) {
+        scalar_grouping::Assign(reference, length, radius_sq, refs[i],
+                                refs[i].View(d));
+        resumed.Assign(refs[i], refs[i].View(d));
+      }
+      EXPECT_GT(reference.size(), 2 * kEdBatchLanes);
+      scalar_grouping::ExpectSameGroups(std::move(resumed).TakeGroups(),
+                                        reference);
+    }
+  }
 }
 
 }  // namespace

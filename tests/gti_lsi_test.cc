@@ -3,13 +3,17 @@
 // memory accounting, and the GlobalTimeIndex directory. The GTI keeps
 // no Dc matrix (Def. 10), so the tests compute representative distances
 // themselves, and check BuildGtiEntry bit for bit against a reference
-// that keeps the full matrix and sweeps it with Kruskal.
+// that keeps the full matrix and sweeps it with Kruskal, and the
+// lane-batched pairwise pass against the scalar loop it replaced.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/group_builder.h"
 #include "core/gti.h"
@@ -281,6 +285,47 @@ TEST(GtiEquivalenceTest, RandomBasesMatchFullMatrixKruskal) {
             ExpectMatchesReference(d, entry, st, sp);
           }
         }
+      }
+    }
+  }
+}
+
+/// PairwiseRowSums through each kernel against the scalar loop of
+/// NormalizedEuclidean it replaced: every Dc and row sum bit for bit,
+/// for group counts on both sides of the 16-lane blocks.
+TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
+  Rng rng(8);
+  for (size_t g : {0u, 1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 50u}) {
+    for (size_t length : {1u, 7u, 16u, 37u}) {
+      SCOPED_TRACE("g " + std::to_string(g) + " length " +
+                   std::to_string(length));
+      std::vector<std::vector<double>> values(g, std::vector<double>(length));
+      for (auto& v : values) {
+        for (double& x : v) x = rng.UniformDouble(0.0, 1.0);
+      }
+      std::vector<std::span<const double>> reps(values.begin(), values.end());
+      std::vector<double> want_sums(g, 0.0), want_dc;
+      for (size_t k = 0; k < g; ++k) {
+        for (size_t l = k + 1; l < g; ++l) {
+          const double d = NormalizedEuclidean(reps[k], reps[l]);
+          want_sums[k] += d;
+          want_sums[l] += d;
+          want_dc.push_back(d);
+        }
+      }
+      for (LaneKernel kernel : {LaneKernel::kPortable, LaneKernel::kAvx2}) {
+        if (!LaneKernelSupported(kernel)) continue;
+        std::vector<double> dc;
+        const std::vector<double> sums = PairwiseRowSums(reps, &dc, kernel);
+        ASSERT_EQ(sums.size(), g);
+        ASSERT_EQ(dc.size(), want_dc.size());
+        for (size_t k = 0; k < g; ++k) {
+          EXPECT_TRUE(BitEqual(sums[k], want_sums[k])) << "row " << k;
+        }
+        for (size_t i = 0; i < dc.size(); ++i) {
+          EXPECT_TRUE(BitEqual(dc[i], want_dc[i])) << "pair " << i;
+        }
+        EXPECT_EQ(PairwiseRowSums(reps, nullptr, kernel), sums);
       }
     }
   }

@@ -4,13 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 
 #include "core/onex_base.h"
 #include "core/query_processor.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "scalar_grouping.h"
 
 namespace onex {
 namespace {
@@ -142,6 +146,61 @@ TEST(MaintenanceTest, IncrementalMatchesScratchBuildStatistically) {
   const double scr_groups =
       static_cast<double>(scratch.value().stats().num_representatives);
   EXPECT_LT(std::abs(inc_groups - scr_groups) / scr_groups, 0.5);
+}
+
+/// What an append of `fresh` to `base` must produce at each length: the
+/// frozen groups, reconstituted, take every new subsequence through the
+/// scalar assignment scan, and are frozen again.
+std::map<size_t, GtiEntry> ScalarAppend(const OnexBase& base,
+                                        const std::vector<TimeSeries>& fresh) {
+  Dataset after = base.dataset();
+  const auto first_id = static_cast<uint32_t>(after.size());
+  for (const TimeSeries& series : fresh) after.Add(series);
+  const OnexOptions& options = base.options();
+  std::map<size_t, GtiEntry> entries;
+  for (size_t length : base.gti().Lengths()) {
+    std::vector<SimilarityGroup> groups =
+        scalar_grouping::Reconstitute(after, *base.EntryFor(length));
+    const double radius_sq = scalar_grouping::RadiusSq(length, options.st);
+    for (uint32_t id = first_id; id < after.size(); ++id) {
+      for (uint32_t j = 0; j + length <= after[id].length(); ++j) {
+        const SubsequenceRef ref{id, j, static_cast<uint32_t>(length)};
+        scalar_grouping::Assign(groups, length, radius_sq, ref,
+                                ref.View(after));
+      }
+    }
+    entries[length] = BuildGtiEntry(after, std::move(groups), options.st,
+                                    options.window_ratio,
+                                    options.compute_sp_space);
+  }
+  return entries;
+}
+
+/// Appends assign through the build's lane-batched scan; a batch and a
+/// single append both give, bit for bit, the scalar scan's entries.
+TEST(MaintenanceTest, AppendsAssignLikeTheScalarScan) {
+  const OnexBase base = BuildTestBase(10);
+  const std::vector<TimeSeries> fresh = {NewSeries(31), NewSeries(32),
+                                         NewSeries(33)};
+  OnexBase batched = base;
+  ASSERT_TRUE(batched.AppendBatch(fresh).ok());
+  OnexBase single = base;
+  ASSERT_TRUE(single.AppendSeries(fresh[0]).ok());
+  const auto want_batched = ScalarAppend(base, fresh);
+  const auto want_single = ScalarAppend(base, {fresh[0]});
+  // Enough groups at some length for the scan to span several blocks.
+  size_t most_groups = 0;
+  for (const auto& [length, entry] : base.gti().entries()) {
+    most_groups = std::max(most_groups, entry.NumGroups());
+  }
+  EXPECT_GT(most_groups, 2 * kEdBatchLanes);
+  for (size_t length : base.gti().Lengths()) {
+    SCOPED_TRACE("length " + std::to_string(length));
+    scalar_grouping::ExpectSameEntry(*batched.EntryFor(length),
+                                     want_batched.at(length));
+    scalar_grouping::ExpectSameEntry(*single.EntryFor(length),
+                                     want_single.at(length));
+  }
 }
 
 TEST(MaintenanceTest, EmptySeriesRejected) {

@@ -17,6 +17,7 @@
 #include "core/serialization.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace onex {
@@ -845,6 +846,18 @@ TEST(SerializationTest, FuzzVersion3GtiBitFlipsLoadOrFail) {
       continue;
     }
     ++loads;
+    // A flip that loads left every member ED finite and ascending, as
+    // ClosestMemberTo's binary search needs them.
+    for (const auto& [length, entry] : result.value().gti().entries()) {
+      for (const LsiEntry& group : entry.groups) {
+        for (size_t m = 0; m < group.members.size(); ++m) {
+          const double ed = group.members[m].ed_to_rep;
+          EXPECT_TRUE(std::isfinite(ed)) << "flip at " << at;
+          EXPECT_LE(m == 0 ? 0.0 : group.members[m - 1].ed_to_rep, ed)
+              << "flip at " << at;
+        }
+      }
+    }
     QueryProcessor processor(&result.value());
     const std::vector<double> query(12, 0.5);
     QueryStats stats;
@@ -852,6 +865,149 @@ TEST(SerializationTest, FuzzVersion3GtiBitFlipsLoadOrFail) {
   }
   EXPECT_GT(corruptions, 0);
   EXPECT_GT(loads, 0);
+}
+
+// ------------------------------------------------ member EDs.
+
+/// Byte offsets of the ED fields of the first larger group, in the first
+/// GTI entry, whose first two EDs differ; `member_bytes` is the size of
+/// a member record, `ed_offset` where its ED starts, and `first_member`
+/// where group record k's members start given its offset.
+template <class FirstMember>
+std::vector<size_t> FirstLargerGroupEds(const OnexBase& base,
+                                        std::vector<size_t> record_offsets,
+                                        size_t member_bytes, size_t ed_offset,
+                                        FirstMember first_member) {
+  const GtiEntry& first = base.gti().entries().begin()->second;
+  for (size_t k = 0; k < first.NumGroups(); ++k) {
+    const LsiEntry& group = first.groups[k];
+    if (group.size() < 2 ||
+        !(group.members[0].ed_to_rep < group.members[1].ed_to_rep)) {
+      continue;
+    }
+    std::vector<size_t> eds;
+    for (size_t m = 0; m < group.size(); ++m) {
+      eds.push_back(first_member(record_offsets[k]) + m * member_bytes +
+                    ed_offset);
+    }
+    return eds;
+  }
+  return {};
+}
+
+/// Swaps the EDs at byte offsets a and b of `bytes`.
+std::string SwapEds(std::string bytes, size_t a, size_t b) {
+  for (size_t i = 0; i < sizeof(double); ++i) std::swap(bytes[a + i], bytes[b + i]);
+  return bytes;
+}
+
+std::string SetEd(std::string bytes, size_t at, double ed) {
+  std::memcpy(bytes.data() + at, &ed, sizeof(ed));
+  return bytes;
+}
+
+/// A larger group's member EDs are what ClosestMemberTo binary-searches:
+/// one that is not finite, or out of ascending order, would start a
+/// value-targeted scan at the wrong member. Version 3 and version 2
+/// loads both refuse them as Corruption.
+TEST(SerializationTest, LargerGroupEdsMustBeFiniteAndAscending) {
+  const auto expect_refused = [](const std::string& good,
+                                 const std::vector<size_t>& eds,
+                                 const std::string& version) {
+    ASSERT_GE(eds.size(), 2u) << version;
+    ASSERT_TRUE(LoadBaseFromBuffer(good).ok()) << version;
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {SetEd(good, eds[1], std::nan("")), "NaN ED"},
+        {SetEd(good, eds.back(), std::numeric_limits<double>::infinity()),
+         "infinite ED"},
+        {SetEd(good, eds[0], -1e-3), "negative ED"},
+        {SwapEds(good, eds[0], eds[1]), "two EDs swapped"},
+    };
+    for (const auto& [mutated, what] : cases) {
+      auto result = LoadBaseFromBuffer(mutated);
+      ASSERT_FALSE(result.ok()) << version << ": " << what;
+      EXPECT_EQ(result.status().code(), Status::Code::kCorruption)
+          << version << ": " << what;
+      EXPECT_EQ(result.status().message(),
+                "member EDs not finite and ascending")
+          << version << ": " << what;
+    }
+  };
+
+  // Version 3: member records (series, start, ed_to_rep) follow the u32
+  // count and the representative.
+  const OnexBase base = BuildMixedBase();
+  const std::string v3 = SaveBaseToString(base).value();
+  const size_t length = base.gti().entries().begin()->first;
+  std::vector<size_t> v3_records;
+  for (const GroupRecord& record : FirstEntryGroupRecords(base, v3)) {
+    v3_records.push_back(record.at);
+  }
+  expect_refused(v3,
+                 FirstLargerGroupEds(base, v3_records, 16, 8,
+                                     [&](size_t at) {
+                                       return at + 4 + 8 * length;
+                                     }),
+                 "version 3");
+
+  // Version 2: u64-prefixed representative, u64 count, then 20-byte
+  // records (series, start, length, ed_to_rep).
+  const std::string v2 = ReadFile(kVersion2Fixture);
+  auto loaded = LoadBaseFromBuffer(v2);
+  ASSERT_TRUE(loaded.ok());
+  const GtiEntry& first = loaded.value().gti().entries().begin()->second;
+  std::vector<size_t> v2_records;
+  size_t at = GtiOffset(loaded.value()) + /*entry header=*/32;
+  for (const LsiEntry& group : first.groups) {
+    v2_records.push_back(at);
+    at += 8 + 8 * first.length + 8 + 20 * group.size();
+  }
+  expect_refused(v2,
+                 FirstLargerGroupEds(loaded.value(), v2_records, 20, 12,
+                                     [&](size_t record) {
+                                       return record + 8 + 8 * first.length +
+                                              8;
+                                     }),
+                 "version 2");
+}
+
+// ------------------------------------------------ pinned bytes.
+
+/// A random walk whose values need no libm call: Rng draws (integer
+/// arithmetic scaled by a power of two) and additions.
+TimeSeries PinnedWalk(Rng* rng, size_t length) {
+  std::vector<double> values(length);
+  double x = 0.0;
+  for (double& v : values) {
+    x += rng->UniformDouble(-0.125, 0.125);
+    v = x;
+  }
+  return TimeSeries(std::move(values));
+}
+
+/// The snapshot of one small fixed base, as built and after two
+/// appends, is pinned by its CRC-32: any change to the build's
+/// grouping, freeze or encoding that moves a byte fails here. The base
+/// has up to 25 groups a length, so the scans span several lane blocks.
+TEST(SerializationTest, SnapshotBytesArePinned) {
+  Rng rng(2718);
+  Dataset d("pinned");
+  for (int p = 0; p < 12; ++p) d.Add(PinnedWalk(&rng, 40));
+  OnexOptions options;
+  options.st = 0.3;
+  options.lengths = {8, 40, 8};
+  auto built = OnexBase::Build(std::move(d), options);
+  ASSERT_TRUE(built.ok());
+  OnexBase base = std::move(built).value();
+  const std::string bytes = SaveBaseToString(base).value();
+  EXPECT_EQ(bytes.size(), 34842u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x734f4affu);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(base.AppendSeries(PinnedWalk(&rng, 40)).ok());
+  }
+  const std::string appended = SaveBaseToString(base).value();
+  EXPECT_EQ(appended.size(), 39042u);
+  EXPECT_EQ(Crc32(appended.data(), appended.size()), 0x6b183f51u);
 }
 
 }  // namespace

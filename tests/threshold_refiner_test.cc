@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/onex_base.h"
 #include "core/query_processor.h"
@@ -12,6 +14,7 @@
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "distance/euclidean.h"
+#include "scalar_grouping.h"
 
 namespace onex {
 namespace {
@@ -88,6 +91,41 @@ TEST(ThresholdRefinerTest, SplitGroupsAreSubsetsOfOriginals) {
     const size_t expected = origin.at(KeyOf(group.members[0].ref));
     for (const auto& member : group.members) {
       EXPECT_EQ(origin.at(KeyOf(member.ref)), expected);
+    }
+  }
+}
+
+/// A split re-clusters each group's members, in stored order, through
+/// the build's lane-batched scan: bit for bit the scalar scan's groups,
+/// frozen.
+TEST(ThresholdRefinerTest, SplitAssignsLikeTheScalarScan) {
+  const OnexBase base = BuildBase(1.0);
+  ThresholdRefiner refiner(&base);
+  for (double st_prime : {0.05, 0.3}) {
+    for (size_t length : base.gti().Lengths()) {
+      SCOPED_TRACE("st' " + std::to_string(st_prime) + " length " +
+                   std::to_string(length));
+      const GtiEntry& entry = *base.EntryFor(length);
+      const double radius_sq = scalar_grouping::RadiusSq(length, st_prime);
+      std::vector<SimilarityGroup> want;
+      size_t most_split = 0;
+      for (const LsiEntry& group : entry.groups) {
+        std::vector<SimilarityGroup> local;
+        for (const LsiMember& member : group.members) {
+          scalar_grouping::Assign(local, length, radius_sq, member.ref,
+                                  member.ref.View(base.dataset()));
+        }
+        most_split = std::max(most_split, local.size());
+        for (auto& g : local) want.push_back(std::move(g));
+      }
+      if (st_prime < 0.1) EXPECT_GT(most_split, kEdBatchLanes);
+      auto refined = refiner.RefineLength(length, st_prime);
+      ASSERT_TRUE(refined.ok());
+      scalar_grouping::ExpectSameEntry(
+          refined.value(),
+          BuildGtiEntry(base.dataset(), std::move(want), st_prime,
+                        base.options().window_ratio,
+                        base.options().compute_sp_space));
     }
   }
 }
