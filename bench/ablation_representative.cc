@@ -12,6 +12,7 @@
 
 #include "bench/common.h"
 #include "core/group_builder.h"
+#include "core/gti.h"
 #include "distance/dba.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -37,9 +38,10 @@ int Run(int argc, char** argv) {
     Rng rng(config.seed);
     const size_t length = 16;
     Timer avg_timer;
-    const auto groups =
+    const GroupAssigner groups =
         BuildGroupsForLength(dataset, length, config.st, &rng);
     const double avg_cost = avg_timer.ElapsedSeconds();
+    const GtiEntry entry = FreezeGroups(groups, config.window_ratio);
 
     const DtwOptions dtw_options =
         DtwOptions::FromRatio(config.window_ratio, length, length);
@@ -48,16 +50,15 @@ int Run(int argc, char** argv) {
     Timer dba_timer;
     double dba_cost = 0.0;
     size_t measured_groups = 0;
-    for (const auto& group : groups) {
+    for (const LsiEntry& group : entry.groups) {
       if (group.size() < 3) continue;  // Singletons are uninformative.
       ++measured_groups;
       std::vector<std::span<const double>> members;
       members.reserve(group.size());
-      for (const auto& ref : group.members()) {
-        members.push_back(ref.View(dataset));
+      for (const LsiMember& member : group.members) {
+        members.push_back(member.ref.View(dataset));
       }
-      const std::span<const double> avg_rep(group.representative().data(),
-                                            length);
+      const std::span<const double> avg_rep(group.representative);
       // DBA seeded from the point-wise average (conventional).
       dba_timer.Reset();
       DbaOptions dba_options;

@@ -2,11 +2,14 @@
 // paper argues the expected group count is O(sqrt(n)) and the build
 // O(n^{3/2}); sweeping the subsequence count exposes that superlinear-
 // but-far-from-quadratic growth, and the counters report the measured
-// group counts. BM_AssignmentScan and BM_PairwiseRowSums time the two
+// group counts. BM_AssignmentScan and BM_PairwisePass time the two
 // halves of a build, each through each batch kernel, on the shape of
 // perfbench's explore base: ns_per_point is the time per point of the
 // (subsequence, representative) or (representative, representative)
 // pairs scored, counted in full even where a block stops early.
+// BM_OnexBaseBuild times whole builds of perfbench's explore and
+// scatter bases, once on the process's WorkPool and once on the
+// calling thread alone (a pool without workers).
 
 #include <benchmark/benchmark.h>
 
@@ -15,9 +18,11 @@
 
 #include "core/group_builder.h"
 #include "core/gti.h"
+#include "core/onex_base.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "util/rng.h"
+#include "util/work_pool.h"
 
 namespace onex {
 namespace {
@@ -63,23 +68,17 @@ void BM_AssignmentScan(benchmark::State& state) {
   const Dataset& d = ExploreData();
   const auto length = static_cast<uint32_t>(state.range(0));
   const LaneKernel kernel = KernelArg(state);
-  std::vector<SubsequenceRef> refs;
-  for (uint32_t p = 0; p < d.size(); ++p) {
-    for (uint32_t j = 0; j + length <= d[p].length(); ++j) {
-      refs.push_back({p, j, length});
-    }
-  }
   Rng rng(42);
-  RandomizeInPlace(&refs, &rng);
+  const std::vector<SubsequenceRef> refs = ShuffledRefs(d, length, &rng);
   double pairs = 0, ns = 0;
   size_t groups = 0;
   for (auto _ : state) {
+    GroupAssigner assigner(d, length, kExploreSt, refs, kernel);
     const auto start = std::chrono::steady_clock::now();
-    GroupAssigner assigner(length, kExploreSt, {}, kernel);
     pairs = 0;
-    for (const SubsequenceRef& ref : refs) {
+    for (size_t i = 0; i < refs.size(); ++i) {
       pairs += static_cast<double>(assigner.size());
-      assigner.Assign(ref, ref.View(d));
+      assigner.AssignNext();
     }
     groups = assigner.size();
     benchmark::DoNotOptimize(groups);
@@ -92,32 +91,68 @@ BENCHMARK(BM_AssignmentScan)
     ->ArgsProduct({{16, 64}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-void BM_PairwiseRowSums(benchmark::State& state) {
+void BM_PairwisePass(benchmark::State& state) {
   const Dataset& d = ExploreData();
   const auto length = static_cast<size_t>(state.range(0));
   const LaneKernel kernel = KernelArg(state);
   Rng rng(42);
-  const std::vector<SimilarityGroup> groups =
+  const GroupAssigner groups =
       BuildGroupsForLength(d, length, kExploreSt, &rng);
-  std::vector<std::span<const double>> reps;
-  for (const SimilarityGroup& group : groups) {
-    reps.emplace_back(group.representative());
+  std::vector<std::vector<double>> values;
+  for (size_t k = 0; k < groups.size(); ++k) {
+    values.push_back(groups.Representative(k));
   }
+  const std::vector<std::span<const double>> reps(values.begin(),
+                                                  values.end());
   const double g = static_cast<double>(reps.size());
-  std::vector<double> dc;
   double ns = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    dc.clear();
-    dc.reserve(reps.size() * (reps.size() - 1) / 2);
-    benchmark::DoNotOptimize(PairwiseRowSums(reps, &dc, kernel));
+    PairwisePass pass(reps, groups.blocks(), kExploreSt, true);
+    pass.Run(kernel);
+    benchmark::DoNotOptimize(pass.sums().data());
+    benchmark::ClobberMemory();
     ns += NsSince(start);
   }
   ReportNsPerPoint(state, ns, g * (g - 1) / 2 * static_cast<double>(length));
   state.counters["groups"] = g;
 }
-BENCHMARK(BM_PairwiseRowSums)
+BENCHMARK(BM_PairwisePass)
     ->ArgsProduct({{16, 64}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
+/// Args: base (0 explore: TwoPattern 100 x 128, lengths 16..128 step 16;
+/// 1 scatter: one 40 x 64 shard, lengths 8, 12, 16), pool (0 the
+/// calling thread alone, 1 the process's WorkPool). One iteration is
+/// one build.
+void BM_OnexBaseBuild(benchmark::State& state) {
+  static const Dataset scatter_shard = [] {
+    GenOptions gen;
+    gen.num_series = 40;
+    gen.length = 64;
+    gen.seed = 42;
+    Dataset d = MakeTwoPatterns(gen);
+    MinMaxNormalize(&d);
+    return d;
+  }();
+  static WorkPool caller_only(0);
+  const bool explore = state.range(0) == 0;
+  const Dataset& d = explore ? ExploreData() : scatter_shard;
+  OnexOptions options;
+  options.lengths = explore ? LengthSpec{16, 128, 16} : LengthSpec{8, 16, 4};
+  WorkPool& pool = state.range(1) == 0 ? caller_only : WorkPool::Shared();
+  size_t groups = 0;
+  for (auto _ : state) {
+    auto base = OnexBase::Build(d, options, pool);
+    if (!base.ok()) state.SkipWithError("build failed");
+    groups = base.value().stats().num_representatives;
+    benchmark::DoNotOptimize(groups);
+  }
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["threads"] = static_cast<double>(1 + pool.workers());
+}
+BENCHMARK(BM_OnexBaseBuild)
+    ->ArgsProduct({{0, 1}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_BuildGroupsForLength(benchmark::State& state) {
@@ -131,8 +166,7 @@ void BM_BuildGroupsForLength(benchmark::State& state) {
   size_t groups_built = 0;
   for (auto _ : state) {
     Rng rng(7);
-    const auto groups = BuildGroupsForLength(d, 16, 0.2, &rng);
-    groups_built = groups.size();
+    groups_built = BuildGroupsForLength(d, 16, 0.2, &rng).size();
     benchmark::DoNotOptimize(groups_built);
   }
   state.counters["groups"] = static_cast<double>(groups_built);
@@ -152,8 +186,7 @@ void BM_BuildGroupsVaryingSt(benchmark::State& state) {
   size_t groups_built = 0;
   for (auto _ : state) {
     Rng rng(7);
-    const auto groups = BuildGroupsForLength(d, 16, st, &rng);
-    groups_built = groups.size();
+    groups_built = BuildGroupsForLength(d, 16, st, &rng).size();
     benchmark::DoNotOptimize(groups_built);
   }
   state.counters["groups"] = static_cast<double>(groups_built);

@@ -5,65 +5,114 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <utility>
 
 #include "distance/euclidean.h"
 
 namespace onex {
 
-GroupAssigner::GroupAssigner(size_t length, double st,
-                             std::vector<SimilarityGroup> groups,
+GroupAssigner::GroupAssigner(const Dataset& dataset, size_t length,
+                             double st, std::vector<SubsequenceRef> refs,
                              LaneKernel kernel)
-    : length_(length), kernel_(kernel), groups_(std::move(groups)) {
+    : dataset_(&dataset),
+      length_(length),
+      kernel_(kernel),
+      refs_(std::move(refs)),
+      group_of_(refs_.size()),
+      counts_(refs_.size()),
+      storage_(EdBlockDoubles(refs_.size(), length) +
+               refs_.size() * length) {
   // Radius in *raw* ED units: sqrt(L) * ST / 2 (Algorithm 1 line 15).
   const double radius = std::sqrt(static_cast<double>(length)) * st / 2.0;
   radius_sq_ = radius * radius;
-  blocks_.assign(EdBlockDoubles(groups_.size(), length_), 0.0);
-  for (size_t k = 0; k < groups_.size(); ++k) StoreLane(k);
 }
 
-void GroupAssigner::StoreLane(size_t k) {
-  StoreEdLane(blocks_, k, groups_[k].representative());
+double* GroupAssigner::SumsOf(size_t k) {
+  return storage_.data() + EdBlockDoubles(refs_.size(), length_) +
+         k * length_;
 }
 
-void GroupAssigner::Assign(SubsequenceRef ref,
-                           std::span<const double> values) {
+std::span<const double> GroupAssigner::blocks() const {
+  return {storage_.data(), EdBlockDoubles(groups_, length_)};
+}
+
+std::vector<double> GroupAssigner::Representative(size_t k) const {
+  const size_t lane = k % kEdBatchLanes;
+  const double* column = storage_.data() + (k - lane) * length_ + lane;
+  std::vector<double> rep(length_);
+  for (size_t i = 0; i < length_; ++i) rep[i] = column[i * kEdBatchLanes];
+  return rep;
+}
+
+void GroupAssigner::Join(size_t k, std::span<const double> values) {
+  group_of_[assigned_++] = static_cast<uint32_t>(k);
+  const double inv_count = 1.0 / static_cast<double>(++counts_[k]);
+  double* sum = SumsOf(k);
+  const size_t lane = k % kEdBatchLanes;
+  double* column = storage_.data() + (k - lane) * length_ + lane;
+  for (size_t i = 0; i < length_; ++i) {
+    sum[i] += values[i];
+    column[i * kEdBatchLanes] = sum[i] * inv_count;
+  }
+}
+
+void GroupAssigner::Found(std::span<const double> values) {
+  const size_t k = groups_++;
+  group_of_[assigned_++] = static_cast<uint32_t>(k);
+  counts_[k] = 1;
+  std::copy(values.begin(), values.end(), SumsOf(k));
+  StoreEdLane({storage_.data(), EdBlockDoubles(groups_, length_)}, k,
+              values);
+}
+
+void GroupAssigner::AssignNext() {
+  const std::span<const double> values = refs_[assigned_].View(*dataset_);
   assert(values.size() == length_);
-  // Find the nearest representative (lines 12-14), each block's EDs
-  // abandoned at the better of the running minimum and the join radius.
+  // Find the nearest open representative (lines 12-14), each block's
+  // EDs abandoned at the better of the running minimum and the join
+  // radius. The first block may start with closed lanes: each lane's
+  // result is its own, so they are scored and skipped.
   double min_sq = std::numeric_limits<double>::infinity();
   size_t min_k = 0;
   std::array<double, kEdBatchLanes> d_sq;
-  for (size_t first = 0; first < groups_.size(); first += kEdBatchLanes) {
-    const size_t count = std::min(kEdBatchLanes, groups_.size() - first);
+  const std::span<const double> blocks = this->blocks();
+  for (size_t first = first_open_ - first_open_ % kEdBatchLanes;
+       first < groups_; first += kEdBatchLanes) {
+    const size_t count = std::min(kEdBatchLanes, groups_ - first);
     SquaredEuclideanBatchWith(
         kernel_, values,
-        std::span<const double>(blocks_).subspan(first * length_,
-                                                 kEdBatchLanes * length_),
-        count, std::min(min_sq, radius_sq_), d_sq);
-    for (size_t l = 0; l < count; ++l) {
+        blocks.subspan(first * length_, kEdBatchLanes * length_), count,
+        std::min(min_sq, radius_sq_), d_sq);
+    for (size_t l = std::max(first, first_open_) - first; l < count; ++l) {
       if (d_sq[l] < min_sq) {
         min_sq = d_sq[l];
         min_k = first + l;
       }
     }
   }
-  // With no group yet there is nothing to join, whatever the radius.
-  if (!groups_.empty() && min_sq <= radius_sq_) {
-    groups_[min_k].Add(ref, values);  // Lines 16-17.
-    StoreLane(min_k);
-    return;
+  // With no open group there is nothing to join, whatever the radius.
+  if (groups_ > first_open_ && min_sq <= radius_sq_) {
+    Join(min_k, values);  // Lines 16-17.
+  } else {
+    Found(values);  // Lines 19-20.
   }
-  groups_.emplace_back(length_, ref, values);  // Lines 19-20.
-  blocks_.resize(EdBlockDoubles(groups_.size(), length_), 0.0);
-  StoreLane(groups_.size() - 1);
 }
 
-std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
-                                                  size_t length, double st,
-                                                  Rng* rng) {
-  // Enumerate all subsequences of this length (Algorithm 1 lines 3-4).
+void GroupAssigner::AssignRest() {
+  while (assigned_ < refs_.size()) AssignNext();
+}
+
+void GroupAssigner::FoundGroup(size_t members) {
+  assert(members > 0 && assigned_ + members <= refs_.size());
+  const size_t k = groups_;
+  Found(refs_[assigned_].View(*dataset_));
+  for (size_t m = 1; m < members; ++m) {
+    Join(k, refs_[assigned_].View(*dataset_));
+  }
+}
+
+std::vector<SubsequenceRef> ShuffledRefs(const Dataset& dataset,
+                                         size_t length, Rng* rng) {
   std::vector<SubsequenceRef> refs;
   for (uint32_t p = 0; p < dataset.size(); ++p) {
     const size_t n = dataset[p].length();
@@ -73,29 +122,15 @@ std::vector<SimilarityGroup> BuildGroupsForLength(const Dataset& dataset,
     }
   }
   RandomizeInPlace(&refs, rng);
-
-  GroupAssigner assigner(length, st);
-  for (const SubsequenceRef& ref : refs) {
-    assigner.Assign(ref, ref.View(dataset));
-  }
-  return std::move(assigner).TakeGroups();
+  return refs;
 }
 
-std::map<size_t, std::vector<SimilarityGroup>> BuildAllGroups(
-    const Dataset& dataset, const OnexOptions& options) {
-  std::map<size_t, std::vector<SimilarityGroup>> result;
-  Rng rng(options.seed);
-  // The union of candidate lengths over all series (series may be ragged).
-  std::set<size_t> lengths;
-  for (size_t p = 0; p < dataset.size(); ++p) {
-    for (size_t len : options.lengths.LengthsFor(dataset[p].length())) {
-      lengths.insert(len);
-    }
-  }
-  for (size_t len : lengths) {
-    result[len] = BuildGroupsForLength(dataset, len, options.st, &rng);
-  }
-  return result;
+GroupAssigner BuildGroupsForLength(const Dataset& dataset, size_t length,
+                                   double st, Rng* rng) {
+  GroupAssigner groups(dataset, length, st,
+                       ShuffledRefs(dataset, length, rng));
+  groups.AssignRest();
+  return groups;
 }
 
 }  // namespace onex

@@ -4,19 +4,28 @@
 // that seeds the median-out representative search (Sec. 5.3), and the
 // per-length SThalf / STfinal markers of the SP-Space (Sec. 4.2). The
 // pairwise Inter-Representative Distances Dc (Def. 10) they are derived
-// from exist only while BuildGtiEntry runs: no query reads Dc itself,
+// from exist only while a length is built: no query reads Dc itself,
 // so an entry holds O(g) GTI state, not O(g^2).
+//
+// A length's entry is built in three steps. FreezeGroups and
+// PairwisePass::Finish allocate what the entry keeps, on the thread
+// that builds the base; between them, PairwisePass::Run scores every
+// representative pair, and runs the Prim pass, in buffers the
+// PairwisePass constructor allocated, so it can run on a WorkPool
+// worker (OnexBase::Build) while the builder freezes other lengths.
 
 #ifndef ONEX_CORE_GTI_H_
 #define ONEX_CORE_GTI_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <vector>
 
-#include "core/group.h"
+#include "core/group_builder.h"
 #include "core/lsi.h"
+#include "core/sp_space.h"
 #include "distance/lanes.h"
 
 namespace onex {
@@ -55,29 +64,67 @@ struct GtiEntry {
 /// at most the full length (so no ratio reaches an out-of-range cast).
 size_t EnvelopeWindow(double window_ratio, size_t length);
 
+/// The representatives of `entry`'s groups (RepresentativeOf), in
+/// group order.
+std::vector<std::span<const double>> Representatives(const GtiEntry& entry,
+                                                     const Dataset& dataset);
+
 /// The pairwise pass over one length's representatives (Def. 10): the
 /// normalized ED of every pair k < l, each computed once, added to the
-/// row sums of both, every row receiving its terms in ascending l.
-/// Returns the row sums; when `dc` is not null, also appends each pair's
-/// distance in (k, l > k) order, the strict upper triangle. For each k
-/// the representatives l > k are scored kEdBatchLanes at a time,
-/// through SquaredEuclideanBatch on a lane-major copy, so every
-/// distance and sum is that of a scalar NormalizedEuclidean loop, bit
-/// for bit.
-std::vector<double> PairwiseRowSums(
-    std::span<const std::span<const double>> reps, std::vector<double>* dc,
-    LaneKernel kernel = DefaultLaneKernel());
+/// row sums of both, every row receiving its terms in ascending l; with
+/// `compute_sp_space`, each pair's distance is also kept, in (k, l > k)
+/// order (the strict upper triangle), for the SP-Space markers' Prim
+/// pass. For each k the representatives l > k are scored kEdBatchLanes
+/// at a time through SquaredEuclideanBatch, so every distance and sum
+/// is that of a scalar NormalizedEuclidean loop, bit for bit.
+///
+/// The constructor allocates everything Run writes, so Run allocates
+/// nothing and OnexBase::Build runs it on a pool worker.
+class PairwisePass {
+ public:
+  /// `reps` (equal lengths) are also stored lane-major in `blocks`, as
+  /// GroupAssigner::blocks() stores them, lanes past reps.size()
+  /// finite. What both point into must outlive the pass. `st` is the
+  /// base similarity threshold.
+  PairwisePass(std::vector<std::span<const double>> reps,
+               std::span<const double> blocks, double st,
+               bool compute_sp_space);
 
-/// Builds the frozen GtiEntry for one length from construction-time
-/// groups: freezes representatives (a singleton keeps none: its member
-/// is its representative), sorts members by normalized ED to
-/// the final representative, computes envelopes (band = window_ratio *
-/// length), then one pass over the representative pairs for Dc
-/// (PairwiseRowSums), from which it derives the sum-sorted array and,
-/// when requested, the merge thresholds. Dc is freed before returning.
-/// `st` is the base similarity threshold.
-GtiEntry BuildGtiEntry(const Dataset& dataset,
-                       std::vector<SimilarityGroup> groups, double st,
+  /// Scores the pairs, then, with compute_sp_space, runs the Prim pass.
+  void Run(LaneKernel kernel = DefaultLaneKernel());
+
+  /// Row sums, by group id.
+  std::span<const double> sums() const { return sums_; }
+  /// The strict upper triangle of Dc; empty without compute_sp_space.
+  std::span<const double> dc() const { return {dc_.get(), dc_size_}; }
+  /// Writes the sum-sorted array and the markers into `entry`.
+  void Finish(GtiEntry* entry) const;
+
+ private:
+  std::vector<std::span<const double>> reps_;
+  std::span<const double> blocks_;
+  double st_;
+  bool compute_sp_space_;
+  std::vector<double> sq_;    ///< One row's squared distances.
+  std::vector<double> sums_;
+  std::unique_ptr<double[]> dc_;  ///< Not filled until Run.
+  size_t dc_size_ = 0;
+  PrimScratch prim_;
+  MergeThresholds thresholds_;  ///< Both st without compute_sp_space.
+};
+
+/// Freezes one length's groups into a GtiEntry's LsiEntries: final
+/// representatives (a singleton keeps none: its member is its
+/// representative), members in assignment order, then sorted by
+/// normalized ED to the representative, and envelopes (band =
+/// window_ratio * length). Leaves the GTI state to a PairwisePass.
+GtiEntry FreezeGroups(const GroupAssigner& groups, double window_ratio);
+
+/// Builds the frozen GtiEntry for one length on the calling thread:
+/// FreezeGroups, then a PairwisePass, from which it derives the
+/// sum-sorted array and, when requested, the merge thresholds. Dc is
+/// freed before returning. `st` is the base similarity threshold.
+GtiEntry BuildGtiEntry(const GroupAssigner& groups, double st,
                        double window_ratio, bool compute_sp_space);
 
 /// The full index: one GtiEntry per constructed length.

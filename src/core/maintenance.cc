@@ -16,36 +16,13 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
-#include "core/group.h"
 #include "core/group_builder.h"
 #include "core/gti.h"
 #include "core/onex_base.h"
 
 namespace onex {
-namespace {
-
-/// Reconstitutes construction-time groups from the frozen entry so the
-/// running-average update has the member counts it needs.
-std::vector<SimilarityGroup> ReconstituteGroups(const Dataset& dataset,
-                                                const GtiEntry* frozen,
-                                                size_t length) {
-  std::vector<SimilarityGroup> groups;
-  if (frozen == nullptr) return groups;
-  groups.reserve(frozen->NumGroups());
-  for (const LsiEntry& lsi : frozen->groups) {
-    if (lsi.members.empty()) continue;
-    SimilarityGroup group(length, lsi.members[0].ref,
-                          lsi.members[0].ref.View(dataset));
-    for (size_t m = 1; m < lsi.members.size(); ++m) {
-      group.Add(lsi.members[m].ref, lsi.members[m].ref.View(dataset));
-    }
-    groups.push_back(std::move(group));
-  }
-  return groups;
-}
-
-}  // namespace
 
 Status OnexBase::AppendSeries(TimeSeries series) {
   std::vector<TimeSeries> batch;
@@ -78,21 +55,34 @@ Status OnexBase::AppendBatch(std::vector<TimeSeries> batch) {
   }
 
   for (size_t length : lengths) {
-    // The build's assignment rule, so single, batch and offline grouping
-    // decisions cannot diverge.
-    GroupAssigner assigner(
-        length, options_.st,
-        ReconstituteGroups(dataset_, gti_.Find(length), length));
+    // The frozen groups' members, in stored order, then every new
+    // subsequence of this length.
+    const GtiEntry* frozen = gti_.Find(length);
+    std::vector<SubsequenceRef> refs;
+    if (frozen != nullptr) {
+      for (const LsiEntry& lsi : frozen->groups) {
+        for (const LsiMember& member : lsi.members) refs.push_back(member.ref);
+      }
+    }
     for (uint32_t id = first_id; id < end_id; ++id) {
       const TimeSeries& stored = dataset_[id];
       if (!options_.lengths.Contains(length, stored.length())) continue;
       for (uint32_t j = 0; j + length <= stored.length(); ++j) {
-        const SubsequenceRef ref{id, j, static_cast<uint32_t>(length)};
-        assigner.Assign(ref, ref.View(dataset_));
+        refs.push_back({id, j, static_cast<uint32_t>(length)});
       }
     }
-    gti_.Insert(BuildGtiEntry(dataset_, std::move(assigner).TakeGroups(),
-                              options_.st, options_.window_ratio,
+    // The build's assignment rule, so single, batch and offline grouping
+    // decisions cannot diverge. Reconstituting a frozen group re-adds
+    // its members in stored order, which gives the running mean its
+    // member count.
+    GroupAssigner assigner(dataset_, length, options_.st, std::move(refs));
+    if (frozen != nullptr) {
+      for (const LsiEntry& lsi : frozen->groups) {
+        if (!lsi.members.empty()) assigner.FoundGroup(lsi.members.size());
+      }
+    }
+    assigner.AssignRest();
+    gti_.Insert(BuildGtiEntry(assigner, options_.st, options_.window_ratio,
                               options_.compute_sp_space));
   }
   RefreshDerivedState();

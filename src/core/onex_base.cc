@@ -1,11 +1,15 @@
 #include "core/onex_base.h"
 
 #include <cmath>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/group_builder.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/timer.h"
 
 namespace onex {
@@ -34,8 +38,8 @@ Status CheckSeriesValues(const TimeSeries& series) {
   return Status::OK();
 }
 
-Result<OnexBase> OnexBase::Build(Dataset dataset,
-                                 const OnexOptions& options) {
+Result<OnexBase> OnexBase::Build(Dataset dataset, const OnexOptions& options,
+                                 WorkPool& pool) {
   Status valid = options.Validate();
   if (!valid.ok()) return valid;
   if (dataset.empty()) {
@@ -53,13 +57,56 @@ Result<OnexBase> OnexBase::Build(Dataset dataset,
   OnexBase base;
   base.options_ = options;
   base.dataset_ = std::move(dataset);
+  const Dataset& data = base.dataset_;
 
   Timer timer;
-  auto groups_by_length = BuildAllGroups(base.dataset_, options);
-  for (auto& [length, groups] : groups_by_length) {
-    base.gti_.Insert(
-        BuildGtiEntry(base.dataset_, std::move(groups), options.st,
-                      options.window_ratio, options.compute_sp_space));
+  // The union of candidate lengths over all series (series may be
+  // ragged), ascending: the order the one Rng is drawn in.
+  std::set<size_t> lengths;
+  for (size_t p = 0; p < data.size(); ++p) {
+    for (size_t len : options.lengths.LengthsFor(data[p].length())) {
+      lengths.insert(len);
+    }
+  }
+  // Everything a task writes is allocated here, on this thread, before
+  // the task is submitted: pool workers allocate nothing.
+  struct LengthBuild {
+    std::optional<GroupAssigner> groups;
+    GtiEntry entry;
+    std::optional<PairwisePass> pairs;
+  };
+  std::vector<LengthBuild> builds(lengths.size());
+  Rng rng(options.seed);
+  size_t i = 0;
+  for (size_t length : lengths) {
+    builds[i++].groups.emplace(data, length, options.st,
+                               ShuffledRefs(data, length, &rng));
+  }
+  // Task id -> its length's build. Scans go first, longest length
+  // first: on a base like explore's the long lengths hold the most
+  // groups. Each length's pairwise pass follows once this thread has
+  // frozen its groups.
+  std::vector<LengthBuild*> owner;
+  owner.reserve(2 * builds.size());
+  WorkPool::Batch batch(pool);
+  for (auto it = builds.rbegin(); it != builds.rend(); ++it) {
+    owner.push_back(&*it);
+    batch.Submit([b = &*it] { b->groups->AssignRest(); });
+  }
+  for (size_t id; (id = batch.Next()) != WorkPool::Batch::kNone;) {
+    LengthBuild& b = *owner[id];
+    if (!b.pairs) {
+      b.entry = FreezeGroups(*b.groups, options.window_ratio);
+      b.pairs.emplace(Representatives(b.entry, data), b.groups->blocks(),
+                      options.st, options.compute_sp_space);
+      owner.push_back(&b);
+      batch.Submit([&b] { b.pairs->Run(); });
+    } else {
+      b.pairs->Finish(&b.entry);
+      b.pairs.reset();
+      b.groups.reset();
+      base.gti_.Insert(std::move(b.entry));
+    }
   }
   const double build_seconds = timer.ElapsedSeconds();
   base.RefreshDerivedState();

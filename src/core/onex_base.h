@@ -3,6 +3,16 @@
 // similarity group of every candidate length, indexed by GTI/LSI, plus
 // the SP-Space threshold markers. Built once offline (the phase Fig. 5
 // times); all online queries (Sec. 5) run against this object.
+//
+// Build treats each length as independent work, as Algorithm 1 does,
+// and spreads it over the process's WorkPool: every length's
+// assignment scan, then, once the building thread has frozen that
+// length's groups, its pairwise pass (Dc row sums and the SP-Space Prim
+// pass). The building thread runs tasks too, and it alone allocates:
+// it draws every length's shuffled subsequences from the one Rng and
+// sizes every buffer a task writes before submitting it, so the base's
+// bytes do not depend on which thread ran what. Appends and threshold
+// refinement run on the calling thread only.
 
 #ifndef ONEX_CORE_ONEX_BASE_H_
 #define ONEX_CORE_ONEX_BASE_H_
@@ -15,6 +25,7 @@
 #include "core/sp_space.h"
 #include "dataset/dataset.h"
 #include "util/status.h"
+#include "util/work_pool.h"
 
 namespace onex {
 
@@ -52,8 +63,12 @@ class OnexBase {
   /// Builds the base over `dataset` (taken by value; the base must keep
   /// the original data to return actual sequences, paper Sec. 7).
   /// The dataset is expected to be normalized already (Sec. 6.1);
-  /// InvalidArgument if any value fails CheckSeriesValues.
-  static Result<OnexBase> Build(Dataset dataset, const OnexOptions& options);
+  /// InvalidArgument if any value fails CheckSeriesValues. The lengths
+  /// are built on `pool`'s workers and on the calling thread; a pool
+  /// without workers builds on the calling thread alone, with the same
+  /// result.
+  static Result<OnexBase> Build(Dataset dataset, const OnexOptions& options,
+                                WorkPool& pool = WorkPool::Shared());
 
   /// Reassembles a base from prebuilt parts (deserialization, refined
   /// views). Derived state — SP-Space registry and size stats — is

@@ -37,8 +37,10 @@ struct OnexOptions {
   uint64_t seed = 42;
 
   /// Computes SThalf / STfinal per length during the build (Sec. 4.2).
-  /// Costs O(g^2) time per length and, while the length is built, a
-  /// g(g-1)/2 buffer of Dc values; disable for very large bases.
+  /// What it costs is a g(g-1)/2 buffer of Dc values, held while the
+  /// length is built, and the O(g^2) Prim pass over it; disable for
+  /// very large bases. The O(g^2 * L) pass over the representative
+  /// pairs runs either way: the sum order needs its row sums.
   bool compute_sp_space = true;
 
   /// Validates parameter sanity.

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <string_view>
 
-#include "core/group.h"
 #include "core/gti.h"
 #include "distance/envelope.h"
 #include "util/file_bytes.h"

@@ -1,6 +1,7 @@
 #include "core/sp_space.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cctype>
 #include <cstdint>
 #include <limits>
@@ -9,42 +10,44 @@
 namespace onex {
 
 MergeThresholds ComputeMergeThresholds(std::span<const double> upper,
-                                       size_t g, double st) {
+                                       size_t g, double st,
+                                       PrimScratch& scratch) {
   MergeThresholds result{st, st};
   if (g <= 1) return result;
+  assert(scratch.rest.size() >= g - 1);
   // Dense Prim from group 0 over the complete representative graph.
-  // rest[i] is a group not yet in the tree, key[i] its lightest edge
-  // into it; both shrink by one (swap-remove) as each group joins.
-  std::vector<uint32_t> rest(g - 1);
-  std::iota(rest.begin(), rest.end(), 1u);
-  std::vector<double> key(g - 1, std::numeric_limits<double>::infinity());
-  std::vector<double> weights;  // MST edge weights, in join order.
-  weights.reserve(g - 1);
+  // rest[i] is one of the n groups not yet in the tree, key[i] its
+  // lightest edge into it; both shrink by one (swap-remove) as each
+  // group joins.
+  uint32_t* rest = scratch.rest.data();
+  double* key = scratch.key.data();
+  double* weights = scratch.weights.data();
+  size_t n = g - 1;
+  std::iota(rest, rest + n, 1u);
+  std::fill(key, key + n, std::numeric_limits<double>::infinity());
   size_t u = 0;
-  while (!rest.empty()) {
+  for (size_t joined = 0; n > 0; ++joined) {
     size_t best = 0;
-    for (size_t i = 0; i < rest.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       const size_t v = rest[i];
       const double d = upper[v < u ? UpperTriangleIndex(v, u, g)
                                    : UpperTriangleIndex(u, v, g)];
       if (d < key[i]) key[i] = d;
       if (key[i] < key[best]) best = i;
     }
-    weights.push_back(key[best]);
+    weights[joined] = key[best];
     u = rest[best];
-    rest[best] = rest.back();
-    rest.pop_back();
-    key[best] = key.back();
-    key.pop_back();
+    --n;
+    rest[best] = rest[n];
+    key[best] = key[n];
   }
   // A Kruskal sweep's i-th successful union fires at ST' = st + (i-th
   // smallest MST weight) and leaves g - i groups; "half merged" is the
   // first union that leaves at most ceil(g/2), "final" the last one.
   const size_t half = g - (g + 1) / 2 - 1;
-  std::nth_element(weights.begin(), weights.begin() + half, weights.end());
+  std::nth_element(weights, weights + half, weights + (g - 1));
   result.st_half = st + weights[half];
-  result.st_final =
-      st + *std::max_element(weights.begin() + half, weights.end());
+  result.st_final = st + *std::max_element(weights + half, weights + (g - 1));
   return result;
 }
 

@@ -12,6 +12,7 @@
 #define ONEX_CORE_SP_SPACE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,13 +31,24 @@ inline size_t UpperTriangleIndex(size_t k, size_t l, size_t g) {
   return k * (2 * g - k - 1) / 2 + (l - k - 1);
 }
 
+/// The buffers ComputeMergeThresholds works in over g groups,
+/// allocated by the constructor so that the pass allocates nothing.
+struct PrimScratch {
+  explicit PrimScratch(size_t g)
+      : rest(g > 1 ? g - 1 : 0), key(rest.size()), weights(rest.size()) {}
+  std::vector<uint32_t> rest;   ///< Groups not yet in the tree.
+  std::vector<double> key;      ///< Lightest edge of each into the tree.
+  std::vector<double> weights;  ///< Tree edge weights, in join order.
+};
+
 /// Computes SThalf / STfinal from the g(g-1)/2 Dc values of the strict
 /// upper triangle (UpperTriangleIndex order) and the base threshold
-/// `st`, with a dense Prim pass: O(g^2) time, O(g) extra memory. One
-/// group (or zero) yields {st, st}: nothing can merge, so every ST'
-/// behaves the same.
+/// `st`, with a dense Prim pass: O(g^2) time, working in `scratch`
+/// (built for at least g groups). One group (or zero) yields {st, st}:
+/// nothing can merge, so every ST' behaves the same.
 MergeThresholds ComputeMergeThresholds(std::span<const double> upper,
-                                       size_t g, double st);
+                                       size_t g, double st,
+                                       PrimScratch& scratch);
 
 /// The paper's similarity degrees (Sec. 4.2).
 enum class SimilarityDegree { kStrict, kMedium, kLoose };

@@ -8,21 +8,6 @@
 #include "util/trace.h"
 
 namespace onex {
-namespace {
-
-// Rebuilds a SimilarityGroup from a fixed member list (the point-wise
-// average is order-independent, so Add-ing in any order reproduces
-// Def. 7 exactly).
-SimilarityGroup GroupFromMembers(const Dataset& dataset, size_t length,
-                                 const std::vector<SubsequenceRef>& refs) {
-  SimilarityGroup group(length, refs.front(), refs.front().View(dataset));
-  for (size_t i = 1; i < refs.size(); ++i) {
-    group.Add(refs[i], refs[i].View(dataset));
-  }
-  return group;
-}
-
-}  // namespace
 
 Result<GtiEntry> ThresholdRefiner::RefineLength(size_t length,
                                                 double st_prime,
@@ -52,22 +37,23 @@ GtiEntry ThresholdRefiner::Split(const GtiEntry& entry, double st_prime,
   const Dataset& dataset = base_->dataset();
   const size_t length = entry.length;
 
-  // Re-cluster each group's members at the smaller radius with the
-  // original assignment rule (nearest qualifying representative).
-  std::vector<SimilarityGroup> refined;
+  // Re-cluster each group's members, in stored order, at the smaller
+  // radius with the original assignment rule (nearest qualifying
+  // representative), each group on its own.
+  std::vector<SubsequenceRef> refs;
   for (const LsiEntry& group : entry.groups) {
-    if (check.ShouldStop()) break;
-    GroupAssigner local(length, st_prime);
-    for (const LsiMember& member : group.members) {
-      if (check.ShouldStop()) break;
-      local.Assign(member.ref, member.ref.View(dataset));
-    }
-    for (auto& g : std::move(local).TakeGroups()) {
-      refined.push_back(std::move(g));
+    for (const LsiMember& member : group.members) refs.push_back(member.ref);
+  }
+  GroupAssigner refined(dataset, length, st_prime, std::move(refs));
+  for (const LsiEntry& group : entry.groups) {
+    refined.CloseGroups();
+    for (size_t m = 0; m < group.members.size(); ++m) {
+      // The caller drops an interrupted split.
+      if (check.ShouldStop()) return {};
+      refined.AssignNext();
     }
   }
-  return BuildGtiEntry(dataset, std::move(refined), st_prime,
-                       base_->options().window_ratio,
+  return BuildGtiEntry(refined, st_prime, base_->options().window_ratio,
                        base_->options().compute_sp_space);
 }
 
@@ -132,13 +118,15 @@ GtiEntry ThresholdRefiner::Merge(const GtiEntry& entry, double st_prime,
     }
   }
 
-  std::vector<SimilarityGroup> refined;
-  refined.reserve(work.size());
+  // The merged groups, members in merge order, each representative
+  // recomputed as the running mean of its members (Def. 7).
+  std::vector<SubsequenceRef> refs;
   for (const Working& w : work) {
-    refined.push_back(GroupFromMembers(dataset, length, w.members));
+    refs.insert(refs.end(), w.members.begin(), w.members.end());
   }
-  return BuildGtiEntry(dataset, std::move(refined), st_prime,
-                       base_->options().window_ratio,
+  GroupAssigner refined(dataset, length, st_prime, std::move(refs));
+  for (const Working& w : work) refined.FoundGroup(w.members.size());
+  return BuildGtiEntry(refined, st_prime, base_->options().window_ratio,
                        base_->options().compute_sp_space);
 }
 

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "core/group_builder.h"
+#include "core/onex_base.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
 #include "distance/euclidean.h"
@@ -38,13 +39,20 @@ uint64_t KeyOf(const SubsequenceRef& ref) {
          (static_cast<uint64_t>(ref.start) << 16) | ref.length;
 }
 
+/// BuildGroupsForLength's groups, members in assignment order.
+std::vector<scalar_grouping::Group> BuildGroups(const Dataset& d,
+                                                size_t length, double st,
+                                                Rng* rng) {
+  return scalar_grouping::GroupsOf(BuildGroupsForLength(d, length, st, rng));
+}
+
 // With an infinite radius every distance is "within" it, including the
 // +inf that stands for "no group yet": the first subsequence must found
 // a group instead of joining one that does not exist.
 TEST(GroupBuilderTest, FirstSubsequenceFoundsAGroupAtAnyRadius) {
   Dataset d = TestDataset();
   Rng rng(1);
-  const auto groups = BuildGroupsForLength(
+  const auto groups = BuildGroups(
       d, 8, std::numeric_limits<double>::infinity(), &rng);
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].size(), d.size() * (24 - 8 + 1));
@@ -54,13 +62,13 @@ TEST(GroupBuilderTest, CoversEverySubsequenceExactlyOnce) {
   Dataset d = TestDataset();
   Rng rng(1);
   const size_t length = 8;
-  const auto groups = BuildGroupsForLength(d, length, 0.2, &rng);
+  const auto groups = BuildGroups(d, length, 0.2, &rng);
   std::set<uint64_t> seen;
   size_t total = 0;
   for (const auto& group : groups) {
-    EXPECT_EQ(group.length(), length);
+    EXPECT_EQ(group.rep.size(), length);
     EXPECT_GT(group.size(), 0u);
-    for (const auto& ref : group.members()) {
+    for (const auto& ref : group.members) {
       EXPECT_EQ(ref.length, length);
       EXPECT_TRUE(seen.insert(KeyOf(ref)).second)
           << "subsequence appears in two groups";
@@ -75,16 +83,16 @@ TEST(GroupBuilderTest, RepresentativeIsPointwiseAverage) {
   Dataset d = TestDataset();
   Rng rng(2);
   const size_t length = 6;
-  const auto groups = BuildGroupsForLength(d, length, 0.3, &rng);
+  const auto groups = BuildGroups(d, length, 0.3, &rng);
   for (const auto& group : groups) {
     std::vector<double> mean(length, 0.0);
-    for (const auto& ref : group.members()) {
+    for (const auto& ref : group.members) {
       const auto values = ref.View(d);
       for (size_t i = 0; i < length; ++i) mean[i] += values[i];
     }
     for (size_t i = 0; i < length; ++i) {
       mean[i] /= static_cast<double>(group.size());
-      EXPECT_NEAR(group.representative()[i], mean[i], 1e-9);
+      EXPECT_NEAR(group.rep[i], mean[i], 1e-9);
     }
   }
 }
@@ -99,11 +107,11 @@ TEST(GroupBuilderTest, MembersCloseToFinalRepresentative) {
   Rng rng(3);
   const size_t length = 8;
   const double st = 0.2;
-  const auto groups = BuildGroupsForLength(d, length, st, &rng);
+  const auto groups = BuildGroups(d, length, st, &rng);
   size_t total = 0, within_half = 0;
   for (const auto& group : groups) {
-    const std::span<const double> rep(group.representative().data(), length);
-    for (const auto& ref : group.members()) {
+    const std::span<const double> rep(group.rep);
+    for (const auto& ref : group.members) {
       const double ed = NormalizedEuclidean(ref.View(d), rep);
       EXPECT_LE(ed, st);
       if (ed <= st / 2.0 + 1e-9) ++within_half;
@@ -120,9 +128,9 @@ TEST(GroupBuilderTest, PairwiseMembersWithinLemma1Bound) {
   Dataset d = TestDataset(10, 24, 11);
   Rng rng(4);
   const double st = 0.25;
-  const auto groups = BuildGroupsForLength(d, 10, st, &rng);
+  const auto groups = BuildGroups(d, 10, st, &rng);
   for (const auto& group : groups) {
-    const auto& members = group.members();
+    const auto& members = group.members;
     for (size_t a = 0; a < members.size(); ++a) {
       for (size_t b = a + 1; b < members.size(); ++b) {
         const double ed =
@@ -136,13 +144,13 @@ TEST(GroupBuilderTest, PairwiseMembersWithinLemma1Bound) {
 TEST(GroupBuilderTest, DeterministicForSeed) {
   Dataset d = TestDataset();
   Rng rng1(5), rng2(5);
-  const auto a = BuildGroupsForLength(d, 8, 0.2, &rng1);
-  const auto b = BuildGroupsForLength(d, 8, 0.2, &rng2);
+  const auto a = BuildGroups(d, 8, 0.2, &rng1);
+  const auto b = BuildGroups(d, 8, 0.2, &rng2);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].size(), b[i].size());
     for (size_t j = 0; j < a[i].size(); ++j) {
-      EXPECT_EQ(a[i].members()[j], b[i].members()[j]);
+      EXPECT_EQ(a[i].members[j], b[i].members[j]);
     }
   }
 }
@@ -154,9 +162,9 @@ TEST_P(GroupCountSweep, TinyThresholdManyGroupsLargeThresholdFew) {
   Dataset d = TestDataset(8, 24, 13);
   const double st = GetParam();
   Rng rng(6);
-  const auto groups = BuildGroupsForLength(d, 8, st, &rng);
+  const auto groups = BuildGroups(d, 8, st, &rng);
   Rng rng2(6);
-  const auto groups_bigger = BuildGroupsForLength(d, 8, st * 2.0, &rng2);
+  const auto groups_bigger = BuildGroups(d, 8, st * 2.0, &rng2);
   EXPECT_GE(groups.size(), groups_bigger.size());
 }
 
@@ -168,49 +176,48 @@ TEST(GroupBuilderTest, HugeThresholdYieldsOneGroup) {
   Rng rng(7);
   // Data lives in [0,1]: normalized ED can never exceed 1, so ST = 4
   // (radius 2) swallows everything into the first group.
-  const auto groups = BuildGroupsForLength(d, 8, 4.0, &rng);
+  const auto groups = BuildGroups(d, 8, 4.0, &rng);
   EXPECT_EQ(groups.size(), 1u);
 }
 
 TEST(GroupBuilderTest, LengthLongerThanSeriesYieldsNothing) {
   Dataset d = TestDataset(4, 24, 15);
   Rng rng(8);
-  const auto groups = BuildGroupsForLength(d, 100, 0.2, &rng);
+  const auto groups = BuildGroups(d, 100, 0.2, &rng);
   EXPECT_TRUE(groups.empty());
 }
 
-TEST(BuildAllGroupsTest, RespectsLengthSpec) {
+TEST(BuildLengthsTest, RespectsLengthSpec) {
   Dataset d = TestDataset(5, 24, 17);
   OnexOptions options;
   options.st = 0.2;
   options.lengths = {6, 18, 6};  // Lengths 6, 12, 18.
-  const auto by_length = BuildAllGroups(d, options);
-  ASSERT_EQ(by_length.size(), 3u);
-  EXPECT_TRUE(by_length.count(6));
-  EXPECT_TRUE(by_length.count(12));
-  EXPECT_TRUE(by_length.count(18));
+  auto base = OnexBase::Build(d, options);
+  ASSERT_TRUE(base.ok());
+  EXPECT_EQ(base.value().gti().Lengths(), (std::vector<size_t>{6, 12, 18}));
   // Each length covers all its subsequences.
-  for (const auto& [len, groups] : by_length) {
+  for (const auto& [len, entry] : base.value().gti().entries()) {
     size_t total = 0;
-    for (const auto& g : groups) total += g.size();
+    for (const auto& g : entry.groups) total += g.size();
     EXPECT_EQ(total, d.size() * (24 - len + 1)) << "length " << len;
   }
 }
 
-TEST(BuildAllGroupsTest, RaggedSeriesContributeWhereLongEnough) {
+TEST(BuildLengthsTest, RaggedSeriesContributeWhereLongEnough) {
   Dataset d("ragged");
   d.Add(TimeSeries(std::vector<double>(20, 0.5), 1));
   d.Add(TimeSeries(std::vector<double>(10, 0.5), 1));
   OnexOptions options;
   options.lengths = {8, 16, 8};  // Lengths 8, 16.
-  const auto by_length = BuildAllGroups(d, options);
-  ASSERT_TRUE(by_length.count(8));
-  ASSERT_TRUE(by_length.count(16));
+  auto base = OnexBase::Build(d, options);
+  ASSERT_TRUE(base.ok());
+  ASSERT_NE(base.value().EntryFor(8), nullptr);
+  ASSERT_NE(base.value().EntryFor(16), nullptr);
   size_t total8 = 0;
-  for (const auto& g : by_length.at(8)) total8 += g.size();
+  for (const auto& g : base.value().EntryFor(8)->groups) total8 += g.size();
   EXPECT_EQ(total8, (20 - 8 + 1) + (10 - 8 + 1));
   size_t total16 = 0;
-  for (const auto& g : by_length.at(16)) total16 += g.size();
+  for (const auto& g : base.value().EntryFor(16)->groups) total16 += g.size();
   EXPECT_EQ(total16, static_cast<size_t>(20 - 16 + 1));  // Only series 0.
 }
 
@@ -270,24 +277,32 @@ TEST(GroupBuilderTest, EveryKernelAssignsLikeTheScalarScan) {
       SCOPED_TRACE("kernel " + std::to_string(static_cast<int>(kernel)) +
                    " st " + std::to_string(st));
       const double radius_sq = scalar_grouping::RadiusSq(length, st);
-      std::vector<SimilarityGroup> reference;
-      GroupAssigner fresh(length, st, {}, kernel);
+      std::vector<scalar_grouping::Group> reference;
+      GroupAssigner fresh(d, length, st,
+                          {refs.begin(), refs.begin() + half}, kernel);
       for (size_t i = 0; i < half; ++i) {
-        scalar_grouping::Assign(reference, length, radius_sq, refs[i],
+        scalar_grouping::Assign(reference, radius_sq, refs[i],
                                 refs[i].View(d));
-        fresh.Assign(refs[i], refs[i].View(d));
+        fresh.AssignNext();
       }
-      scalar_grouping::ExpectSameGroups(std::move(fresh).TakeGroups(),
-                                        reference);
-      GroupAssigner resumed(length, st, reference, kernel);
+      scalar_grouping::ExpectSameGroups(fresh, reference);
+      // The reference's groups, reconstituted, then the second half.
+      std::vector<SubsequenceRef> resumed_refs;
+      for (const auto& group : reference) {
+        resumed_refs.insert(resumed_refs.end(), group.members.begin(),
+                            group.members.end());
+      }
+      resumed_refs.insert(resumed_refs.end(), refs.begin() + half,
+                          refs.end());
+      GroupAssigner resumed(d, length, st, std::move(resumed_refs), kernel);
+      for (const auto& group : reference) resumed.FoundGroup(group.size());
       for (size_t i = half; i < refs.size(); ++i) {
-        scalar_grouping::Assign(reference, length, radius_sq, refs[i],
+        scalar_grouping::Assign(reference, radius_sq, refs[i],
                                 refs[i].View(d));
-        resumed.Assign(refs[i], refs[i].View(d));
+        resumed.AssignNext();
       }
       EXPECT_GT(reference.size(), 2 * kEdBatchLanes);
-      scalar_grouping::ExpectSameGroups(std::move(resumed).TakeGroups(),
-                                        reference);
+      scalar_grouping::ExpectSameGroups(resumed, reference);
     }
   }
 }

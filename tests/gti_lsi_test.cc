@@ -39,8 +39,8 @@ Dataset TestDataset() {
 
 GtiEntry BuildEntry(const Dataset& d, size_t length, double st = 0.2) {
   Rng rng(1);
-  auto groups = BuildGroupsForLength(d, length, st, &rng);
-  return BuildGtiEntry(d, std::move(groups), st, 0.1, true);
+  return BuildGtiEntry(BuildGroupsForLength(d, length, st, &rng), st, 0.1,
+                       true);
 }
 
 /// Dc(k, l) (Def. 10): normalized ED between two representatives.
@@ -143,7 +143,7 @@ TEST(GtiEntryTest, MemoryAccountingPositive) {
 
 TEST(GtiEntryTest, EmptyGroupsYieldEmptyEntry) {
   Dataset d = TestDataset();
-  GtiEntry entry = BuildGtiEntry(d, {}, 0.2, 0.1, true);
+  GtiEntry entry = BuildGtiEntry(GroupAssigner(d, 8, 0.2, {}), 0.2, 0.1, true);
   EXPECT_EQ(entry.NumGroups(), 0u);
   EXPECT_EQ(entry.length, 0u);
 }
@@ -252,13 +252,13 @@ void ExpectMatchesReference(const Dataset& d, const GtiEntry& entry,
 }
 
 /// One group per listed series, each holding that whole series.
-std::vector<SimilarityGroup> WholeSeriesGroups(
-    const Dataset& d, const std::vector<uint32_t>& series) {
-  std::vector<SimilarityGroup> groups;
-  for (uint32_t p : series) {
-    const SubsequenceRef ref{p, 0, static_cast<uint32_t>(d[p].length())};
-    groups.emplace_back(d[p].length(), ref, ref.View(d));
-  }
+GroupAssigner WholeSeriesGroups(const Dataset& d,
+                                const std::vector<uint32_t>& series) {
+  const auto length = static_cast<uint32_t>(d[0].length());
+  std::vector<SubsequenceRef> refs;
+  for (uint32_t p : series) refs.push_back({p, 0, length});
+  GroupAssigner groups(d, length, 0.2, std::move(refs));
+  for (size_t i = 0; i < series.size(); ++i) groups.FoundGroup(1);
   return groups;
 }
 
@@ -279,9 +279,8 @@ TEST(GtiEquivalenceTest, RandomBasesMatchFullMatrixKruskal) {
                          " st " + std::to_string(st) + " length " +
                          std::to_string(length) + (sp ? " sp" : " no-sp"));
             Rng rng(seed);
-            auto groups = BuildGroupsForLength(d, length, st, &rng);
-            const GtiEntry entry =
-                BuildGtiEntry(d, std::move(groups), st, 0.1, sp);
+            const GtiEntry entry = BuildGtiEntry(
+                BuildGroupsForLength(d, length, st, &rng), st, 0.1, sp);
             ExpectMatchesReference(d, entry, st, sp);
           }
         }
@@ -290,9 +289,10 @@ TEST(GtiEquivalenceTest, RandomBasesMatchFullMatrixKruskal) {
   }
 }
 
-/// PairwiseRowSums through each kernel against the scalar loop of
+/// PairwisePass through each kernel against the scalar loop of
 /// NormalizedEuclidean it replaced: every Dc and row sum bit for bit,
-/// for group counts on both sides of the 16-lane blocks.
+/// for group counts on both sides of the 16-lane blocks, with and
+/// without the Dc buffer.
 TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
   Rng rng(8);
   for (size_t g : {0u, 1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 50u}) {
@@ -304,6 +304,8 @@ TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
         for (double& x : v) x = rng.UniformDouble(0.0, 1.0);
       }
       std::vector<std::span<const double>> reps(values.begin(), values.end());
+      std::vector<double> blocks(EdBlockDoubles(g, length), 0.0);
+      for (size_t l = 0; l < g; ++l) StoreEdLane(blocks, l, reps[l]);
       std::vector<double> want_sums(g, 0.0), want_dc;
       for (size_t k = 0; k < g; ++k) {
         for (size_t l = k + 1; l < g; ++l) {
@@ -315,17 +317,22 @@ TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
       }
       for (LaneKernel kernel : {LaneKernel::kPortable, LaneKernel::kAvx2}) {
         if (!LaneKernelSupported(kernel)) continue;
-        std::vector<double> dc;
-        const std::vector<double> sums = PairwiseRowSums(reps, &dc, kernel);
-        ASSERT_EQ(sums.size(), g);
-        ASSERT_EQ(dc.size(), want_dc.size());
+        PairwisePass pass(reps, blocks, 0.2, true);
+        pass.Run(kernel);
+        ASSERT_EQ(pass.sums().size(), g);
+        ASSERT_EQ(pass.dc().size(), want_dc.size());
         for (size_t k = 0; k < g; ++k) {
-          EXPECT_TRUE(BitEqual(sums[k], want_sums[k])) << "row " << k;
+          EXPECT_TRUE(BitEqual(pass.sums()[k], want_sums[k])) << "row " << k;
         }
-        for (size_t i = 0; i < dc.size(); ++i) {
-          EXPECT_TRUE(BitEqual(dc[i], want_dc[i])) << "pair " << i;
+        for (size_t i = 0; i < want_dc.size(); ++i) {
+          EXPECT_TRUE(BitEqual(pass.dc()[i], want_dc[i])) << "pair " << i;
         }
-        EXPECT_EQ(PairwiseRowSums(reps, nullptr, kernel), sums);
+        PairwisePass sums_only(reps, blocks, 0.2, false);
+        sums_only.Run(kernel);
+        EXPECT_TRUE(sums_only.dc().empty());
+        EXPECT_TRUE(std::equal(sums_only.sums().begin(),
+                               sums_only.sums().end(), pass.sums().begin(),
+                               pass.sums().end()));
       }
     }
   }
@@ -347,8 +354,8 @@ TEST(GtiEquivalenceTest, DuplicateRepresentativesTieEdges) {
   }
   std::vector<uint32_t> all(d.size());
   for (uint32_t p = 0; p < all.size(); ++p) all[p] = p;
-  const GtiEntry entry = BuildGtiEntry(d, WholeSeriesGroups(d, all), 0.2,
-                                       0.1, true);
+  const GtiEntry entry =
+      BuildGtiEntry(WholeSeriesGroups(d, all), 0.2, 0.1, true);
   ASSERT_EQ(entry.NumGroups(), 9u);
   ExpectMatchesReference(d, entry, 0.2, true);
   // Three clusters of identical representatives: "half merged" needs
@@ -369,7 +376,7 @@ TEST(GtiEquivalenceTest, SmallGroupCounts) {
     std::vector<uint32_t> series;
     for (uint32_t p = 0; p < g; ++p) series.push_back(p);
     const GtiEntry entry =
-        BuildGtiEntry(d, WholeSeriesGroups(d, series), 0.2, 0.1, true);
+        BuildGtiEntry(WholeSeriesGroups(d, series), 0.2, 0.1, true);
     ASSERT_EQ(entry.NumGroups(), g);
     ExpectMatchesReference(d, entry, 0.2, true);
   }

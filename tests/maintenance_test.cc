@@ -159,19 +159,18 @@ std::map<size_t, GtiEntry> ScalarAppend(const OnexBase& base,
   const OnexOptions& options = base.options();
   std::map<size_t, GtiEntry> entries;
   for (size_t length : base.gti().Lengths()) {
-    std::vector<SimilarityGroup> groups =
+    std::vector<scalar_grouping::Group> groups =
         scalar_grouping::Reconstitute(after, *base.EntryFor(length));
     const double radius_sq = scalar_grouping::RadiusSq(length, options.st);
     for (uint32_t id = first_id; id < after.size(); ++id) {
       for (uint32_t j = 0; j + length <= after[id].length(); ++j) {
         const SubsequenceRef ref{id, j, static_cast<uint32_t>(length)};
-        scalar_grouping::Assign(groups, length, radius_sq, ref,
-                                ref.View(after));
+        scalar_grouping::Assign(groups, radius_sq, ref, ref.View(after));
       }
     }
-    entries[length] = BuildGtiEntry(after, std::move(groups), options.st,
-                                    options.window_ratio,
-                                    options.compute_sp_space);
+    entries[length] = BuildGtiEntry(
+        scalar_grouping::ToAssigner(after, length, options.st, groups),
+        options.st, options.window_ratio, options.compute_sp_space);
   }
   return entries;
 }

@@ -1,15 +1,22 @@
 // Tests for OnexBase::Build: stats consistency (Table 4 semantics),
-// option validation, and index completeness.
+// option validation, index completeness, and byte identity with a base
+// built one length at a time on the calling thread.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <string>
 
+#include "core/group_builder.h"
+#include "core/gti.h"
 #include "core/onex_base.h"
 #include "core/serialization.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "util/rng.h"
+#include "util/work_pool.h"
 
 namespace onex {
 namespace {
@@ -195,6 +202,114 @@ TEST(OnexBaseTest, DeterministicForSeed) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().stats().num_representatives,
             b.value().stats().num_representatives);
+}
+
+// --------------------------------- Byte identity with a serial build.
+
+/// The base Build must produce, assembled one length at a time on the
+/// calling thread: every length's shuffled subsequences drawn from one
+/// Rng in ascending length order, grouped, then frozen.
+OnexBase SerialBuild(const Dataset& dataset, const OnexOptions& options) {
+  std::set<size_t> lengths;
+  for (size_t p = 0; p < dataset.size(); ++p) {
+    for (size_t len : options.lengths.LengthsFor(dataset[p].length())) {
+      lengths.insert(len);
+    }
+  }
+  Rng rng(options.seed);
+  GlobalTimeIndex gti;
+  for (size_t length : lengths) {
+    gti.Insert(BuildGtiEntry(
+        BuildGroupsForLength(dataset, length, options.st, &rng), options.st,
+        options.window_ratio, options.compute_sp_space));
+  }
+  return OnexBase::FromParts(dataset, options, std::move(gti));
+}
+
+struct BuildCase {
+  std::string name;
+  Dataset dataset;
+  LengthSpec lengths;
+};
+
+std::vector<BuildCase> BuildCases() {
+  std::vector<BuildCase> cases;
+  {
+    // Explore's shape (TwoPattern, 128 points, lengths 16..128 step
+    // 16), on fewer series.
+    GenOptions gen;
+    gen.num_series = 8;
+    gen.length = 128;
+    gen.seed = 42;
+    Dataset d = MakeTwoPatterns(gen);
+    MinMaxNormalize(&d);
+    cases.push_back({"explore-shape", std::move(d), {16, 128, 16}});
+  }
+  {
+    // Ragged series: each length has its own subset of series, and the
+    // spec's longest lengths reach none (they get no entry).
+    GenOptions gen;
+    gen.num_series = 6;
+    gen.length = 48;
+    gen.seed = 7;
+    Dataset walk = MakeRandomWalk(gen);
+    MinMaxNormalize(&walk);
+    Dataset d("ragged");
+    for (size_t p = 0; p < walk.size(); ++p) {
+      const size_t keep = 10 + 7 * p;
+      d.Add(TimeSeries(std::vector<double>(walk[p].values().begin(),
+                                           walk[p].values().begin() + keep)));
+    }
+    cases.push_back({"ragged", std::move(d), {6, 60, 6}});
+  }
+  cases.push_back({"single-length", TestDataset(10, 32, 3), {12, 12, 1}});
+  {
+    // Two constant series, far apart: every length holds two groups at
+    // a small ST and one at a huge one.
+    Dataset d("two-groups");
+    d.Add(TimeSeries(std::vector<double>(20, 0.0)));
+    d.Add(TimeSeries(std::vector<double>(20, 1.0)));
+    cases.push_back({"two-groups", std::move(d), {4, 20, 4}});
+  }
+  {
+    // One series of one length: one subsequence, one group.
+    Dataset d("one-group");
+    d.Add(TimeSeries(std::vector<double>{0.1, 0.5, 0.2, 0.9}));
+    cases.push_back({"one-group", std::move(d), {4, 4, 1}});
+  }
+  return cases;
+}
+
+/// Build spreads lengths over the shared pool's workers and the calling
+/// thread, in whatever order they claim them; the bytes of its base are
+/// the serial build's on every run. 20 builds per case vary the
+/// schedule.
+TEST(OnexBaseBuildTest, PoolBuildsTheSerialBuildsBytes) {
+  WorkPool caller_only(0);
+  for (const BuildCase& c : BuildCases()) {
+    for (double st : {1e-3, 0.2, OnexOptions::kMaxSt}) {
+      for (bool sp : {true, false}) {
+        SCOPED_TRACE(c.name + " st " + std::to_string(st) +
+                     (sp ? " sp" : " no-sp"));
+        OnexOptions options;
+        options.st = st;
+        options.lengths = c.lengths;
+        options.compute_sp_space = sp;
+        auto want = SaveBaseToString(SerialBuild(c.dataset, options));
+        ASSERT_TRUE(want.ok());
+        auto alone = OnexBase::Build(c.dataset, options, caller_only);
+        ASSERT_TRUE(alone.ok());
+        EXPECT_EQ(SaveBaseToString(alone.value()).value(), want.value());
+        for (int run = 0; run < 20; ++run) {
+          auto built = OnexBase::Build(c.dataset, options);
+          ASSERT_TRUE(built.ok());
+          auto got = SaveBaseToString(built.value());
+          ASSERT_TRUE(got.ok());
+          ASSERT_EQ(got.value(), want.value()) << "run " << run;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

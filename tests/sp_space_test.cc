@@ -36,17 +36,19 @@ TEST(UpperTriangleIndexTest, EnumeratesPairsRowByRow) {
 }
 
 TEST(MergeThresholdsTest, SingleGroupIsBaseThreshold) {
-  const MergeThresholds t = ComputeMergeThresholds({}, 1, 0.2);
+  PrimScratch scratch(1);
+  const MergeThresholds t = ComputeMergeThresholds({}, 1, 0.2, scratch);
   EXPECT_DOUBLE_EQ(t.st_half, 0.2);
   EXPECT_DOUBLE_EQ(t.st_final, 0.2);
-  const MergeThresholds none = ComputeMergeThresholds({}, 0, 0.2);
+  const MergeThresholds none = ComputeMergeThresholds({}, 0, 0.2, scratch);
   EXPECT_DOUBLE_EQ(none.st_half, 0.2);
   EXPECT_DOUBLE_EQ(none.st_final, 0.2);
 }
 
 TEST(MergeThresholdsTest, TwoGroups) {
   const auto dc = Matrix(2, {{0, 1, 0.3}});
-  const MergeThresholds t = ComputeMergeThresholds(dc, 2, 0.2);
+  PrimScratch scratch(2);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 2, 0.2, scratch);
   // One merge event at ST' = 0.2 + 0.3: it is both "half" (1 <= 1
   // component target) and "final".
   EXPECT_DOUBLE_EQ(t.st_half, 0.5);
@@ -62,7 +64,8 @@ TEST(MergeThresholdsTest, TwoTightClustersFarApart) {
                              {0, 3, 1.0},
                              {1, 2, 1.0},
                              {1, 3, 1.0}});
-  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.2);
+  PrimScratch scratch(4);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.2, scratch);
   EXPECT_DOUBLE_EQ(t.st_half, 0.2 + 0.1);
   EXPECT_DOUBLE_EQ(t.st_final, 0.2 + 1.0);
 }
@@ -75,7 +78,8 @@ TEST(MergeThresholdsTest, ChainMergesProgressively) {
                              {0, 2, 0.9},
                              {0, 3, 0.9},
                              {1, 3, 0.9}});
-  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.0);
+  PrimScratch scratch(4);
+  const MergeThresholds t = ComputeMergeThresholds(dc, 4, 0.0, scratch);
   // After edge 0.1: 3 components; after 0.2: 2 components = half (g/2);
   // after 0.3: 1 component = final.
   EXPECT_DOUBLE_EQ(t.st_half, 0.2);
@@ -91,7 +95,8 @@ TEST(MergeThresholdsTest, AgreesWithBruteForceSweep) {
     std::vector<double> dc(g * (g - 1) / 2);
     for (double& d : dc) d = rng.UniformDouble(0.01, 1.0);
     const double st = 0.2;
-    const MergeThresholds got = ComputeMergeThresholds(dc, g, st);
+    PrimScratch scratch(g);
+    const MergeThresholds got = ComputeMergeThresholds(dc, g, st, scratch);
 
     auto components_at = [&](double st_prime) {
       UnionFind uf(g);

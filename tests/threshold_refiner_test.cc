@@ -107,12 +107,12 @@ TEST(ThresholdRefinerTest, SplitAssignsLikeTheScalarScan) {
                    std::to_string(length));
       const GtiEntry& entry = *base.EntryFor(length);
       const double radius_sq = scalar_grouping::RadiusSq(length, st_prime);
-      std::vector<SimilarityGroup> want;
+      std::vector<scalar_grouping::Group> want;
       size_t most_split = 0;
       for (const LsiEntry& group : entry.groups) {
-        std::vector<SimilarityGroup> local;
+        std::vector<scalar_grouping::Group> local;
         for (const LsiMember& member : group.members) {
-          scalar_grouping::Assign(local, length, radius_sq, member.ref,
+          scalar_grouping::Assign(local, radius_sq, member.ref,
                                   member.ref.View(base.dataset()));
         }
         most_split = std::max(most_split, local.size());
@@ -123,8 +123,9 @@ TEST(ThresholdRefinerTest, SplitAssignsLikeTheScalarScan) {
       ASSERT_TRUE(refined.ok());
       scalar_grouping::ExpectSameEntry(
           refined.value(),
-          BuildGtiEntry(base.dataset(), std::move(want), st_prime,
-                        base.options().window_ratio,
+          BuildGtiEntry(scalar_grouping::ToAssigner(base.dataset(), length,
+                                                    st_prime, want),
+                        st_prime, base.options().window_ratio,
                         base.options().compute_sp_space));
     }
   }
