@@ -98,17 +98,12 @@ void BM_PairwisePass(benchmark::State& state) {
   Rng rng(42);
   const GroupAssigner groups =
       BuildGroupsForLength(d, length, kExploreSt, &rng);
-  std::vector<std::vector<double>> values;
-  for (size_t k = 0; k < groups.size(); ++k) {
-    values.push_back(groups.Representative(k));
-  }
-  const std::vector<std::span<const double>> reps(values.begin(),
-                                                  values.end());
-  const double g = static_cast<double>(reps.size());
+  const double g = static_cast<double>(groups.size());
   double ns = 0;
   for (auto _ : state) {
     const auto start = std::chrono::steady_clock::now();
-    PairwisePass pass(reps, groups.blocks(), kExploreSt, true);
+    PairwisePass pass(groups.blocks(), groups.size(), length, kExploreSt,
+                      true);
     pass.Run(kernel);
     benchmark::DoNotOptimize(pass.sums().data());
     benchmark::ClobberMemory();

@@ -37,10 +37,8 @@ std::span<const double> GroupAssigner::blocks() const {
 }
 
 std::vector<double> GroupAssigner::Representative(size_t k) const {
-  const size_t lane = k % kEdBatchLanes;
-  const double* column = storage_.data() + (k - lane) * length_ + lane;
   std::vector<double> rep(length_);
-  for (size_t i = 0; i < length_; ++i) rep[i] = column[i * kEdBatchLanes];
+  LoadEdLane(blocks(), k, rep);
   return rep;
 }
 

@@ -15,10 +15,15 @@
 // Its state is a few flat arrays sized by its constructor for the worst
 // case of one group per subsequence; the two per-point ones are mapped,
 // not filled (util/page_array.h: a page costs memory once written). So
-// its scan allocates nothing, and
-// OnexBase::Build runs each length's scan as a task on the process's
-// WorkPool while the thread that built the assigner owns every byte
-// (see util/work_pool.h for why that matters).
+// its scan allocates nothing, and OnexBase::Build runs each length's
+// scan as a task on the process's WorkPool while the thread that built
+// the assigner owns every byte (see util/work_pool.h for why that
+// matters). The mapping takes 16 bytes of address space per point of
+// every subsequence (2 n L doubles for n subsequences of length L),
+// counted in full against an address-space limit or strict overcommit
+// even where untouched; Build keeps a few lengths' assigners at a time
+// (onex_base.h) and returns ResourceExhausted when one cannot be
+// mapped.
 
 #ifndef ONEX_CORE_GROUP_BUILDER_H_
 #define ONEX_CORE_GROUP_BUILDER_H_
@@ -49,8 +54,9 @@ class GroupAssigner {
  public:
   /// Assigns `refs`, in this order, to groups of subsequences of
   /// `length` of `dataset` at similarity threshold `st`. Allocates
-  /// room for every ref and as many groups; `dataset` must outlive the
-  /// assigner and stay unchanged.
+  /// room for every ref and as many groups, and throws std::bad_alloc
+  /// when it cannot; `dataset` must outlive the assigner and stay
+  /// unchanged.
   GroupAssigner(const Dataset& dataset, size_t length, double st,
                 std::vector<SubsequenceRef> refs,
                 LaneKernel kernel = DefaultLaneKernel());

@@ -14,44 +14,34 @@ size_t EnvelopeWindow(double window_ratio, size_t length) {
                                        static_cast<double>(length)));
 }
 
-std::vector<std::span<const double>> Representatives(const GtiEntry& entry,
-                                                     const Dataset& dataset) {
-  std::vector<std::span<const double>> reps;
-  reps.reserve(entry.NumGroups());
-  for (const LsiEntry& group : entry.groups) {
-    reps.push_back(RepresentativeOf(group, dataset));
-  }
-  return reps;
-}
-
-PairwisePass::PairwisePass(std::vector<std::span<const double>> reps,
-                           std::span<const double> blocks, double st,
-                           bool compute_sp_space)
-    : reps_(std::move(reps)),
-      blocks_(blocks),
+PairwisePass::PairwisePass(std::span<const double> blocks, size_t groups,
+                           size_t length, double st, bool compute_sp_space)
+    : blocks_(blocks),
+      length_(length),
       st_(st),
       compute_sp_space_(compute_sp_space),
-      sq_(reps_.size()),
-      sums_(reps_.size(), 0.0),
-      prim_(compute_sp_space ? reps_.size() : 0),
+      row_(length),
+      sq_(groups),
+      sums_(groups, 0.0),
+      prim_(compute_sp_space ? groups : 0),
       thresholds_{st, st} {
-  const size_t g = reps_.size();
-  if (compute_sp_space && g >= 2) {
-    dc_size_ = g * (g - 1) / 2;
+  if (compute_sp_space && groups >= 2) {
+    dc_size_ = groups * (groups - 1) / 2;
     dc_ = std::make_unique_for_overwrite<double[]>(dc_size_);
   }
 }
 
 void PairwisePass::Run(LaneKernel kernel) {
-  const size_t g = reps_.size();
+  const size_t g = sums_.size();
   if (g >= 2) {
-    const size_t length = reps_[0].size();
+    const size_t length = length_;
     const double norm = std::sqrt(static_cast<double>(length));
     double* dc = dc_.get();
     for (size_t k = 0; k + 1 < g; ++k) {
+      LoadEdLane(blocks_, k, row_);
       // Score from the block holding k + 1; its lanes up to k go unused.
       const size_t first = (k + 1) - (k + 1) % kEdBatchLanes;
-      SquaredEuclideanBatchWith(kernel, reps_[k],
+      SquaredEuclideanBatchWith(kernel, row_,
                                 blocks_.subspan(first * length), g - first,
                                 std::numeric_limits<double>::infinity(),
                                 std::span<double>(sq_).subspan(first));
@@ -127,8 +117,8 @@ GtiEntry BuildGtiEntry(const GroupAssigner& groups, double st,
                        double window_ratio, bool compute_sp_space) {
   GtiEntry entry = FreezeGroups(groups, window_ratio);
   if (entry.NumGroups() == 0) return entry;
-  PairwisePass pass(Representatives(entry, groups.dataset()), groups.blocks(),
-                    st, compute_sp_space);
+  PairwisePass pass(groups.blocks(), groups.size(), groups.length(), st,
+                    compute_sp_space);
   pass.Run();
   pass.Finish(&entry);
   return entry;

@@ -10,9 +10,10 @@
 // A length's entry is built in three steps. FreezeGroups and
 // PairwisePass::Finish allocate what the entry keeps, on the thread
 // that builds the base; between them, PairwisePass::Run scores every
-// representative pair, and runs the Prim pass, in buffers the
-// PairwisePass constructor allocated, so it can run on a WorkPool
-// worker (OnexBase::Build) while the builder freezes other lengths.
+// representative pair, read from the scan's lane-major blocks, and
+// runs the Prim pass, in buffers the PairwisePass constructor
+// allocated, so it can run on a WorkPool worker (OnexBase::Build) while
+// the builder freezes other lengths.
 
 #ifndef ONEX_CORE_GTI_H_
 #define ONEX_CORE_GTI_H_
@@ -64,11 +65,6 @@ struct GtiEntry {
 /// at most the full length (so no ratio reaches an out-of-range cast).
 size_t EnvelopeWindow(double window_ratio, size_t length);
 
-/// The representatives of `entry`'s groups (RepresentativeOf), in
-/// group order.
-std::vector<std::span<const double>> Representatives(const GtiEntry& entry,
-                                                     const Dataset& dataset);
-
 /// The pairwise pass over one length's representatives (Def. 10): the
 /// normalized ED of every pair k < l, each computed once, added to the
 /// row sums of both, every row receiving its terms in ascending l; with
@@ -76,19 +72,19 @@ std::vector<std::span<const double>> Representatives(const GtiEntry& entry,
 /// order (the strict upper triangle), for the SP-Space markers' Prim
 /// pass. For each k the representatives l > k are scored kEdBatchLanes
 /// at a time through SquaredEuclideanBatch, so every distance and sum
-/// is that of a scalar NormalizedEuclidean loop, bit for bit.
+/// is that of a scalar NormalizedEuclidean loop, bit for bit. The
+/// representatives are read from their lane-major blocks only.
 ///
 /// The constructor allocates everything Run writes, so Run allocates
 /// nothing and OnexBase::Build runs it on a pool worker.
 class PairwisePass {
  public:
-  /// `reps` (equal lengths) are also stored lane-major in `blocks`, as
-  /// GroupAssigner::blocks() stores them, lanes past reps.size()
-  /// finite. What both point into must outlive the pass. `st` is the
-  /// base similarity threshold.
-  PairwisePass(std::vector<std::span<const double>> reps,
-               std::span<const double> blocks, double st,
-               bool compute_sp_space);
+  /// `blocks` holds `groups` representatives of `length` points
+  /// lane-major, as GroupAssigner::blocks() does, lanes past `groups`
+  /// finite, and must outlive the pass. `st` is the base similarity
+  /// threshold.
+  PairwisePass(std::span<const double> blocks, size_t groups, size_t length,
+               double st, bool compute_sp_space);
 
   /// Scores the pairs, then, with compute_sp_space, runs the Prim pass.
   void Run(LaneKernel kernel = DefaultLaneKernel());
@@ -101,10 +97,11 @@ class PairwisePass {
   void Finish(GtiEntry* entry) const;
 
  private:
-  std::vector<std::span<const double>> reps_;
   std::span<const double> blocks_;
+  size_t length_;
   double st_;
   bool compute_sp_space_;
+  std::vector<double> row_;   ///< Representative k, gathered from blocks_.
   std::vector<double> sq_;    ///< One row's squared distances.
   std::vector<double> sums_;
   std::unique_ptr<double[]> dc_;  ///< Not filled until Run.

@@ -1,10 +1,13 @@
 #include "core/onex_base.h"
 
+#include <algorithm>
 #include <cmath>
+#include <new>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/group_builder.h"
@@ -38,6 +41,79 @@ Status CheckSeriesValues(const TimeSeries& series) {
   return Status::OK();
 }
 
+namespace {
+
+/// Builds every length's entry into `gti`, spreading the work over
+/// `pool`. Throws std::bad_alloc when memory runs out.
+void BuildLengths(const Dataset& data, const OnexOptions& options,
+                  WorkPool& pool, GlobalTimeIndex* gti) {
+  // The union of candidate lengths over all series (series may be
+  // ragged), ascending: the order the one Rng is drawn in.
+  std::set<size_t> length_set;
+  for (size_t p = 0; p < data.size(); ++p) {
+    for (size_t len : options.lengths.LengthsFor(data[p].length())) {
+      length_set.insert(len);
+    }
+  }
+  const std::vector<size_t> lengths(length_set.begin(), length_set.end());
+  Rng rng(options.seed);
+  std::vector<std::vector<SubsequenceRef>> refs;
+  refs.reserve(lengths.size());
+  for (size_t length : lengths) {
+    refs.push_back(ShuffledRefs(data, length, &rng));
+  }
+
+  // Everything a task writes is allocated here, on this thread, before
+  // the task is submitted: pool workers allocate nothing. A slot holds
+  // one length from its scan storage's creation to its entry's
+  // insertion, through its Dc triangle, so the build's memory follows
+  // its slots, not its lengths. There is one slot per thread that runs
+  // tasks, plus one when workers run them: a worker that finishes while
+  // this thread is inside a task of its own then finds the spare
+  // length's task instead of waiting for this thread to free a slot.
+  struct Slot {
+    std::optional<GroupAssigner> groups;
+    GtiEntry entry;
+    std::optional<PairwisePass> pairs;
+  };
+  const size_t slot_count = pool.workers() == 0 ? 1 : pool.workers() + 2;
+  std::vector<Slot> slots(std::min(lengths.size(), slot_count));
+  std::vector<Slot*> owner;  // Task id -> its slot.
+  owner.reserve(2 * lengths.size());
+  WorkPool::Batch batch(pool);
+  // Lengths start longest first: on a base like explore's the long
+  // lengths hold the most groups.
+  size_t unstarted = lengths.size();
+  const auto start_scan = [&](Slot& slot) {
+    if (unstarted == 0) return;
+    --unstarted;
+    slot.groups.emplace(data, lengths[unstarted], options.st,
+                        std::move(refs[unstarted]));
+    owner.push_back(&slot);
+    batch.Submit([&slot] { slot.groups->AssignRest(); });
+  };
+  for (Slot& slot : slots) start_scan(slot);
+  for (size_t id; (id = batch.Next()) != WorkPool::Batch::kNone;) {
+    Slot& slot = *owner[id];
+    if (!slot.pairs) {
+      const GroupAssigner& groups = *slot.groups;
+      slot.entry = FreezeGroups(groups, options.window_ratio);
+      slot.pairs.emplace(groups.blocks(), groups.size(), groups.length(),
+                         options.st, options.compute_sp_space);
+      owner.push_back(&slot);
+      batch.Submit([&slot] { slot.pairs->Run(); });
+    } else {
+      slot.pairs->Finish(&slot.entry);
+      slot.pairs.reset();
+      slot.groups.reset();
+      gti->Insert(std::move(slot.entry));
+      start_scan(slot);
+    }
+  }
+}
+
+}  // namespace
+
 Result<OnexBase> OnexBase::Build(Dataset dataset, const OnexOptions& options,
                                  WorkPool& pool) {
   Status valid = options.Validate();
@@ -57,56 +133,13 @@ Result<OnexBase> OnexBase::Build(Dataset dataset, const OnexOptions& options,
   OnexBase base;
   base.options_ = options;
   base.dataset_ = std::move(dataset);
-  const Dataset& data = base.dataset_;
 
   Timer timer;
-  // The union of candidate lengths over all series (series may be
-  // ragged), ascending: the order the one Rng is drawn in.
-  std::set<size_t> lengths;
-  for (size_t p = 0; p < data.size(); ++p) {
-    for (size_t len : options.lengths.LengthsFor(data[p].length())) {
-      lengths.insert(len);
-    }
-  }
-  // Everything a task writes is allocated here, on this thread, before
-  // the task is submitted: pool workers allocate nothing.
-  struct LengthBuild {
-    std::optional<GroupAssigner> groups;
-    GtiEntry entry;
-    std::optional<PairwisePass> pairs;
-  };
-  std::vector<LengthBuild> builds(lengths.size());
-  Rng rng(options.seed);
-  size_t i = 0;
-  for (size_t length : lengths) {
-    builds[i++].groups.emplace(data, length, options.st,
-                               ShuffledRefs(data, length, &rng));
-  }
-  // Task id -> its length's build. Scans go first, longest length
-  // first: on a base like explore's the long lengths hold the most
-  // groups. Each length's pairwise pass follows once this thread has
-  // frozen its groups.
-  std::vector<LengthBuild*> owner;
-  owner.reserve(2 * builds.size());
-  WorkPool::Batch batch(pool);
-  for (auto it = builds.rbegin(); it != builds.rend(); ++it) {
-    owner.push_back(&*it);
-    batch.Submit([b = &*it] { b->groups->AssignRest(); });
-  }
-  for (size_t id; (id = batch.Next()) != WorkPool::Batch::kNone;) {
-    LengthBuild& b = *owner[id];
-    if (!b.pairs) {
-      b.entry = FreezeGroups(*b.groups, options.window_ratio);
-      b.pairs.emplace(Representatives(b.entry, data), b.groups->blocks(),
-                      options.st, options.compute_sp_space);
-      owner.push_back(&b);
-      batch.Submit([&b] { b.pairs->Run(); });
-    } else {
-      b.pairs->Finish(&b.entry);
-      b.pairs.reset();
-      b.groups.reset();
-      base.gti_.Insert(std::move(b.entry));
-    }
+  try {
+    BuildLengths(base.dataset_, options, pool, &base.gti_);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("out of memory building the base over '" +
+                                     base.dataset_.name() + "'");
   }
   const double build_seconds = timer.ElapsedSeconds();
   base.RefreshDerivedState();

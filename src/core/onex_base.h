@@ -11,8 +11,12 @@
 // pass). The building thread runs tasks too, and it alone allocates:
 // it draws every length's shuffled subsequences from the one Rng and
 // sizes every buffer a task writes before submitting it, so the base's
-// bytes do not depend on which thread ran what. Appends and threshold
-// refinement run on the calling thread only.
+// bytes do not depend on which thread ran what. Lengths start longest
+// first, and at most the pool's workers + 2 are in flight at once (one
+// on a pool without workers), each holding its scan storage and, once
+// frozen, its Dc triangle: a build's memory follows its threads, not
+// its lengths. Appends and threshold refinement run on the calling
+// thread only.
 
 #ifndef ONEX_CORE_ONEX_BASE_H_
 #define ONEX_CORE_ONEX_BASE_H_
@@ -63,10 +67,11 @@ class OnexBase {
   /// Builds the base over `dataset` (taken by value; the base must keep
   /// the original data to return actual sequences, paper Sec. 7).
   /// The dataset is expected to be normalized already (Sec. 6.1);
-  /// InvalidArgument if any value fails CheckSeriesValues. The lengths
-  /// are built on `pool`'s workers and on the calling thread; a pool
-  /// without workers builds on the calling thread alone, with the same
-  /// result.
+  /// InvalidArgument if any value fails CheckSeriesValues;
+  /// ResourceExhausted when memory (or address space) for a length
+  /// runs out. The lengths are built on `pool`'s workers and on the
+  /// calling thread; a pool without workers builds on the calling
+  /// thread alone, one length at a time, with the same result.
   static Result<OnexBase> Build(Dataset dataset, const OnexOptions& options,
                                 WorkPool& pool = WorkPool::Shared());
 

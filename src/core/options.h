@@ -38,8 +38,9 @@ struct OnexOptions {
 
   /// Computes SThalf / STfinal per length during the build (Sec. 4.2).
   /// What it costs is a g(g-1)/2 buffer of Dc values, held while the
-  /// length is built, and the O(g^2) Prim pass over it; disable for
-  /// very large bases. The O(g^2 * L) pass over the representative
+  /// length is built (a build holds one per length in flight: up to the
+  /// work pool's workers + 2), and the O(g^2) Prim pass over it;
+  /// disable for very large bases. The O(g^2 * L) pass over the representative
   /// pairs runs either way: the sum order needs its row sums.
   bool compute_sp_space = true;
 

@@ -76,6 +76,16 @@ inline void StoreEdLane(std::span<double> blocks, size_t c,
   }
 }
 
+/// Reads series `c` of `blocks` into `values` (StoreEdLane's inverse).
+inline void LoadEdLane(std::span<const double> blocks, size_t c,
+                       std::span<double> values) {
+  const size_t lane = c % kEdBatchLanes;
+  const double* column = blocks.data() + (c - lane) * values.size() + lane;
+  for (size_t i = 0; i < values.size(); ++i) {
+    values[i] = column[i * kEdBatchLanes];
+  }
+}
+
 /// SquaredEuclideanBatch through `kernel` when supported, through
 /// kPortable otherwise.
 void SquaredEuclideanBatchWith(LaneKernel kernel,

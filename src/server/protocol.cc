@@ -701,6 +701,7 @@ const char* WireCode(Status::Code code) {
     case Status::Code::kNotSupported:    return "NOT_SUPPORTED";
     case Status::Code::kCancelled:       return "CANCELLED";
     case Status::Code::kDeadlineExceeded: return "DEADLINE_EXCEEDED";
+    case Status::Code::kResourceExhausted: return "RESOURCE_EXHAUSTED";
   }
   return "UNKNOWN";
 }

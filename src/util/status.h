@@ -29,6 +29,8 @@ class Status {
     kCancelled,
     /// The caller's ExecContext deadline passed mid-operation.
     kDeadlineExceeded,
+    /// The operation could not get the memory it needed.
+    kResourceExhausted,
   };
 
   /// Default-constructed Status is OK.
@@ -60,6 +62,9 @@ class Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(Code::kDeadlineExceeded, std::move(msg));
   }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(Code::kResourceExhausted, std::move(msg));
+  }
 
   /// True for the two interruption codes an ExecContext can raise —
   /// the "stopped early, partial results may exist" family, as opposed
@@ -84,6 +89,7 @@ class Status {
       case Code::kNotSupported:    prefix = "NotSupported"; break;
       case Code::kCancelled:       prefix = "Cancelled"; break;
       case Code::kDeadlineExceeded: prefix = "DeadlineExceeded"; break;
+      case Code::kResourceExhausted: prefix = "ResourceExhausted"; break;
       case Code::kOk:              prefix = "OK"; break;
     }
     return message_.empty() ? prefix : prefix + ": " + message_;

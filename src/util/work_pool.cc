@@ -10,28 +10,39 @@
 namespace onex {
 namespace {
 
-/// CPUs this process may run on: its affinity mask, or, where that
-/// cannot be read, the hardware's count. At least one.
-size_t CpusAvailable() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    return std::max(1, CPU_COUNT(&set));
-  }
-  return std::max(1u, std::thread::hardware_concurrency());
-}
-
 /// The calling thread's affinity mask; empty where it cannot be read.
-cpu_set_t AffinityMask() {
+cpu_set_t ThreadAffinity() {
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) != 0) CPU_ZERO(&set);
   return set;
 }
 
+/// The mask the process started with (what a launcher such as taskset
+/// set), read once before main, so a thread that has narrowed its own
+/// mask since does not narrow the pool's.
+const cpu_set_t kStartupAffinity = ThreadAffinity();
+
+/// The process's affinity mask: kStartupAffinity, or the calling
+/// thread's when asked before it is read. Affinity is per thread in
+/// Linux; this is the one every thread the program starts inherits
+/// unless it was changed.
+cpu_set_t ProcessAffinity() {
+  return CPU_COUNT(&kStartupAffinity) > 0 ? kStartupAffinity
+                                          : ThreadAffinity();
+}
+
+/// CPUs this process may run on: ProcessAffinity's count, or, where
+/// the mask cannot be read, the hardware's. At least one.
+size_t CpusAvailable() {
+  const cpu_set_t set = ProcessAffinity();
+  if (CPU_COUNT(&set) > 0) return CPU_COUNT(&set);
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 }  // namespace
 
-WorkPool::WorkPool(size_t workers) : cpus_(AffinityMask()) {
+WorkPool::WorkPool(size_t workers) : cpus_(ProcessAffinity()) {
   // Workers start with every signal blocked but the ones a fault raises
   // in the faulting thread: a server that blocks SIGTERM and sigwaits
   // for it may have started the pool first, and a worker must not take
@@ -58,11 +69,12 @@ WorkPool::~WorkPool() {
   for (std::thread& thread : threads_) thread.join();
 }
 
-void WorkPool::KeepWorkersOff(int cpu) {
+void WorkPool::KeepWorkersOffLocked(int cpu) {
   if (threads_.empty() || cpu < 0 || cpu >= CPU_SETSIZE ||
-      workers_off_cpu_.exchange(cpu) == cpu) {
+      workers_off_cpu_ == cpu) {
     return;
   }
+  workers_off_cpu_ = cpu;
   cpu_set_t set = cpus_;
   CPU_CLR(cpu, &set);
   if (CPU_COUNT(&set) == 0) return;
@@ -117,8 +129,8 @@ WorkPool::Batch::Task* WorkPool::Batch::ClaimLocked() {
 }
 
 size_t WorkPool::Batch::Submit(std::function<void()> task) {
-  pool_.KeepWorkersOff(sched_getcpu());
   MutexLock lock(pool_.mutex_);
+  pool_.KeepWorkersOffLocked(sched_getcpu());
   const size_t id = tasks_.size();
   tasks_.push_back({std::move(task), id, nullptr});
   // Without workers the pool's list stays empty and this thread runs

@@ -6,8 +6,10 @@
 // never waits for a worker to wake up. It waits only for tasks a worker
 // has already claimed.
 //
-// The workers stay off the CPU the submitting thread last submitted
-// from, since that thread runs tasks too. Left to itself, a scheduler
+// The workers stay off the CPU a submitting thread last submitted
+// from, since that thread runs tasks too; with two submitting threads,
+// off the CPU of the last Submit (recorded and applied under the
+// pool's lock). Left to itself, a scheduler
 // may place a woken worker beside the thread that woke it and leave it
 // there: on a 2-vCPU VM both threads shared one CPU for about the first
 // second of a process (the other idle), which halved a build's speed.
@@ -48,7 +50,8 @@ class WorkPool {
   WorkPool& operator=(const WorkPool&) = delete;
 
   /// The process-wide pool, started on first use: one worker per CPU
-  /// in the process's affinity mask beyond the calling thread's, so
+  /// in the process's affinity mask (the one it started with, whichever
+  /// thread asks first) beyond the one a submitting thread runs on, so
   /// none on one CPU.
   static WorkPool& Shared();
 
@@ -64,7 +67,7 @@ class WorkPool {
  private:
   void WorkerLoop();
   /// Lets the workers run on every CPU of the pool's mask but `cpu`.
-  void KeepWorkersOff(int cpu);
+  void KeepWorkersOffLocked(int cpu) REQUIRES(mutex_);
 
   Mutex mutex_{LockRank::kLeaf, "work_pool.mutex"};
   /// Signalled when a batch gains an unclaimed task, or on stop.
@@ -74,8 +77,8 @@ class WorkPool {
   std::vector<Batch*> ready_ GUARDED_BY(mutex_);
   bool stop_ GUARDED_BY(mutex_) = false;
   std::atomic<uint64_t> worker_tasks_{0};
-  cpu_set_t cpus_;  ///< The process's affinity mask at construction.
-  std::atomic<int> workers_off_cpu_{-1};
+  cpu_set_t cpus_;  ///< The process's affinity mask.
+  int workers_off_cpu_ GUARDED_BY(mutex_) = -1;
   std::vector<std::thread> threads_;  // Last: uses the members above.
 };
 

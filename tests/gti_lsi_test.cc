@@ -317,7 +317,7 @@ TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
       }
       for (LaneKernel kernel : {LaneKernel::kPortable, LaneKernel::kAvx2}) {
         if (!LaneKernelSupported(kernel)) continue;
-        PairwisePass pass(reps, blocks, 0.2, true);
+        PairwisePass pass(blocks, g, length, 0.2, true);
         pass.Run(kernel);
         ASSERT_EQ(pass.sums().size(), g);
         ASSERT_EQ(pass.dc().size(), want_dc.size());
@@ -327,7 +327,7 @@ TEST(GtiEquivalenceTest, LaneBatchedPairwisePassMatchesTheScalarLoop) {
         for (size_t i = 0; i < want_dc.size(); ++i) {
           EXPECT_TRUE(BitEqual(pass.dc()[i], want_dc[i])) << "pair " << i;
         }
-        PairwisePass sums_only(reps, blocks, 0.2, false);
+        PairwisePass sums_only(blocks, g, length, 0.2, false);
         sums_only.Run(kernel);
         EXPECT_TRUE(sums_only.dc().empty());
         EXPECT_TRUE(std::equal(sums_only.sums().begin(),

@@ -1,12 +1,16 @@
 // Tests for OnexBase::Build: stats consistency (Table 4 semantics),
-// option validation, index completeness, and byte identity with a base
-// built one length at a time on the calling thread.
+// option validation, index completeness, byte identity with a base
+// built one length at a time on the calling thread, and the address
+// space a build maps.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <fstream>
 #include <limits>
-#include <set>
 #include <string>
 
 #include "core/group_builder.h"
@@ -15,6 +19,7 @@
 #include "core/serialization.h"
 #include "datagen/generators.h"
 #include "dataset/normalize.h"
+#include "serial_build.h"
 #include "util/rng.h"
 #include "util/work_pool.h"
 
@@ -206,26 +211,6 @@ TEST(OnexBaseTest, DeterministicForSeed) {
 
 // --------------------------------- Byte identity with a serial build.
 
-/// The base Build must produce, assembled one length at a time on the
-/// calling thread: every length's shuffled subsequences drawn from one
-/// Rng in ascending length order, grouped, then frozen.
-OnexBase SerialBuild(const Dataset& dataset, const OnexOptions& options) {
-  std::set<size_t> lengths;
-  for (size_t p = 0; p < dataset.size(); ++p) {
-    for (size_t len : options.lengths.LengthsFor(dataset[p].length())) {
-      lengths.insert(len);
-    }
-  }
-  Rng rng(options.seed);
-  GlobalTimeIndex gti;
-  for (size_t length : lengths) {
-    gti.Insert(BuildGtiEntry(
-        BuildGroupsForLength(dataset, length, options.st, &rng), options.st,
-        options.window_ratio, options.compute_sp_space));
-  }
-  return OnexBase::FromParts(dataset, options, std::move(gti));
-}
-
 struct BuildCase {
   std::string name;
   Dataset dataset;
@@ -310,6 +295,84 @@ TEST(OnexBaseBuildTest, PoolBuildsTheSerialBuildsBytes) {
       }
     }
   }
+}
+
+// ------------------------------------------ Address space of a build.
+
+/// Whether an address or thread sanitizer runtime, which reserves
+/// shadow memory and maps more as it runs, is linked in.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizerMapsShadow = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitizerMapsShadow = true;
+#else
+constexpr bool kSanitizerMapsShadow = false;
+#endif
+#else
+constexpr bool kSanitizerMapsShadow = false;
+#endif
+
+/// Bytes of address space this process has mapped (VmSize); 0 where
+/// it cannot be read.
+size_t MappedBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      size_t kb = 0;
+      status >> kb;
+      return kb * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Builds `data` on a pool without workers in a child process whose
+/// address space may grow by `headroom` bytes past what it has mapped.
+/// Returns the child's exit code: 0 built, 1 ResourceExhausted, 2 any
+/// other error, 3 an exception escaped Build; or minus the signal that
+/// ended it.
+int BuildUnderAddressLimit(const Dataset& data, const OnexOptions& options,
+                           size_t headroom) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    WorkPool alone(0);
+    rlimit limit;
+    getrlimit(RLIMIT_AS, &limit);
+    limit.rlim_cur = MappedBytes() + headroom;
+    if (setrlimit(RLIMIT_AS, &limit) != 0) _exit(4);
+    try {
+      auto base = OnexBase::Build(data, options, alone);
+      if (base.ok()) _exit(0);
+      _exit(base.status().code() == Status::Code::kResourceExhausted ? 1 : 2);
+    } catch (...) {
+      _exit(3);
+    }
+  }
+  int status = 0;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid) return 5;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -WTERMSIG(status);
+}
+
+/// Each length's scan storage maps two doubles per point of every
+/// subsequence (room for one group per subsequence): 7-17 MB for each
+/// of these thirteen lengths of one 2048-point series, 170 MB in all.
+/// A build maps one length's at a time per thread that runs its tasks,
+/// so with no workers it fits in 48 MB; and where even one length's
+/// mapping fails it returns ResourceExhausted instead of throwing.
+TEST(OnexBaseBuildTest, ScanStorageIsMappedALengthAtATime) {
+  if (kSanitizerMapsShadow) {
+    GTEST_SKIP() << "sanitizer runtimes map address space of their own";
+  }
+  if (MappedBytes() == 0) GTEST_SKIP() << "no VmSize in /proc/self/status";
+  Dataset data("flat");
+  data.Add(TimeSeries(std::vector<double>(2048, 0.5)));  // One group.
+  OnexOptions options;
+  options.lengths = {256, 1024, 64};
+  EXPECT_EQ(BuildUnderAddressLimit(data, options, 48u << 20), 0);
+  EXPECT_EQ(BuildUnderAddressLimit(data, options, 4u << 20), 1);
 }
 
 }  // namespace

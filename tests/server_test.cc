@@ -220,27 +220,38 @@ TEST_F(ServerTest, ShedsLoadWithOverloadedWhenQueueIsFull) {
   // One worker, one queue slot. The test hooks make the schedule
   // deterministic: job A blocks inside the worker, job B fills the
   // queue, job C must be shed.
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool job_started = false;
-  bool release_jobs = false;
-  std::atomic<int> enqueued{0};
+  // The hooks share this state with the test body: a session thread
+  // calls on_enqueue after its job is queued, which can be after the
+  // job's reply has reached the client and the body has returned.
+  struct HookState {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool job_started = false;
+    bool release_jobs = false;
+    std::atomic<int> enqueued{0};
+  };
+  const auto state = std::make_shared<HookState>();
+  std::mutex& mutex = state->mutex;
+  std::condition_variable& cv = state->cv;
+  bool& job_started = state->job_started;
+  bool& release_jobs = state->release_jobs;
+  std::atomic<int>& enqueued = state->enqueued;
 
   ServerOptions options;
   options.num_workers = 1;
   options.max_queue = 1;
-  options.on_job_start = [&] {
-    std::unique_lock<std::mutex> lock(mutex);
-    job_started = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release_jobs; });
+  options.on_job_start = [state] {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->job_started = true;
+    state->cv.notify_all();
+    state->cv.wait(lock, [&] { return state->release_jobs; });
   };
-  options.on_enqueue = [&](size_t) {
+  options.on_enqueue = [state](size_t) {
     // Lock so the increment cannot slip between a waiter's predicate
     // check and its sleep (lost wakeup).
-    std::lock_guard<std::mutex> lock(mutex);
-    enqueued.fetch_add(1);
-    cv.notify_all();
+    std::lock_guard<std::mutex> lock(state->mutex);
+    state->enqueued.fetch_add(1);
+    state->cv.notify_all();
   };
   StartServer(options);
   const Engine power = BuildEngine("ItalyPower", 10, 42);

@@ -1,8 +1,10 @@
 // Tests for WorkPool (util/work_pool.h): every task runs exactly once,
 // the submitting thread runs unclaimed tasks itself and waits only for
 // claimed ones, batches from two threads share one pool, an empty
-// batch returns at once, workers keep off the submitting thread's CPU,
-// and they leave process-directed signals to the program's own threads. Task counts stay small, and no test starts
+// batch returns at once, workers keep off the submitting thread's CPU
+// (within the process's mask, even when the pool was made on a thread
+// held on one CPU), and they leave process-directed signals to the
+// program's own threads. Task counts stay small, and no test starts
 // more threads than one pool worker and two submitters.
 
 #include "util/work_pool.h"
@@ -14,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -177,6 +180,35 @@ TEST(WorkPoolTest, WorkersBlockSignalsButFaults) {
   }
 }
 
+/// The affinity of `pool`'s worker, as a task submitted from a thread
+/// held on `cpu` finds it. Constructs the pool on that thread when
+/// `pool` holds none yet.
+cpu_set_t WorkerMaskSubmittedFrom(int cpu, std::optional<WorkPool>& pool) {
+  cpu_set_t process;
+  CPU_ZERO(&process);
+  sched_getaffinity(0, sizeof(process), &process);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  cpu_set_t worker;
+  CPU_ZERO(&worker);
+  EXPECT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  if (!pool) pool.emplace(1);
+  {
+    std::atomic<bool> ran{false};
+    WorkPool::Batch batch(*pool);
+    batch.Submit([&] {
+      pthread_getaffinity_np(pthread_self(), sizeof(worker), &worker);
+      ran.store(true);
+    });
+    // Only the worker can claim it: this thread is not in Next yet.
+    while (!ran.load()) std::this_thread::yield();
+  }
+  EXPECT_EQ(
+      pthread_setaffinity_np(pthread_self(), sizeof(process), &process), 0);
+  return worker;
+}
+
 /// A submitting thread runs tasks too, so the workers keep off the CPU
 /// it submits from.
 TEST(WorkPoolTest, WorkersKeepOffTheSubmittersCpu) {
@@ -184,27 +216,26 @@ TEST(WorkPoolTest, WorkersKeepOffTheSubmittersCpu) {
   CPU_ZERO(&process);
   ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
   if (CPU_COUNT(&process) < 2) GTEST_SKIP() << "one CPU";
-  WorkPool pool(1);
-  // Hold this thread on one CPU of the mask while it submits.
+  std::optional<WorkPool> pool;
+  pool.emplace(1);
   int cpu = 0;
   while (!CPU_ISSET(cpu, &process)) ++cpu;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
-  std::atomic<bool> ran{false};
-  cpu_set_t worker;
-  CPU_ZERO(&worker);
-  WorkPool::Batch batch(pool);
-  batch.Submit([&] {
-    pthread_getaffinity_np(pthread_self(), sizeof(worker), &worker);
-    ran.store(true);
-  });
-  // Only the worker can claim it: this thread is not in Next yet.
-  while (!ran.load()) std::this_thread::yield();
-  batch.Wait();
-  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(process), &process),
-            0);
+  const cpu_set_t worker = WorkerMaskSubmittedFrom(cpu, pool);
+  EXPECT_FALSE(CPU_ISSET(cpu, &worker));
+  EXPECT_EQ(CPU_COUNT(&worker), CPU_COUNT(&process) - 1);
+}
+
+/// A pool made on a thread held on one CPU still takes the process's
+/// mask for its workers, not that thread's.
+TEST(WorkPoolTest, PoolMadeOnAPinnedThreadUsesTheProcessMask) {
+  cpu_set_t process;
+  CPU_ZERO(&process);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+  if (CPU_COUNT(&process) < 2) GTEST_SKIP() << "one CPU";
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &process)) ++cpu;
+  std::optional<WorkPool> pool;
+  const cpu_set_t worker = WorkerMaskSubmittedFrom(cpu, pool);
   EXPECT_FALSE(CPU_ISSET(cpu, &worker));
   EXPECT_EQ(CPU_COUNT(&worker), CPU_COUNT(&process) - 1);
 }
